@@ -363,7 +363,6 @@ def build_parser():
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--jobs", type=int, default=4)
 
     p = sub.add_parser("sigma", help="sample the sigma distribution to CSV")
     p.add_argument("--spec", required=True)
@@ -395,6 +394,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a batch of prediction/verification cases")
     p.add_argument("--config", required=True)
+    p.add_argument("--jobs", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -3,8 +3,10 @@
 The Galerkin basis is e_n(t) = L_n(t) e^{-t/2}, whose Laplace images are
 mu(lam)^n / (lam + 1/2) with mu = (lam-1/2)/(lam+1/2).  Every section
 entry is therefore a sigma pairing against mu^{j+k} (lam+1/2)^{-2}: the
-matrix is Hankel in j+k and a whole section assembles from 2N-1 batched
-pairings.
+matrix is Hankel in j+k.  ``assemble`` hands all 2N-1 of these products to
+the sigma pairing dispatch as one test product with a batch axis (values,
+Taylor coefficients and a decay bound, see ``sigma``), so a whole section
+costs one pass over the sigma parts.
 
 Certificates build explicit trial subspaces on which the full quadratic
 form is negative definite, which witnesses N_minus >= dim by the
@@ -32,14 +34,15 @@ import numpy as np
 
 from . import _quad
 from .form import FormDomainError
-from .kernel import (Classification, FiniteRankTerm, Kernel,
-                     QuasiCarlemanTerm, classify)
+from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DeltaCombo, RegularDensity, RegularizedPower,
-                    SigmaDistribution, _density_pair_engine,
-                    _regularized_pair_engine, matrix_inertia, sigma_of_kernel,
-                    sigma_pair, sign_matrix, sign_matrix_tilde)
+from .sigma import (DecayError, DeltaCombo, SigmaDistribution, _pair_product,
+                    matrix_inertia, sigma_of_kernel, sigma_pair, sign_matrix,
+                    sign_matrix_tilde)
 from .special import FExp, FLog, FPow, FProd, Jet, fs_const, fs_var
+# Imported by name and called through this module's globals: the benchmark's
+# tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
+from .special import _jet_mul, _jet_recip
 
 __all__ = [
     "FiniteSection",
@@ -54,100 +57,47 @@ __all__ = [
     "window_trials",
 ]
 
-_SERIES_EXTRA = 30
-
 
 # ---------------------------------------------------------------------------
-# Batched pairings against the Laguerre-image products
+# Finite sections
 # ---------------------------------------------------------------------------
 
-def _jet_mul(a, b):
-    n = len(a)
-    out = np.zeros(n, dtype=complex)
-    for p in range(n):
-        out[p] = np.dot(a[: p + 1], b[p::-1])
-    return out
+class _LaguerreProducts:
+    """The test products mu^s (lam+1/2)^{-2}, s = 0..smax, batched along
+    the leading axis."""
 
+    def __init__(self, smax):
+        self.smax = smax
 
-def _jet_recip(a):
-    n = len(a)
-    out = np.zeros(n, dtype=complex)
-    out[0] = 1.0 / a[0]
-    for p in range(1, n):
-        out[p] = -out[0] * np.dot(a[1: p + 1], out[p - 1:: -1])
-    return out
+    def __call__(self, lams):
+        mu = (lams - 0.5) / (lams + 0.5)
+        out = np.empty((self.smax + 1, len(lams)))
+        cur = (lams + 0.5) ** -2.0
+        for s in range(self.smax + 1):
+            out[s] = cur
+            cur = cur * mu
+        return out
 
-
-def _laguerre_product_jets(center, smax, order, extra_rate=0.0):
-    """Taylor coefficients at ``center`` of e^{-extra_rate (lam-center)}
-    mu(lam)^s (lam+1/2)^{-2} for s = 0..smax; shape (smax+1, order+1)."""
-    n = order + 1
-    lam = np.zeros(n, dtype=complex)
-    lam[0] = center
-    if n > 1:
-        lam[1] = 1.0
-    num = lam.copy()
-    num[0] -= 0.5
-    den = lam.copy()
-    den[0] += 0.5
-    mu = _jet_mul(num, _jet_recip(den))
-    base = _jet_mul(_jet_recip(den), _jet_recip(den))
-    if extra_rate != 0.0:
-        ec = np.zeros(n, dtype=complex)
+    def jet(self, center, order):
+        n = order + 1
+        lam = np.zeros(n, dtype=complex)
+        lam[0] = center
         if n > 1:
-            ec[1] = -extra_rate
-        base = _jet_mul(base, Jet(center, ec).exp().coeffs)
-    jets = np.empty((smax + 1, n), dtype=complex)
-    cur = base
-    for s in range(smax + 1):
-        jets[s] = cur
-        cur = _jet_mul(cur, mu)
-    return jets
+            lam[1] = 1.0
+        num = lam.copy()
+        num[0] -= 0.5
+        den = lam.copy()
+        den[0] += 0.5
+        mu = _jet_mul(num, _jet_recip(den))
+        cur = _jet_mul(_jet_recip(den), _jet_recip(den))
+        jets = np.empty((self.smax + 1, n), dtype=complex)
+        for s in range(self.smax + 1):
+            jets[s] = cur
+            cur = _jet_mul(cur, mu)
+        return jets
 
-
-def _laguerre_product_values(lams, smax):
-    """mu^s (lam+1/2)^{-2} on a lambda array, shape (smax+1, len(lams))."""
-    mu = (lams - 0.5) / (lams + 0.5)
-    out = np.empty((smax + 1, len(lams)))
-    cur = (lams + 0.5) ** -2.0
-    for s in range(smax + 1):
-        out[s] = cur
-        cur = cur * mu
-    return out
-
-
-def _entry_array(sig, smax, atol=1e-12):
-    """F(s) = <sigma, mu^s (lam+1/2)^{-2}>, the Hankel entry generator."""
-    total = np.zeros(smax + 1, dtype=complex)
-    for part in sig.parts:
-        if isinstance(part, RegularDensity):
-            if part.r == 0.0 and part.q >= 2.0:
-                raise FormDomainError(
-                    "Laguerre entries diverge: density ~ lam^%g with no decay"
-                    % (part.q - 1))
-
-            def psi(lam, _p=part):
-                return np.exp(-_p.r * (lam - _p.alpha)) * _laguerre_product_values(lam, smax)
-
-            total = total + _density_pair_engine(part, psi, atol=atol, max_depth=16)
-        elif isinstance(part, RegularizedPower):
-            jets = _laguerre_product_jets(part.alpha, smax,
-                                          part.order + _SERIES_EXTRA, part.r)
-
-            def psi(lam, _p=part):
-                return np.exp(-_p.r * (lam - _p.alpha)) * _laguerre_product_values(lam, smax)
-
-            total = total + _regularized_pair_engine(part, psi, jets, atol=atol)
-        elif isinstance(part, DeltaCombo):
-            K = part.degree
-            jets = _laguerre_product_jets(part.beta, smax, K)
-            fact = np.array([math.factorial(j) for j in range(K + 1)])
-            signs = np.array([(-1.0) ** j for j in range(K + 1)])
-            coeffs = np.asarray(part.coeffs)
-            total = total + jets @ (coeffs * signs * fact)
-        else:
-            raise TypeError("unknown sigma part %r" % (part,))
-    return total
+    def decay(self):
+        return (0.0, -2.0)  # mu -> 1 as lam -> inf
 
 
 @dataclass(frozen=True)
@@ -155,10 +105,9 @@ class FiniteSection:
     size: int
     matrix: np.ndarray
     kernel: Kernel
-    route: str
 
     def leading(self, n):
-        return FiniteSection(n, self.matrix[:n, :n], self.kernel, self.route)
+        return FiniteSection(n, self.matrix[:n, :n], self.kernel)
 
 
 def assemble(kernel, n, atol=1e-12):
@@ -172,14 +121,19 @@ def assemble(kernel, n, atol=1e-12):
     if cls is Classification.UNBOUNDED_POSITIVE_FORM:
         warnings.warn("assembling finite sections of an unbounded positive form")
     sig = sigma_of_kernel(kernel)
-    f = _entry_array(sig, 2 * n - 2, atol=atol)
+    try:
+        f = _pair_product(sig, _LaguerreProducts(2 * n - 2), atol, hints=None,
+                          near_radius=0.5, max_depth=16)
+    except DecayError as exc:
+        raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
+    f = np.broadcast_to(f, 2 * n - 1)  # a kernel without parts pairs to a scalar 0
     scale = max(np.max(np.abs(f)), 1e-300)
     if np.max(np.abs(f.imag)) > 1e-8 * scale:
         raise ArithmeticError("section entries came out complex; kernel not self-adjoint?")
     fr = f.real
     idx = np.arange(n)
     h = fr[idx[:, None] + idx[None, :]]
-    return FiniteSection(n, h, kernel, "sigma-pairing")
+    return FiniteSection(n, h, kernel)
 
 
 def section_inertia(section, tol=1e-10):
@@ -291,6 +245,17 @@ def _neg_inertia(g):
     return matrix_inertia(gh)[1]
 
 
+def _hermitian_gram(pair, trials):
+    """G[i, j] = pair(trials[i], trials[j]) for j >= i, mirrored below."""
+    m = len(trials)
+    g = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(i, m):
+            g[i, j] = pair(trials[i], trials[j])
+            g[j, i] = np.conj(g[i, j])
+    return g
+
+
 # -- gaussian-family certificate --------------------------------------------
 
 def _gaussian_gram(sig, beta, centers, eps, atol=1e-11):
@@ -299,15 +264,8 @@ def _gaussian_gram(sig, beta, centers, eps, atol=1e-11):
     for a in centers:
         hints.extend([a * math.exp(-4 * eps), a, a * math.exp(4 * eps)])
     nr = min(0.25 * (min(centers) - beta), 0.1)
-    m = len(trials)
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            val = sigma_pair(sig, trials[i], trials[j], atol=atol,
-                             hints=hints, near_radius=nr)
-            g[i, j] = val
-            g[j, i] = np.conj(val)
-    return g
+    return _hermitian_gram(
+        lambda u, v: sigma_pair(sig, u, v, atol=atol, hints=hints, near_radius=nr), trials)
 
 
 def _certify_gaussian(sig, beta, target, eps0, delta0, rounds=12):
@@ -336,13 +294,9 @@ def _certify_window(sig, beta, rho, n_sub, target, eps0, rounds=12):
     for _ in range(rounds):
         trials = window_trials(beta, rho, n_sub, target, eps)
         hints = [beta * math.exp(-2 * eps), beta * math.exp(2 * eps), beta + 1.0]
-        g = np.zeros((target, target), dtype=complex)
-        for i in range(target):
-            for j in range(i, target):
-                val = sigma_pair(sig, trials[i], trials[j], atol=1e-11,
-                                 hints=hints, near_radius=min(0.1, eps / 2))
-                g[i, j] = val
-                g[j, i] = np.conj(val)
+        nr = min(0.1, eps / 2)
+        g = _hermitian_gram(
+            lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints, near_radius=nr), trials)
         achieved = _neg_inertia(g)
         cert = Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
                            g, achieved, target)
@@ -426,30 +380,11 @@ def _interp_trials_for_group(kappa, K, other_roots, kind, eps):
 
 
 def _certify_interpolation(h0_sigma, v_kernel, target, eps0, rounds=12):
-    terms = list(v_kernel.fr_terms)
-    # group real terms and conjugate pairs (keep the Im>0 representative)
-    groups = []
-    used = [False] * len(terms)
-    for i, t in enumerate(terms):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(t.beta.imag) <= 1e-12:
-            groups.append(("real", t))
-        else:
-            for j in range(i + 1, len(terms)):
-                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12:
-                    used[j] = True
-                    break
-            rep = t if t.beta.imag > 0 else FiniteRankTerm(tuple(np.conj(np.asarray(t.coeffs))), np.conj(t.beta))
-            groups.append(("pair", rep))
-
+    groups = v_kernel.conjugate_groups()
     kappas = []
     for kind, t in groups:
-        if kind == "real":
-            kappas.append((-np.log(t.beta), t.degree))
-        else:
-            kappas.append((-np.log(t.beta), t.degree))
+        kappas.append((-np.log(t.beta), t.degree))
+        if kind == "pair":
             kappas.append((-np.log(np.conj(t.beta)), t.degree))
 
     s0_parts = h0_sigma.regular_parts if h0_sigma is not None else []
@@ -473,9 +408,8 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0, rounds=12):
                     jet_data.append({_key(kap): a.astype(complex)})
             else:
                 kap2 = -np.log(np.conj(t.beta))
-                others1 = [(k, d + 1) for k, d in kappas if abs(k - kap) > 1e-14]
                 others2 = [(k, d + 1) for k, d in kappas if abs(k - kap2) > 1e-14]
-                psis1 = _interp_trials_for_group(kap, K, others1, "complex", eps)
+                psis1 = _interp_trials_for_group(kap, K, others, "complex", eps)
                 psis2 = _interp_trials_for_group(kap2, K, others2, "complex", eps)
                 st = sign_matrix_tilde(np.asarray(t.coeffs), t.beta)
                 evals, evecs = np.linalg.eigh(st.entries)
@@ -490,9 +424,8 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0, rounds=12):
             raise ValueError("perturbation has no negative directions to certify")
         g = np.zeros((m, m), dtype=complex)
         # exact sign-matrix part
-        for term in terms:
-            combo = DeltaCombo(term.beta, term.coeffs)
-            smat = _sign_matrix_entries(combo)
+        for term in v_kernel.fr_terms:
+            smat = DeltaCombo(term.beta, term.coeffs).sign_entries()
             kap_t = -np.log(term.beta)
             kap_c = -np.log(np.conj(term.beta))
             for i in range(m):
@@ -506,12 +439,7 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0, rounds=12):
                     g[i, j] += np.conj(di) @ smat @ dj
         # s0 part by real-line quadrature
         if s0_parts:
-            for i in range(m):
-                for j in range(i, m):
-                    val = _s0_pair_x(s0_parts, trial_funs[i], trial_funs[j])
-                    g[i, j] += val
-                    if j > i:
-                        g[j, i] += np.conj(val)
+            g += _hermitian_gram(lambda u, v: _s0_pair_x(s0_parts, u, v), trial_funs)
         achieved = _neg_inertia(g)
         cert = Certificate("interpolation", eps, {"groups": len(groups)}, g,
                            achieved, target)
@@ -533,16 +461,6 @@ def _combine(psis, coeffs):
             acc = acc + ck * pk(x)
         return acc
     return u
-
-
-def _sign_matrix_entries(combo):
-    d = combo.diffop()
-    K = combo.degree
-    s = np.zeros((K + 1, K + 1), dtype=complex)
-    for a in range(K + 1):
-        for b in range(K + 1 - a):
-            s[a, b] = (-1) ** (a + b) * math.comb(a + b, a) * d[a + b]
-    return s
 
 
 def _s0_pair_x(s0_parts, u1, u2):

@@ -139,6 +139,29 @@ class Kernel:
     def __add__(self, other):
         return Kernel(self.terms + other.terms)
 
+    def conjugate_groups(self, tol=1e-12):
+        """Finite-rank terms grouped as the sign-matrix counts see them:
+        ("real", term) for each real beta, and ("pair", term) once per
+        conjugate pair, with the Im beta > 0 member as ``term``."""
+        terms = self.fr_terms
+        used = [False] * len(terms)
+        groups = []
+        for i, t in enumerate(terms):
+            if used[i]:
+                continue
+            used[i] = True
+            if abs(t.beta.imag) <= tol:
+                groups.append(("real", t))
+                continue
+            for j in range(i + 1, len(terms)):
+                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= tol:
+                    used[j] = True
+                    break
+            if t.beta.imag < 0:
+                t = FiniteRankTerm(tuple(np.conj(np.asarray(t.coeffs))), np.conj(t.beta))
+            groups.append(("pair", t))
+        return groups
+
     def check_self_adjoint(self, tol=1e-12):
         """Require real quasi-Carleman data and conjugate-paired complex terms."""
         pool = [t for t in self.fr_terms if abs(t.beta.imag) > tol or any(abs(c.imag) > tol * max(1, abs(c)) for c in t.coeffs)]

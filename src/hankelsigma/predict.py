@@ -242,23 +242,13 @@ def predict_finite_rank(v):
     if v.qc_terms:
         raise ValueError("predict_finite_rank expects a finite-rank kernel")
     v.check_self_adjoint()
-    terms = list(v.fr_terms)
-    rank = sum(t.degree for t in terms) + len(terms)
+    rank = sum(t.degree + 1 for t in v.fr_terms)
     total = 0
-    used = [False] * len(terms)
-    for i, t in enumerate(terms):
-        if used[i]:
-            continue
-        if abs(t.beta.imag) <= 1e-12:
-            used[i] = True
+    for kind, t in v.conjugate_groups():
+        if kind == "real":
             lead = t.coeffs[-1].real * math.factorial(t.degree)  # P^{(K)}
             total += _neg_count_real(t.degree, lead)
         else:
-            used[i] = True
-            for j in range(i + 1, len(terms)):
-                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12:
-                    used[j] = True
-                    break
             total += t.degree + 1
     n_minus = NegCount.of(total)
     return Prediction(n_minus, NegCount.of(rank - total), "FDH1", rank=rank)
@@ -267,23 +257,14 @@ def predict_finite_rank(v):
 def finite_rank_inertia_check(v):
     """Sum of sign-matrix inertias; positive+negative must equal the rank."""
     n_plus = n_minus = 0
-    used = [False] * len(v.fr_terms)
-    terms = list(v.fr_terms)
-    for i, t in enumerate(terms):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(t.beta.imag) <= 1e-12:
+    for kind, t in v.conjugate_groups():
+        if kind == "real":
             sm = sign_matrix(np.real(np.asarray(t.coeffs)), t.beta.real)
             p, m, z = sm.inertia
             n_plus += p
             n_minus += m
             assert z == 0
         else:
-            for j in range(i + 1, len(terms)):
-                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12:
-                    used[j] = True
-                    break
             n_plus += t.degree + 1
             n_minus += t.degree + 1
     return n_plus, n_minus

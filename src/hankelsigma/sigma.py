@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _quad
 from .kernel import Kernel, QuasiCarlemanTerm, FiniteRankTerm, UndefinableKernelError
-from .special import Jet, gamma
+from .special import FProd, Jet, _jet_mul, gamma
 
 __all__ = [
     "RegularDensity",
@@ -60,18 +60,12 @@ class DecayError(ValueError):
 # Part types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularDensity:
-    c: float
-    q: float
-    alpha: float = 0.0
-    r: float = 0.0
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError("RegularDensity needs q > 0")
+class _PowerLaw:
+    """Shared function part of the two power-type sigma parts."""
 
     def density(self, lam):
+        """c/Gamma(q) (lam-alpha)_+^{q-1} e^{-r(lam-alpha)}, pointwise away
+        from alpha (a RegularizedPower distribution is more than this)."""
         lam = np.asarray(lam, dtype=float)
         out = np.zeros_like(lam)
         m = lam > self.alpha
@@ -81,7 +75,19 @@ class RegularDensity:
 
 
 @dataclass(frozen=True)
-class RegularizedPower:
+class RegularDensity(_PowerLaw):
+    c: float
+    q: float
+    alpha: float = 0.0
+    r: float = 0.0
+
+    def __post_init__(self):
+        if self.q <= 0:
+            raise ValueError("RegularDensity needs q > 0")
+
+
+@dataclass(frozen=True)
+class RegularizedPower(_PowerLaw):
     c: float
     q: float
     alpha: float
@@ -97,15 +103,6 @@ class RegularizedPower:
     def order(self):
         """Taylor-subtraction order n with -n-1 < q < -n."""
         return int(math.floor(-self.q))
-
-    def density(self, lam):
-        """The function part away from alpha (the distribution is more)."""
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros_like(lam)
-        m = lam > self.alpha
-        u = lam[m] - self.alpha
-        out[m] = self.c / float(gamma(self.q).real) * u ** (self.q - 1) * np.exp(-self.r * u)
-        return out
 
 
 def _falling_diffop(j):
@@ -147,6 +144,17 @@ class DeltaCombo:
             d[: j + 1] += cj * self.beta ** (-1 - j) * _falling_diffop(j)
         return d
 
+    def sign_entries(self):
+        """Sign-matrix S[a, b] = (-1)^{a+b} binom(a+b, a) d_{a+b}, zero for
+        a+b > K, with d the x-variable representation."""
+        d = self.diffop()
+        K = self.degree
+        S = np.zeros((K + 1, K + 1), dtype=complex)
+        for a in range(K + 1):
+            for b in range(K + 1 - a):
+                S[a, b] = (-1) ** (a + b) * math.comb(a + b, a) * d[a + b]
+        return S
+
 
 @dataclass(frozen=True)
 class SigmaDistribution:
@@ -157,7 +165,7 @@ class SigmaDistribution:
         lam = np.asarray(lam, dtype=float)
         out = np.zeros_like(lam)
         for p in self.parts:
-            if isinstance(p, (RegularDensity, RegularizedPower)):
+            if isinstance(p, _PowerLaw):
                 out = out + p.density(lam)
         return out
 
@@ -195,26 +203,34 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Pairing engines.  The scalar entry point works on FunctionSpec tests; the
-# underscored engines take plain callables/jet arrays so the Galerkin batch
-# route can reuse them.
+# Pairing engines.  Every pairing goes through one dispatch, _pair_product,
+# which walks sigma's parts against a test product prod = w1* w2 offering
+#
+#   prod(lam)                values on a lambda array, shape (..., len(lam));
+#   prod.jet(center, order)  Taylor coefficients at center, shape (..., order+1);
+#   prod.decay()             (rate, power): |prod| <~ lam^power e^{-rate lam},
+#                            ValueError when no such bound is known.
+#
+# The leading batch shape is () for the FunctionSpec tests of sigma_pair and
+# (2N-1,) for the Laguerre products of a Galerkin section; the engines
+# broadcast over it.  The dispatch folds each part's e^{-r(lam-alpha)} into
+# the product before handing it to an engine.
 # ---------------------------------------------------------------------------
 
 _SERIES_EXTRA = 30
 
 
-def _check_density_decay(q, r, w1, w2):
+def _check_density_decay(q, r, prod):
     try:
-        r1, p1 = w1.decay()
-        r2, p2 = w2.decay()
+        rate, power = prod.decay()
     except ValueError:
         return  # no structural bound; the tail quadrature will police it
-    rate = r + r1 + r2
+    rate = r + rate
     if rate == math.inf or rate > 0:
         return
-    if rate < 0 or (q - 1) + p1 + p2 >= -1:
+    if rate < 0 or (q - 1) + power >= -1:
         raise DecayError(
-            "pairing integrand ~ lam^%g with no exponential decay" % ((q - 1) + p1 + p2)
+            "pairing integrand ~ lam^%g with no exponential decay" % ((q - 1) + power)
         )
 
 
@@ -305,19 +321,56 @@ def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
     return weight * (near + mid + far - tail_corr)
 
 
-def _delta_pair_engine(part, jw1c, jw2):
-    """sum_j c_j (-1)^j d^j/dlam^j [w1* w2](beta), exact via jets.
+def _delta_pair_engine(part, jets):
+    """sum_j c_j (-1)^j d^j/dlam^j [w1* w2](beta), exact from the Taylor
+    coefficients of w1* w2 at beta, shape (..., K+1)."""
+    j = np.arange(part.degree + 1)
+    fact = np.array([math.factorial(i) for i in j], dtype=float)
+    return jets @ (np.asarray(part.coeffs) * (-1.0) ** j * fact)
 
-    jw1c is the jet of w1*(lam)=conj(w1(conj lam)) at beta; jw2 the jet of
-    w2 at beta; both to order >= K.
-    """
-    prod = jw1c * jw2
+
+def _pair_product(sig, prod, atol, hints, near_radius, max_depth):
+    """<sigma, prod> for a test product (see above); ``max_depth`` caps the
+    adaptive quadrature of the density parts."""
     total = 0.0 + 0.0j
-    for j, cj in enumerate(part.coeffs):
-        if cj == 0:
+    for part in sig.parts:
+        if isinstance(part, DeltaCombo):
+            total = total + _delta_pair_engine(part, prod.jet(part.beta, part.degree))
             continue
-        total += cj * (-1) ** j * prod.derivative(j)
+        if not isinstance(part, _PowerLaw):
+            raise TypeError("unknown sigma part %r" % (part,))
+        _check_density_decay(part.q, part.r, prod)
+
+        def psi(lam, _p=part):
+            return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
+
+        if isinstance(part, RegularDensity):
+            total = total + _density_pair_engine(part, psi, atol=atol, hints=hints,
+                                                 max_depth=max_depth)
+        else:
+            order = part.order + _SERIES_EXTRA
+            damp = np.zeros(order + 1, complex)
+            damp[1] = -part.r
+            jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
+            total = total + _regularized_pair_engine(part, psi, jets, atol=atol, hints=hints,
+                                                     near_radius=near_radius)
     return total
+
+
+class _SpecProduct:
+    """The test product w1* w2 of two FunctionSpec tests."""
+
+    def __init__(self, w1, w2):
+        self.spec = FProd([w1.conj(), w2])
+
+    def __call__(self, lam):
+        return self.spec(lam)
+
+    def jet(self, center, order):
+        return self.spec.jet(center, order).coeffs
+
+    def decay(self):
+        return self.spec.decay()
 
 
 def sigma_pair(sig, w1, w2, atol=1e-10, hints=None, near_radius=0.5):
@@ -326,38 +379,7 @@ def sigma_pair(sig, w1, w2, atol=1e-10, hints=None, near_radius=0.5):
     w1, w2 are FunctionSpec tests analytic on Re lam > 0 with enough decay;
     ``hints`` seeds quadrature breakpoints (sharp test-function features).
     """
-    w1c = w1.conj()
-    total = 0.0 + 0.0j
-    for part in sig.parts:
-        if isinstance(part, RegularDensity):
-            _check_density_decay(part.q, part.r, w1, w2)
-
-            def psi(lam, _p=part):
-                return np.exp(-_p.r * (lam - _p.alpha)) * w1c(lam) * w2(lam)
-
-            total += _density_pair_engine(part, psi, atol=atol, hints=hints)
-        elif isinstance(part, RegularizedPower):
-            _check_density_decay(part.q, part.r, w1, w2)
-
-            def psi(lam, _p=part):
-                return np.exp(-_p.r * (lam - _p.alpha)) * w1c(lam) * w2(lam)
-
-            order = part.order + _SERIES_EXTRA
-            exc = np.zeros(order + 1, complex)
-            if order >= 1:
-                exc[1] = -part.r
-            expo = Jet(part.alpha, exc).exp()
-            jpsi = expo * w1c.jet(part.alpha, order) * w2.jet(part.alpha, order)
-            total += _regularized_pair_engine(part, psi, jpsi.coeffs, atol=atol,
-                                              hints=hints, near_radius=near_radius)
-        elif isinstance(part, DeltaCombo):
-            K = part.degree
-            jw1c = w1c.jet(part.beta, K)
-            jw2 = w2.jet(part.beta, K)
-            total += _delta_pair_engine(part, jw1c, jw2)
-        else:
-            raise TypeError("unknown sigma part %r" % (part,))
-    return total
+    return _pair_product(sig, _SpecProduct(w1, w2), atol, hints, near_radius, max_depth=11)
 
 
 def sigma_pair_real(sig, w, atol=1e-10, hints=None, near_radius=0.5):
@@ -401,13 +423,7 @@ def sign_matrix(pcoeffs, beta):
     binom(K, a) beta^{-1-K} times the leading coefficient of P; the matrix
     of the conjugated data is the adjoint.
     """
-    combo = DeltaCombo(beta, tuple(pcoeffs))
-    K = combo.degree
-    d = combo.diffop()
-    S = np.zeros((K + 1, K + 1), dtype=complex)
-    for aa in range(K + 1):
-        for bb in range(K + 1 - aa):
-            S[aa, bb] = (-1) ** (aa + bb) * math.comb(aa + bb, aa) * d[aa + bb]
+    S = DeltaCombo(beta, tuple(pcoeffs)).sign_entries()
     scale = max(np.max(np.abs(S)), 1e-300)
     inertia = None
     if np.max(np.abs(S - S.conj().T)) <= 1e-12 * scale:

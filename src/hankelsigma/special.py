@@ -139,6 +139,29 @@ def laguerre_e(n, t):
 # Jets: truncated Taylor data, coeffs[p] = f^{(p)}(center) / p!
 # ---------------------------------------------------------------------------
 
+def _jet_mul(a, b):
+    """Truncated product of Taylor coefficients, np.convolve(a, b)[:n].
+
+    ``b`` is one jet of length n; ``a`` is one jet or a batch of them along
+    leading axes, shape (..., n).
+    """
+    n = len(b)
+    if np.ndim(a) == 1:
+        return np.convolve(a, b)[:n]
+    k = np.arange(n)
+    return a @ np.tril(b[k[:, None] - k[None, :]]).T
+
+
+def _jet_recip(a):
+    """Taylor coefficients of 1/f from those of f, a[0] != 0."""
+    n = len(a)
+    out = np.zeros(n, dtype=complex)
+    out[0] = 1.0 / a[0]
+    for p in range(1, n):
+        out[p] = -out[0] * np.dot(a[1: p + 1], out[p - 1:: -1])
+    return out
+
+
 @dataclass(frozen=True)
 class Jet:
     """Taylor expansion of an analytic function at ``center`` to ``order``."""
@@ -184,25 +207,14 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.center, self.coeffs * other)
         self._check(other)
-        n = self.order + 1
-        out = np.zeros(n, dtype=complex)
-        a, b = self.coeffs, other.coeffs
-        for p in range(n):
-            out[p] = np.dot(a[: p + 1], b[p::-1])
-        return Jet(self.center, out)
+        return Jet(self.center, _jet_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        a = self.coeffs
-        if a[0] == 0:
+        if self.coeffs[0] == 0:
             raise NonAnalyticError("reciprocal of a jet vanishing at center")
-        n = self.order + 1
-        out = np.zeros(n, dtype=complex)
-        out[0] = 1.0 / a[0]
-        for p in range(1, n):
-            out[p] = -out[0] * np.dot(a[1: p + 1], out[p - 1:: -1])
-        return Jet(self.center, out)
+        return Jet(self.center, _jet_recip(self.coeffs))
 
     def exp(self):
         a = self.coeffs

@@ -303,7 +303,7 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
     v /= np.linalg.norm(v)
     prev = 0.0
     for _ in range(iters):
-        w = k.conj().T @ (k @ v)
+        w = ((k @ v).conj() @ k).conj()  # K^H K v without forming K^H
         s = np.linalg.norm(w)
         v = w / s
         if abs(s - prev) <= tol * s:

@@ -26,11 +26,15 @@ def test_carleman_section_closed_form():
     sec = assemble(carleman(), 32)
     assert np.max(np.abs(sec.matrix - _closed_form_carleman(32))) < 1e-10
     assert np.allclose(sec.matrix[:2, :2], [[2.0, 0.0], [0.0, 2.0 / 3.0]], atol=1e-10)
-    assert sec.route == "sigma-pairing"
 
 
-def test_entries_match_scalar_pairings():
-    kern = carleman() + quasi_carleman(0.5, -1.5, 1.0, 0.0)
+@pytest.mark.parametrize("kern", [
+    carleman() + quasi_carleman(0.5, -1.5, 1.0, 0.0),
+    carleman() + quasi_carleman(-0.9, 1.0, 1.0, 1.0),     # density with r > 0
+    quasi_carleman(1.0, -2.5, 1.0, 1.0),                  # finite part with r > 0
+    carleman() + finite_rank([1.0, -0.4], 0.9) + finite_rank([0.3, 0.2], 0.7 + 0.5j),
+], ids=["fractional", "density-r", "finite-part-r", "deltas"])
+def test_entries_match_scalar_pairings(kern):
     sec = assemble(kern, 12)
     sig = sigma_of_kernel(kern)
     for j, k in ((0, 0), (3, 5), (11, 2)):

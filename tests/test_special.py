@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from hankelsigma.special import (FExp, FIndicatorImage, FPoly, FPow,
                                  FProd, FRecip, FSum, PoleError,
-                                 NonAnalyticError, fs_affine, gamma, jet_eval,
+                                 NonAnalyticError, _jet_mul, fs_affine, gamma,
+                                 jet_eval,
                                  laguerre, laguerre_e, laguerre_image,
                                  log_gamma)
 
@@ -119,6 +120,21 @@ def test_jet_product_rule_random():
         jfg = FProd([f, g]).jet(center, order)
         err = np.abs((jf * jg).coeffs - jfg.coeffs)
         assert np.max(err / np.maximum(np.abs(jfg.coeffs), 1e-12)) < 1e-12
+
+
+def test_jet_mul_matches_loop_reference():
+    # the Cauchy-product loop np.convolve replaced, kept as the reference
+    def mul_ref(a, b):
+        return np.array([np.dot(a[: p + 1], b[p::-1]) for p in range(len(a))])
+
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 9, 40):
+        a = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = np.array([mul_ref(row, b) for row in a])
+        tol = 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(_jet_mul(a[0], b) - ref[0])) <= tol
+        assert np.max(np.abs(_jet_mul(a, b) - ref)) <= tol  # batch axis on a
 
 
 def test_jet_reciprocal_of_zero_raises():

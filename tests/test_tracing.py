@@ -1,0 +1,47 @@
+"""The benchmark tracer still finds every name it wraps.
+
+``perfbench/tracing.py`` rebinds private names of the package (the sigma
+pairing engines, galerkin's jet helpers, ``_quad._panel``, ...).  Installing
+it here makes a rename of any of them fail this suite, not only a traced
+benchmark run.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+from hankelsigma import galerkin, sigma, special
+from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _some_traced():
+    return (sigma.sigma_pair, sigma._delta_pair_engine, galerkin._jet_mul,
+            galerkin._neg_inertia, vars(special.Jet)["__mul__"], np.linalg.eigvalsh)
+
+
+def test_benchmark_tracer_installs_and_undoes():
+    tracing = _load_tracing()
+    before = _some_traced()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert all(a is not b for a, b in zip(_some_traced(), before))
+        galerkin.assemble(carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0)
+                          + finite_rank([1.0, -0.4], 0.9), 4)
+    finally:
+        undo()
+    assert _some_traced() == before
+    seen = {tracing.NAMES[i] for i in tracer.name}
+    assert {"galerkin.assemble", "sigma.density", "sigma.regularized",
+            "sigma.delta", "special.jet"} <= seen
