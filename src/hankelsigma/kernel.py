@@ -139,7 +139,7 @@ class Kernel:
     def __add__(self, other):
         return Kernel(self.terms + other.terms)
 
-    def conjugate_groups(self, tol=1e-12):
+    def conjugate_groups(self):
         """Finite-rank terms grouped as the sign-matrix counts see them:
         ("real", term) for each real beta, and ("pair", term) once per
         conjugate pair, with the Im beta > 0 member as ``term``."""
@@ -150,11 +150,11 @@ class Kernel:
             if used[i]:
                 continue
             used[i] = True
-            if abs(t.beta.imag) <= tol:
+            if abs(t.beta.imag) <= 1e-12:
                 groups.append(("real", t))
                 continue
             for j in range(i + 1, len(terms)):
-                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= tol:
+                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12:
                     used[j] = True
                     break
             if t.beta.imag < 0:
