@@ -121,7 +121,7 @@ def _report_skeleton(command, args):
         "command": command,
         "seed": args.seed,
         "tolerance": args.tol,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "timings": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }
 
 
@@ -289,7 +289,7 @@ def cmd_verify(args):
     else:
         log.error("unknown verify mode %r", args.mode)
         return EXIT_VALIDATION
-    report["runtime_sec"] = time.time() - start
+    report["timings"]["runtime_sec"] = time.time() - start
     _write_report(report, args, "verify_%s.json" % args.mode)
     return code
 
@@ -307,7 +307,7 @@ def cmd_certificate(args):
         "target": cert.target,
         "success": bool(cert.success),
     }
-    report["runtime_sec"] = time.time() - start
+    report["timings"]["runtime_sec"] = time.time() - start
     _write_report(report, args, "certificate.json")
     return EXIT_OK if cert.success else EXIT_TOLERANCE
 

@@ -43,12 +43,18 @@ def _report(tag, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 def _rate_pair(rng):
-    """Two decay rates, either equal or well separated: the mixed-rate
-    convolution closed form cancels catastrophically for nearby rates."""
+    """Two decay rates: equal, 10^U(-8, -1) apart, or well separated.
+
+    Close rates are where a closed-form convolution would cancel
+    catastrophically; the direct side must hold there too.
+    """
     rates = (0.5, 1.0, 1.5, 2.0, 2.5)
     r1 = float(rng.choice(rates))
-    if rng.random() < 0.3:
+    u = rng.random()
+    if u < 0.3:
         return r1, r1
+    if u < 0.6:
+        return r1, r1 + float(10 ** rng.uniform(-8, -1))
     others = [r for r in rates if abs(r - r1) >= 0.5]
     return r1, float(rng.choice(others))
 

@@ -87,6 +87,69 @@ def test_form_direct_divergence_diagnostic():
         form_direct(quasi_carleman(1, 3, 1, 0), ExpPoly(((1.0, 0, 1.0),)))
 
 
+def test_form_direct_finite_part_at_gamma_poles():
+    # every monomial pair has p = m + n + 2 - q = 0, a pole of Gamma; the
+    # residues cancel because f(0) = 0, and the finite parts add up
+    f = ExpPoly(((1.0, 0, 1.0), (-1.0, 0, 2.0)))
+    val = form_direct(quasi_carleman(1, 2, 0, 0), f)
+    assert val == pytest.approx(3 * math.log(2) - 2, abs=1e-13)
+
+
+def test_form_direct_uncancelled_residues():
+    # f2(0) = -1e-11 is below the vanishing-order threshold, so only the
+    # residues at Gamma's pole show that <t^-2, f1 star f2> diverges
+    f1 = ExpPoly(((1.0, 0, 1.0),))
+    f2 = ExpPoly(((1.0, 0, 1.0), (-(1.0 + 1e-11), 0, 2.0)))
+    with pytest.raises(FormDomainError):
+        form_direct(quasi_carleman(1, 2, 0, 0), f1, f2)
+
+
+# the close-rate slice of the benchmark's identity workload, as (q, alpha, r),
+# and decay-rate gaps where the convolution closed form loses every digit
+CLOSE_KERNELS = ((1.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.0, 1.0, 0.0),
+                 (-1.5, 1.0, 0.0), (0.5, 0.0, 1.0))
+CLOSE_GAPS = (1e-1, 1e-2, 10 ** -3.5, 1e-5, 10 ** -6.5, 1e-8)
+
+
+def _close_rate_residuals(kern):
+    return [identity_residual(kern, ExpPoly(((1.0, 3, 1.0), (-0.7, 3, 1.0 + d))))
+            for d in CLOSE_GAPS]
+
+
+@pytest.mark.parametrize("q, a, r", CLOSE_KERNELS)
+def test_identity_at_close_rates(q, a, r):
+    assert max(_close_rate_residuals(quasi_carleman(1.0, q, a, r))) <= 1e-10
+
+
+@pytest.mark.parametrize("kern", [finite_rank([1.0, -0.6, 0.3], 0.9),
+                                  carleman() + finite_rank([0.8 + 0.4j, 0.2 - 0.1j], 0.7 + 0.5j)],
+                         ids=["real", "carleman+pair"])
+def test_finite_rank_identity_at_close_rates(kern):
+    assert max(_close_rate_residuals(kern)) <= 1e-10
+
+
+@pytest.mark.parametrize("q, a, r", [(1.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.0, 1.0, 0.0),
+                                     (-1.5, 1.0, 0.0), (0.5, 0.0, 1.0), (2.0, 1.0, 1.0)])
+def test_form_direct_wide_rate_ratios(q, a, r):
+    # the zero of the Euler integrand's G(x) comes within ~1e-3 of [0, 1]
+    kern = quasi_carleman(1.0, q, a, r)
+    m = min_monomial_order(q) if r == 0 else 0
+    for g1, g2 in ((0.1, 10.0), (0.02, 50.0)):
+        f = ExpPoly(((1.0, m, g1), (-0.7, m + 1, g2)))
+        direct = form_direct(kern, f)
+        assert abs(direct - form_sigma(kern, f, atol=1e-13)) <= 1e-12 * abs(direct)
+
+
+@pytest.mark.parametrize("kern", [quasi_carleman(1, 1, 0, 0), quasi_carleman(1, 0.5, 1, 1),
+                                  carleman() + finite_rank([0.8 + 0.4j, 0.2 - 0.1j], 0.7 + 0.5j)],
+                         ids=["r=0", "r=1", "conjugate-pair"])
+def test_diagonal_form_matches_sesquilinear(kern):
+    # f2 is f1 pairs only i <= j on real kernel terms; an equal copy pairs all
+    f = ExpPoly(((1.0 + 0.5j, 1, 0.7 + 0.4j), (-0.3j, 2, 1.3 - 0.2j), (0.4, 1, 0.9)))
+    diag = form_direct(kern, f)
+    assert abs(diag - form_direct(kern, f, ExpPoly(f.terms))) <= 1e-14 * abs(diag)
+
+
 def test_identity_residual_spot_grid():
     rng = np.random.default_rng(4)
     for q, a, r in ((1.0, 0.0, 0.0), (3.0, 1.0, 1.0), (-1.5, 1.0, 0.0), (0.5, 0.0, 1.0)):
