@@ -238,12 +238,10 @@ def min_monomial_order(q):
     return max(0, int(math.floor((q - 2.0) / 2.0)) + 1)
 
 
-def _monomial_pairs(f1, f2, upper):
-    """(C, m, n, conj(g1), g2) per monomial pair of conj(f1) star f2; ``upper``
-    keeps i <= j, i < j twice (on a real term pair (j, i) conjugates (i, j))."""
-    pairs = [(np.conj(c1) * c2 * (2.0 if upper and i < j else 1.0), m1, m2, np.conj(g1), g2)
-             for i, (c1, m1, g1) in enumerate(f1.terms) for j, (c2, m2, g2) in enumerate(f2.terms)
-             if not upper or i <= j]
+def _monomial_pairs(f1, f2):
+    """(C, m, n, conj(g1), g2) per monomial pair of conj(f1) star f2."""
+    pairs = [(np.conj(c1) * c2, m1, m2, np.conj(g1), g2)
+             for c1, m1, g1 in f1.terms for c2, m2, g2 in f2.terms]
     return tuple(np.array(a) for a in zip(*pairs))
 
 
@@ -253,6 +251,8 @@ def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
     For r = 0 a pair is C Gamma(p) int_0^1 x^m (1-x)^n G^{-p} dx, G = g1 x +
     g0 (1-x) + alpha, p = m + n + 2 - q (DLMF 15.6.1), or its finite part at
     a pole p = -k, whose residues must cancel; r > 0 keeps a t-quadrature.
+    The x-rule is good to 1e-12 of the integrands' magnitude; complex rates
+    that make the integrals cancel below 1e-6 of it raise ArithmeticError.
     Nodes x = c + d sinh(s) cluster at c, the point of [0, 1] nearest G's
     zero x0, on its distance d (Johnston and Elliott); the Bernstein ellipse
     through x0's image sets their count.
@@ -273,17 +273,21 @@ def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
     G = g1[:, None] * x + g0[:, None] * y
     if r == 0:
         vals = base[:, None] * G[:, None] ** -p[..., None]
-        ints = vals.sum(-1)
         pole = (p <= 0) & (p == np.round(p))
         k = np.where(pole, -p, 0).astype(int)
         inv = 1.0 / np.arange(1.0, k.max() + 2)
         sign = (-1.0) ** k * np.cumprod(inv)[k] * (k + 1)  # (-1)^k / k!
-        residue = np.where(pole, sign * ints, 0.0)
+        residue = np.where(pole, sign * vals.sum(-1), 0.0)
         if np.any(np.abs(residue.sum(0)) > 1e-12 * np.abs(residue).sum(0)):
             raise FormDomainError("residues at the Gamma poles do not cancel")
         psi = (np.cumsum(inv) - inv)[k] - np.euler_gamma  # digamma(k + 1)
-        finite = sign * (psi * ints - np.sum(vals * np.log(G)[:, None], axis=-1))
-        return np.sum(np.where(pole, finite, gamma(np.where(pole, 0.5, p)) * ints) @ v)
+        # at a pole the finite part integrates vals (psi(k+1) - log G) instead
+        terms = vals * np.where(pole[..., None], psi[..., None] - np.log(G)[:, None], 1.0)
+        weight = np.where(pole, sign, gamma(np.where(pole, 0.5, p))) * v
+        parts = weight * terms.sum(-1)
+        if np.sum(np.abs(weight) * np.abs(terms).sum(-1)) > 1e6 * np.sum(np.abs(parts)):
+            raise ArithmeticError("Euler integrals cancel below 1e-6 of their integrands")
+        return np.sum(parts)
     if not (np.any(G.imag) or np.any(base.imag)):
         G, base = G.real, base.real
     power = (m + n + 1)[:, None, None]
@@ -312,13 +316,9 @@ def form_direct(kernel, f1, f2=None):
     # sum_k v_k (t+r)^-q_k e^{-alpha t}: finite rank sum_k p_k t^k e^{-beta t} has q_k = -k
     powers = [([t.v0], [t.q], t.alpha, t.r) for t in kernel.qc_terms]
     powers += [(t.coeffs, -np.arange(len(t.coeffs)), t.beta, 0.0) for t in kernel.fr_terms]
-    pairs, total = {}, 0.0 + 0.0j
-    for v, q, alpha, r in powers:
-        upper = f2 is f1 and np.isreal(v).all() and np.isreal(alpha)
-        if upper not in pairs:
-            pairs[upper] = _monomial_pairs(f1, f2, upper)
-        val = _euler_pairing(*pairs[upper], np.asarray(v), np.asarray(q, float), alpha, r)
-        total += val.real if upper else val
+    pairs = _monomial_pairs(f1, f2)
+    total = sum((_euler_pairing(*pairs, np.asarray(v), np.asarray(q, float), alpha, r)
+                 for v, q, alpha, r in powers), 0j)
     if f2 is f1 and abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise ArithmeticError("diagonal direct form came out complex: %r" % total)
     return float(total.real) if f2 is f1 else total

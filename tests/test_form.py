@@ -7,11 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from hankelsigma.form import (ExpPoly, FormDomainError, Indicator,
-                              dilate, dilation_check, form_direct, form_sigma,
-                              identity_residual, laguerre_test,
-                              laplace_convolution, min_monomial_order,
-                              spectral_witnesses)
+                              LaplaceImage, dilate, dilation_check,
+                              form_direct, form_sigma, identity_residual,
+                              laguerre_test, laplace_convolution,
+                              min_monomial_order, spectral_witnesses)
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
+from hankelsigma.special import FPoly, FPow, FProd
 
 
 def test_convolution_of_exponentials():
@@ -87,12 +88,27 @@ def test_form_direct_divergence_diagnostic():
         form_direct(quasi_carleman(1, 3, 1, 0), ExpPoly(((1.0, 0, 1.0),)))
 
 
+def _rational_image(num, *poles):
+    """num(lam) / prod (lam + g) as one rational Laplace image."""
+    return LaplaceImage(FProd([FPoly(num)] + [FPow(FPoly([g, 1.0]), -1) for g in poles]))
+
+
 def test_form_direct_finite_part_at_gamma_poles():
     # every monomial pair has p = m + n + 2 - q = 0, a pole of Gamma; the
     # residues cancel because f(0) = 0, and the finite parts add up
     f = ExpPoly(((1.0, 0, 1.0), (-1.0, 0, 2.0)))
     val = form_direct(quasi_carleman(1, 2, 0, 0), f)
     assert val == pytest.approx(3 * math.log(2) - 2, abs=1e-13)
+    # complex rates or coefficients: the residues of pairs (i, j) and (j, i)
+    # are conjugate and cancel only over all pairs.  The sigma side gets Lf
+    # as one rational function, whose decay shows the vanishing order.
+    for q, f, w in ((3, ExpPoly(((1.0, 0, 1 + 1j), (1.0, 0, 1 - 1j), (-2.0, 0, 1.0))),
+                     _rational_image([-2.0], 1.0, 1 + 1j, 1 - 1j)),
+                    (2, ExpPoly(((1.0, 0, 1.0), (1j, 0, 2.0), (-1 - 1j, 0, 3.0))),
+                     _rational_image([4 + 1j, 2 + 1j], 1.0, 2.0, 3.0))):
+        kern = quasi_carleman(1, q, 0, 0)
+        val = form_direct(kern, f)
+        assert val == pytest.approx(form_sigma(kern, w, atol=1e-14), rel=1e-13)
 
 
 def test_form_direct_uncancelled_residues():
@@ -140,14 +156,13 @@ def test_form_direct_wide_rate_ratios(q, a, r):
         assert abs(direct - form_sigma(kern, f, atol=1e-13)) <= 1e-12 * abs(direct)
 
 
-@pytest.mark.parametrize("kern", [quasi_carleman(1, 1, 0, 0), quasi_carleman(1, 0.5, 1, 1),
-                                  carleman() + finite_rank([0.8 + 0.4j, 0.2 - 0.1j], 0.7 + 0.5j)],
-                         ids=["r=0", "r=1", "conjugate-pair"])
-def test_diagonal_form_matches_sesquilinear(kern):
-    # f2 is f1 pairs only i <= j on real kernel terms; an equal copy pairs all
-    f = ExpPoly(((1.0 + 0.5j, 1, 0.7 + 0.4j), (-0.3j, 2, 1.3 - 0.2j), (0.4, 1, 0.9)))
-    diag = form_direct(kern, f)
-    assert abs(diag - form_direct(kern, f, ExpPoly(f.terms))) <= 1e-14 * abs(diag)
+def test_form_direct_raises_on_cancelling_euler_integral():
+    # G(x) runs from 0.63+1.34i to 0.66-1.70i, turning by ~134 degrees, so
+    # G^-24 oscillates and the integral is ~2e-11 of its integrand's magnitude
+    f1 = ExpPoly(((1.0, 8, 0.66 + 1.70j),))
+    f2 = ExpPoly(((1.0, 10, 0.63 + 1.34j),))
+    with pytest.raises(ArithmeticError):
+        form_direct(quasi_carleman(1, -4, 0, 0), f1, f2)
 
 
 def test_identity_residual_spot_grid():
