@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .form import ExpPoly, identity_residual, min_monomial_order, spectral_witnesses
-from .galerkin import assemble, certificate, stabilized_negcount
+from .galerkin import certificate, stabilized_negcount
 from .kernel import (Classification, FiniteRankTerm, Kernel, QuasiCarlemanTerm,
                      UndefinableKernelError, classify)
 from .predict import (AssumptionViolation, IntegerExponentError,
@@ -254,13 +254,9 @@ def cmd_verify(args):
         except (SpecError, IntegerExponentError, UndefinableKernelError,
                 AssumptionViolation):
             report["prediction"] = None
-        top = assemble(kern, sizes[-1])
-        ev = np.linalg.eigvalsh(top.matrix)
-        report["max_eig"] = float(ev[-1])
-        rows = []
-        for n, nneg, npos in est.history:
-            sub_ev = np.linalg.eigvalsh(top.leading(n).matrix)
-            rows.append([n, nneg, npos, "%.12g" % sub_ev[-1]])
+        report["max_eig"] = est.max_eigs[-1]
+        rows = [[n, nneg, npos, "%.12g" % ev]
+                for (n, nneg, npos), ev in zip(est.history, est.max_eigs)]
         _write_csv(args, "galerkin.csv", ["N", "n_minus", "n_plus", "max_eig"], rows)
         if report["prediction"] is not None and est.kind == "finite":
             pn = report["prediction"]["n_minus"]

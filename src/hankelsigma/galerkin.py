@@ -70,13 +70,10 @@ class _LaguerreProducts:
         self.smax = smax
 
     def __call__(self, lams):
-        mu = (lams - 0.5) / (lams + 0.5)
         out = np.empty((self.smax + 1, len(lams)))
-        cur = (lams + 0.5) ** -2.0
-        for s in range(self.smax + 1):
-            out[s] = cur
-            cur = cur * mu
-        return out
+        out[0] = (lams + 0.5) ** -2.0
+        out[1:] = (lams - 0.5) / (lams + 0.5)
+        return np.cumprod(out, axis=0, out=out)
 
     def jet(self, center, order):
         n = order + 1
@@ -136,11 +133,15 @@ def assemble(kernel, n, atol=1e-12):
     return FiniteSection(n, h, kernel)
 
 
-def section_inertia(section, tol=1e-10):
-    """(n_plus, n_minus) of the section at relative tolerance ``tol``."""
-    ev = np.linalg.eigvalsh(section.matrix)
+def _inertia(ev, tol):
+    """(n_plus, n_minus) of the eigenvalues ``ev`` at relative tolerance ``tol``."""
     t = tol * max(np.max(np.abs(ev)), 1e-300)
     return int(np.sum(ev > t)), int(np.sum(ev < -t))
+
+
+def section_inertia(section, tol=1e-10):
+    """(n_plus, n_minus) of the section at relative tolerance ``tol``."""
+    return _inertia(np.linalg.eigvalsh(section.matrix), tol)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,7 @@ class NegCountEstimate:
     kind: str  # "finite" | "infinite-suspected" | "undecided"
     value: int | None
     history: tuple  # (size, n_minus, n_plus) triples
+    max_eigs: tuple  # largest eigenvalue of each section in ``history``
 
     def to_json(self):
         return {"kind": self.kind, "value": self.value,
@@ -159,21 +161,22 @@ def stabilized_negcount(kernel, sizes=(16, 32, 64, 128), tol=1e-10):
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
     count strictly increases across every listed size; undecided otherwise.
+    Only the largest section is assembled, the others are its leading blocks;
+    ``max_eigs`` holds each section's largest eigenvalue, in ``history``'s order.
     """
     sizes = sorted(sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 section sizes")
     top = assemble(kernel, sizes[-1])
-    history = []
-    for n in sizes:
-        npos, nneg = section_inertia(top.leading(n), tol=tol)
-        history.append((n, nneg, npos))
+    spectra = [np.linalg.eigvalsh(top.leading(n).matrix) for n in sizes]
+    history = tuple((n,) + _inertia(ev, tol)[::-1] for n, ev in zip(sizes, spectra))
+    max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
     if negs[-1] == negs[-2] == negs[-3]:
-        return NegCountEstimate("finite", negs[-1], tuple(history))
+        return NegCountEstimate("finite", negs[-1], history, max_eigs)
     if all(b > a for a, b in zip(negs, negs[1:])):
-        return NegCountEstimate("infinite-suspected", None, tuple(history))
-    return NegCountEstimate("undecided", None, tuple(history))
+        return NegCountEstimate("infinite-suspected", None, history, max_eigs)
+    return NegCountEstimate("undecided", None, history, max_eigs)
 
 
 def carleman_spectrum_study(n, q=1.0):

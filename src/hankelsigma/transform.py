@@ -296,7 +296,11 @@ def mollifier_tn(n, g):
 
 
 def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
-    """Grid operator-norm estimate of T_n by power iteration on T*T."""
+    """Grid operator-norm estimate of T_n by power iteration on T*T.
+
+    Warns (RuntimeWarning) when ``iters`` iterations end before the relative
+    change of the estimate of ||T||^2 falls to ``tol``.
+    """
     k = mollifier_matrix(n, grid)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
@@ -306,9 +310,14 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
         w = ((k @ v).conj() @ k).conj()  # K^H K v without forming K^H
         s = np.linalg.norm(w)
         v = w / s
-        if abs(s - prev) <= tol * s:
+        step = abs(s - prev)
+        if step <= tol * s:
             break
         prev = s
+    else:
+        warnings.warn("mollifier_norm(%d): power iteration stopped at iters=%d with "
+                      "relative change %.3g > tol=%g" % (n, iters, step / s, tol),
+                      RuntimeWarning, stacklevel=2)
     return float(np.sqrt(s))
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hankelsigma import cli, galerkin
 from hankelsigma.cli import (EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION,
                              SpecError, main, parse_kernel)
 
@@ -132,6 +133,31 @@ def test_verify_galerkin_command(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["N"]) for r in rows] == [16, 32, 64]
     assert all(int(r["n_minus"]) == 1 for r in rows)
+
+
+def test_verify_galerkin_assembles_once(tmp_path, monkeypatch):
+    real = galerkin.assemble
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (galerkin, cli):  # wherever the command can reach assemble
+        if getattr(mod, "assemble", None) is real:
+            monkeypatch.setattr(mod, "assemble", counting)
+    spec = _write(tmp_path, "k.json", FDH_SUM)
+    out = str(tmp_path / "out")
+    assert main(["verify", "galerkin", "--spec", spec, "--out", out,
+                 "--sizes", "16,32,64"]) == EXIT_OK
+    assert len(calls) == 1
+    top = real(parse_kernel(FDH_SUM), 64)
+    tops = {n: np.linalg.eigvalsh(top.leading(n).matrix)[-1] for n in (16, 32, 64)}
+    with open(tmp_path / "out" / "galerkin.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["max_eig"] for r in rows] == ["%.12g" % tops[n] for n in (16, 32, 64)]
+    report = json.loads((tmp_path / "out" / "verify_galerkin.json").read_text())
+    assert report["max_eig"] == float(tops[64])
 
 
 def test_verify_factorization_command(tmp_path):

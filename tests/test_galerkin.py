@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (assemble, carleman_spectrum_study,
-                                  certificate, section_inertia,
-                                  stabilized_negcount)
+from hankelsigma.galerkin import (_LaguerreProducts, assemble,
+                                  carleman_spectrum_study, certificate,
+                                  section_inertia, stabilized_negcount)
 from hankelsigma.kernel import Kernel, carleman, finite_rank, quasi_carleman
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import sigma_of_kernel, sigma_pair
@@ -40,6 +40,25 @@ def test_entries_match_scalar_pairings(kern):
     for j, k in ((0, 0), (3, 5), (11, 2)):
         val = sigma_pair(sig, laguerre_image(j), laguerre_image(k))
         assert abs(sec.matrix[j, k] - val.real) < 1e-9
+
+
+def test_laguerre_products_match_loop_reference():
+    # the row-by-row loop np.cumprod replaced, kept as the reference
+    def products_ref(smax, lams):
+        mu = (lams - 0.5) / (lams + 0.5)
+        out = np.empty((smax + 1, len(lams)))
+        cur = (lams + 0.5) ** -2.0
+        for s in range(smax + 1):
+            out[s] = cur
+            cur = cur * mu
+        return out
+
+    lams = np.concatenate([0.5 + np.array([-1e-9, 0.0, 1e-12, 1e-6]),
+                           np.geomspace(1e-8, 1e8, 61), [1e12, 1e300]])
+    for smax in (0, 1, 2046):
+        got = _LaguerreProducts(smax)(lams)
+        assert got.shape == (smax + 1, len(lams))
+        assert np.array_equal(got, products_ref(smax, lams))
 
 
 def test_section_symmetric():
@@ -84,6 +103,20 @@ def test_stabilized_undecided_is_reported():
 def test_stabilized_zero_kernel():
     est = stabilized_negcount(Kernel(()), (8, 16, 32))
     assert est.kind == "finite" and est.value == 0
+
+
+def test_stabilized_max_eigs_are_section_tops():
+    kern = carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0)
+    sizes = (16, 32, 64)
+    est = stabilized_negcount(kern, sizes)
+    top = assemble(kern, 64)
+    assert len(est.max_eigs) == len(sizes)
+    for n, mx in zip(sizes, est.max_eigs):
+        assert mx == float(np.linalg.eigvalsh(top.leading(n).matrix)[-1])
+    doc = est.to_json()
+    assert set(doc) == {"kind", "value", "history"}
+    assert doc["history"] == [[n, *section_inertia(top.leading(n))[::-1]] for n in sizes]
+    assert all(h[1] == 1 for h in doc["history"])
 
 
 def test_nested_counts_monotone():

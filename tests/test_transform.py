@@ -166,6 +166,17 @@ def test_mollifier_uniform_norm_bound():
         assert norms[n - 1] <= math.exp(math.pi ** 2 / (2 * n * n)) * (1 + 1e-9)
 
 
+def test_mollifier_norm_warns_at_its_iteration_cap():
+    with pytest.warns(RuntimeWarning, match=r"mollifier_norm\(7\).*iters=30.*relative change"):
+        mollifier_norm(7)
+
+
+def test_mollifier_norm_silent_when_tol_is_met():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mollifier_norm(7, tol=1e-2) > 1.0
+
+
 def test_mollifier_random_vectors_under_bound():
     q_cap = math.exp(math.pi ** 2 / 2)
     rng = np.random.default_rng(123)
