@@ -18,7 +18,6 @@ Run as ``python -m hankelsigma <command> ...``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
@@ -335,13 +334,7 @@ def cmd_sweep(args):
         config = json.load(fh)
     cases = config.get("cases", [])
     os.makedirs(args.out, exist_ok=True)
-    if not cases:
-        return EXIT_OK
-    worst = EXIT_OK
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for code in pool.map(lambda c: _sweep_case(c, args), cases):
-            worst = max(worst, code)
-    return worst
+    return max((_sweep_case(case, args) for case in cases), default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +383,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a batch of prediction/verification cases")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_sweep)
     return parser

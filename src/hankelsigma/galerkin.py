@@ -22,6 +22,14 @@ variational definition of the counts.  Three constructions are used:
 * interpolation     jet-prescribed functions at kappa = -ln beta driven by
                     the negative eigenvectors of the sign-matrices
                     (finite-rank perturbations).
+
+Every trial is one FunctionSpec, so its values and its jets come from the
+same expression.  Each construction yields one Certificate per eps of its
+shrinking schedule and ``certificate`` keeps the first success.  For the
+interpolation trials the finite-rank part of the Gram matrix is, in closed
+form, the diagonal of the negative sign-matrix eigenvalues (the trials'
+jets at the exponents are the orthonormal eigenvectors); only the pairing
+with h0's density depends on eps.
 """
 
 from __future__ import annotations
@@ -36,10 +44,9 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DecayError, DeltaCombo, SigmaDistribution, _pair_product,
-                    matrix_inertia, sigma_of_kernel, sigma_pair, sign_matrix,
-                    sign_matrix_tilde)
-from .special import FExp, FLog, FPow, FProd, Jet, fs_const, fs_var
+from .sigma import (DecayError, RegularDensity, _pair_product, matrix_inertia,
+                    sigma_of_kernel, sigma_pair, sign_matrix, sign_matrix_tilde)
+from .special import FExp, FLog, FPoly, FPow, FProd, FSum, fs_affine, fs_const, fs_var
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
 from .special import _jet_mul, _jet_recip
@@ -206,8 +213,6 @@ def window_trials(beta, rho, n_sub, ell, eps):
     R(mu) e^{-rho mu / 2} = 1 + O(mu^{n_sub+1}); W is the log-power window
     exp(-eps^{-2m} ln^{2m}(lam/beta)) with 2m > n_sub.
     """
-    from .special import FPoly
-
     m = n_sub // 2 + 1
     rcoeffs = [(rho / 2.0) ** p / math.factorial(p) for p in range(n_sub + 1)]
     rpoly = FPoly(_shift_poly(rcoeffs, -beta))
@@ -229,6 +234,36 @@ def _shift_poly(coeffs, shift):
     return out
 
 
+def _window(coef, center, power):
+    """exp(coef (z - center)^power) as a FunctionSpec."""
+    return FExp(FProd([fs_const(coef), FPow(fs_affine(1.0, -center), power)]))
+
+
+def _interpolation_trial(kind, ends, kappas, eps):
+    """One interpolation trial as a FunctionSpec, the sum over its ``ends``.
+
+    An end (kappa, a) is Q(z - kappa) phi(z): phi is the product of
+    (z - kappa_n)^{K_n + 1} over the other (kappa_n, K_n) of ``kappas`` and
+    a window, exp(-(z-kappa)^2/eps^2) for a real group, exp(-i sg
+    (z-kappa)/eps - (z - Re kappa)^2) for a pair (sg = sign Im kappa); Q is
+    the Taylor polynomial at kappa of sum_l a_l (z-kappa)^l / l! over phi.
+    So the trial's l-th derivative at kappa is a_l, l <= K.
+    """
+    parts = []
+    for kap, a in ends:
+        factors = [FPow(fs_affine(1.0, -k), d + 1) for k, d in kappas if abs(k - kap) > 1e-14]
+        if kind == "real":
+            factors.append(_window(-1.0 / eps ** 2, kap, 2))
+        else:
+            sg = 1.0 if kap.imag > 0 else -1.0
+            factors += [_window(-1j * sg / eps, kap, 1), _window(-1.0, kap.real, 2)]
+        phi = FProd(factors)
+        taylor = a / np.array([math.factorial(l) for l in range(len(a))])
+        q = _jet_mul(taylor, phi.jet(kap, len(a) - 1).reciprocal().coeffs)
+        parts.append(FProd([FPoly(_shift_poly(q, -kap)), phi]))
+    return parts[0] if len(parts) == 1 else FSum(parts)
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -241,6 +276,21 @@ class Certificate:
     @property
     def success(self):
         return self.achieved >= self.target
+
+
+_ROUNDS = 12  # eps values each construction tries
+
+
+def _first_success(certs):
+    """The first successful Certificate of ``certs``, else the first one
+    with the largest ``achieved``."""
+    best = None
+    for cert in certs:
+        if cert.success:
+            return cert
+        if best is None or cert.achieved > best.achieved:
+            best = cert
+    return best
 
 
 def _neg_inertia(g):
@@ -261,209 +311,82 @@ def _hermitian_gram(pair, trials):
 
 # -- gaussian-family certificate --------------------------------------------
 
-def _gaussian_gram(sig, beta, centers, eps, atol=1e-11):
-    trials = [gaussian_trial(a, eps) for a in centers]
-    hints = []
-    for a in centers:
-        hints.extend([a * math.exp(-4 * eps), a, a * math.exp(4 * eps)])
-    nr = min(0.25 * (min(centers) - beta), 0.1)
-    return _hermitian_gram(
-        lambda u, v: sigma_pair(sig, u, v, atol=atol, hints=hints, near_radius=nr), trials)
-
-
-def _certify_gaussian(sig, beta, target, eps0, delta0, rounds=12):
+def _certify_gaussian(sig, beta, target, eps0, delta0):
     delta, eps = delta0, min(eps0, delta0 / 6.0)
-    best = None
-    for rd in range(rounds):
+    for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
-        g = _gaussian_gram(sig, beta, centers, eps)
-        achieved = _neg_inertia(g)
-        cert = Certificate("gaussian-family", eps,
-                           {"delta": delta, "centers": centers}, g, achieved, target)
-        if cert.success:
-            return cert
-        best = cert if best is None or cert.achieved > best.achieved else best
+        hints = [a * f for a in centers for f in (math.exp(-4 * eps), 1.0, math.exp(4 * eps))]
+        nr = min(0.25 * (min(centers) - beta), 0.1)
+        g = _hermitian_gram(
+            lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints, near_radius=nr),
+            [gaussian_trial(a, eps) for a in centers])
+        yield Certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
+                          g, _neg_inertia(g), target)
         if rd % 2 == 0:
             delta *= 0.5
         eps = min(eps * 0.5, delta / 6.0)
-    return best
 
 
 # -- polynomial-window certificate -------------------------------------------
 
-def _certify_window(sig, beta, rho, n_sub, target, eps0, rounds=12):
+def _certify_window(sig, beta, rho, n_sub, target, eps0):
     eps = eps0
-    best = None
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         trials = window_trials(beta, rho, n_sub, target, eps)
         hints = [beta * math.exp(-2 * eps), beta * math.exp(2 * eps), beta + 1.0]
         nr = min(0.1, eps / 2)
         g = _hermitian_gram(
             lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints, near_radius=nr), trials)
-        achieved = _neg_inertia(g)
-        cert = Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
-                           g, achieved, target)
-        if cert.success:
-            return cert
-        best = cert if best is None or cert.achieved > best.achieved else best
+        yield Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
+                          g, _neg_inertia(g), target)
         eps *= 0.5
-    return best
 
 
 # -- interpolation certificate ------------------------------------------------
 
-class _PsiTrial:
-    """Q(z) omega(z) * localizing factor, jet-built around one kappa."""
-
-    def __init__(self, kappa, q_coeffs, omega_roots, kind, eps):
-        self.kappa = kappa
-        self.q_coeffs = np.asarray(q_coeffs, dtype=complex)
-        self.omega_roots = tuple(omega_roots)  # (root, multiplicity)
-        self.kind = kind  # "real" | "complex"
-        self.eps = eps
-
-    def __call__(self, x):
-        z = np.asarray(x, dtype=complex)
-        val = np.polynomial.polynomial.polyval(z - self.kappa, self.q_coeffs)
-        for root, mult in self.omega_roots:
-            val = val * (z - root) ** mult
-        if self.kind == "real":
-            val = val * np.exp(-(z - self.kappa) ** 2 / self.eps ** 2)
-        else:
-            sg = 1.0 if self.kappa.imag > 0 else -1.0
-            val = val * np.exp(-1j * sg * (z - self.kappa) / self.eps)
-            val = val * np.exp(-(z - self.kappa.real) ** 2)
-        return val
-
-
-def _phi_jet(kappa, omega_roots, kind, eps, order):
-    """Jet at kappa of the localizing factor omega(z) * gaussian/phase."""
-    zc = np.zeros(order + 1, dtype=complex)
-    zc[0] = kappa
-    if order >= 1:
-        zc[1] = 1.0
-    zj = Jet(kappa, zc)
-    oc = np.zeros(order + 1, dtype=complex)
-    oc[0] = 1.0
-    one = Jet(kappa, oc)
-    om = one
-    for root, mult in omega_roots:
-        om = om * (zj + (-root)).ipow(mult)
-    if kind == "real":
-        expo = np.zeros(order + 1, dtype=complex)  # -(z-kappa)^2/eps^2
-        if order >= 2:
-            expo[2] = -1.0 / eps ** 2
-        return om * Jet(kappa, expo).exp()
-    sg = 1.0 if kappa.imag > 0 else -1.0
-    e1 = np.zeros(order + 1, dtype=complex)  # -i sg (z-kappa)/eps
-    if order >= 1:
-        e1[1] = -1j * sg / eps
-    e2 = np.zeros(order + 1, dtype=complex)  # -(z-kappa')^2 around kappa
-    c0 = kappa - kappa.real
-    e2[0] = -c0 ** 2
-    if order >= 1:
-        e2[1] = -2 * c0
-    if order >= 2:
-        e2[2] = -1.0
-    return om * Jet(kappa, e1).exp() * Jet(kappa, e2).exp()
-
-
-def _interp_trials_for_group(kappa, K, other_roots, kind, eps):
-    """psi_0..psi_K with psi_k^{(l)}(kappa) = delta_{kl}, vanishing to order
-    K_n at every other kappa_n."""
-    phi = _phi_jet(kappa, other_roots, kind, eps, K)
-    inv = phi.reciprocal()
-    trials = []
-    for k in range(K + 1):
-        target = np.zeros(K + 1, dtype=complex)
-        target[k] = 1.0 / math.factorial(k)  # Taylor coeff for psi^{(k)} = 1
-        q = _jet_mul(target, inv.coeffs)
-        trials.append(_PsiTrial(kappa, q, other_roots, kind, eps))
-    return trials
-
-
-def _certify_interpolation(h0_sigma, v_kernel, target, eps0, rounds=12):
-    groups = v_kernel.conjugate_groups()
-    kappas = []
+def _sign_directions(groups):
+    """(kappas, directions) of ``Kernel.conjugate_groups()``: (kappa, K) per
+    exponent kappa = -ln beta of degree K, and (eigenvalue, kind, ends) per
+    negative eigenpair of a group's sign-matrix (block matrix for a pair),
+    the eigenvector split into one (kappa, a) end per exponent."""
+    kappas, directions = [], []
     for kind, t in groups:
-        kappas.append((-np.log(t.beta), t.degree))
-        if kind == "pair":
-            kappas.append((-np.log(np.conj(t.beta)), t.degree))
+        kap = -np.log(t.beta)
+        if kind == "real":
+            ends = (kap,)
+            s = sign_matrix(np.real(np.asarray(t.coeffs)), t.beta.real).entries.real
+        else:
+            ends = (kap, -np.log(np.conj(t.beta)))
+            s = sign_matrix_tilde(np.asarray(t.coeffs), t.beta).entries
+        kappas += [(e, t.degree) for e in ends]
+        lams, vecs = np.linalg.eigh(s)
+        for lam, a in zip(lams, vecs.T):
+            if lam < 0:
+                directions.append((lam, kind, tuple(zip(ends, np.split(a, len(ends))))))
+    return kappas, directions
 
-    s0_parts = h0_sigma.regular_parts if h0_sigma is not None else []
 
+def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
+    """Gram = sign block + s0 block.  Each trial's jets at the exponents are
+    its sign-matrix eigenvector, so the finite-rank part of the form is
+    a_i^H S a_j = diag of the negative eigenvalues, for every eps; only the
+    pairing with s0 (h0's density) depends on eps."""
+    groups = v_kernel.conjugate_groups()
+    kappas, directions = _sign_directions(groups)
+    if not directions:
+        raise ValueError("perturbation has no negative directions to certify")
+    block = np.diag([lam for lam, _, _ in directions]).astype(complex)
+    params = {"groups": len(groups)}
+    s0_parts = h0_sigma.regular_parts
+    if not s0_parts:
+        yield Certificate("interpolation", eps0, params, block, _neg_inertia(block), target)
+        return
     eps = eps0
-    best = None
-    for _ in range(rounds):
-        trial_funs = []      # callables u_i
-        jet_data = []        # per trial: {kappa: derivative-vector}
-        for kind, t in groups:
-            K = t.degree
-            kap = -np.log(t.beta)
-            others = [(k, d + 1) for k, d in kappas if abs(k - kap) > 1e-14]
-            if kind == "real":
-                psis = _interp_trials_for_group(kap, K, others, "real", eps)
-                sm = sign_matrix(np.real(np.asarray(t.coeffs)), t.beta.real)
-                evals, evecs = np.linalg.eigh(sm.entries.real)
-                for idx in np.where(evals < 0)[0]:
-                    a = evecs[:, idx]
-                    trial_funs.append(_combine(psis, a))
-                    jet_data.append({_key(kap): a.astype(complex)})
-            else:
-                kap2 = -np.log(np.conj(t.beta))
-                others2 = [(k, d + 1) for k, d in kappas if abs(k - kap2) > 1e-14]
-                psis1 = _interp_trials_for_group(kap, K, others, "complex", eps)
-                psis2 = _interp_trials_for_group(kap2, K, others2, "complex", eps)
-                st = sign_matrix_tilde(np.asarray(t.coeffs), t.beta)
-                evals, evecs = np.linalg.eigh(st.entries)
-                for idx in np.where(evals < 0)[0]:
-                    a = evecs[:, idx]
-                    a1, a2 = a[: K + 1], a[K + 1:]
-                    trial_funs.append(_combine(psis1 + psis2, np.concatenate([a1, a2])))
-                    jet_data.append({_key(kap): a1, _key(kap2): a2})
-
-        m = len(trial_funs)
-        if m == 0:
-            raise ValueError("perturbation has no negative directions to certify")
-        g = np.zeros((m, m), dtype=complex)
-        # exact sign-matrix part
-        for term in v_kernel.fr_terms:
-            smat = DeltaCombo(term.beta, term.coeffs).sign_entries()
-            kap_t = -np.log(term.beta)
-            kap_c = -np.log(np.conj(term.beta))
-            for i in range(m):
-                di = jet_data[i].get(_key(kap_c))
-                if di is None:
-                    continue
-                for j in range(m):
-                    dj = jet_data[j].get(_key(kap_t))
-                    if dj is None:
-                        continue
-                    g[i, j] += np.conj(di) @ smat @ dj
-        # s0 part by real-line quadrature
-        if s0_parts:
-            g += _hermitian_gram(lambda u, v: _s0_pair_x(s0_parts, u, v), trial_funs)
-        achieved = _neg_inertia(g)
-        cert = Certificate("interpolation", eps, {"groups": len(groups)}, g,
-                           achieved, target)
-        if cert.achieved >= target:
-            return cert
-        best = cert if best is None or cert.achieved > best.achieved else best
+    for _ in range(_ROUNDS):
+        trials = [_interpolation_trial(kind, ends, kappas, eps) for _, kind, ends in directions]
+        g = block + _hermitian_gram(lambda u, w: _s0_pair_x(s0_parts, u, w), trials)
+        yield Certificate("interpolation", eps, params, g, _neg_inertia(g), target)
         eps *= 0.5
-    return best
-
-
-def _key(kappa):
-    return (round(float(np.real(kappa)), 12), round(float(np.imag(kappa)), 12))
-
-
-def _combine(psis, coeffs):
-    def u(x, _psis=psis, _c=np.asarray(coeffs, dtype=complex)):
-        acc = 0.0
-        for ck, pk in zip(_c, _psis):
-            acc = acc + ck * pk(x)
-        return acc
-    return u
 
 
 def _s0_pair_x(s0_parts, u1, u2):
@@ -490,41 +413,38 @@ def certificate(h0, v, target, eps=None, kind="auto"):
     """Certify N_minus(h0 + v) >= target by an explicit negative subspace.
 
     Picks the trial construction from the perturbation type unless ``kind``
-    forces one; returns the best Certificate found along the shrinking-eps
-    schedule (check ``.success``).
+    forces one; returns the first successful Certificate along the
+    shrinking-eps schedule, else the one with the largest count (check
+    ``.success``).  The interpolation construction needs a finite-rank,
+    self-adjoint ``v`` and an ``h0`` whose sigma is a density (q > 0 parts
+    only); other inputs raise ValueError.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    sig0 = sigma_of_kernel(h0) if h0.terms else SigmaDistribution(())
-    if kind == "auto":
-        if v.fr_terms and not v.qc_terms:
-            kind = "interpolation"
-        else:
-            qc = v.qc_terms
-            if len(qc) != 1:
-                raise ValueError("certificate needs a single-term perturbation")
-            term = qc[0]
-            k_exp = -term.q
-            if k_exp > 0 and not float(k_exp).is_integer():
-                pred = predict_quasi_carleman(term.q, v0=term.v0)
-                if pred.n_minus.finite and target <= pred.n_minus.n:
-                    kind = "window"
-                else:
-                    kind = "gaussian"
-            else:
-                kind = "gaussian"
+    if kind == "auto" and v.fr_terms and not v.qc_terms:
+        kind = "interpolation"
+    elif kind == "auto":
+        if len(v.qc_terms) != 1:
+            raise ValueError("certificate needs a single-term perturbation")
+        term = v.qc_terms[0]
+        kind = "gaussian"
+        if -term.q > 0 and not float(-term.q).is_integer():
+            pred = predict_quasi_carleman(term.q, v0=term.v0)
+            if pred.n_minus.finite and target <= pred.n_minus.n:
+                kind = "window"
 
-    sig_full = sigma_of_kernel(h0 + v)
-    if kind == "gaussian":
-        term = v.qc_terms[0]
-        beta = term.alpha
-        return _certify_gaussian(sig_full, beta, target,
-                                 eps0=eps or 0.01, delta0=0.06)
-    if kind == "window":
-        term = v.qc_terms[0]
-        n_sub = int(math.floor(-term.q))
-        return _certify_window(sig_full, term.alpha, term.r, n_sub, target,
-                               eps0=eps or 0.25)
     if kind == "interpolation":
-        return _certify_interpolation(sig0, v, target, eps0=eps or 0.2)
-    raise ValueError("unknown certificate kind %r" % (kind,))
+        sig0 = sigma_of_kernel(h0)
+        if v.qc_terms or not all(isinstance(p, RegularDensity) for p in sig0.parts):
+            raise ValueError("an interpolation certificate needs a finite-rank v and "
+                             "an h0 whose sigma is a density (quasi-Carleman q > 0)")
+        v.check_self_adjoint()
+        return _first_success(_certify_interpolation(sig0, v, target, eps0=eps or 0.2))
+    if kind not in ("gaussian", "window"):
+        raise ValueError("unknown certificate kind %r" % (kind,))
+    term, sig = v.qc_terms[0], sigma_of_kernel(h0 + v)
+    if kind == "gaussian":
+        return _first_success(_certify_gaussian(sig, term.alpha, target,
+                                                eps0=eps or 0.01, delta0=0.06))
+    return _first_success(_certify_window(sig, term.alpha, term.r, int(math.floor(-term.q)),
+                                          target, eps0=eps or 0.25))

@@ -23,6 +23,7 @@ same distribution, with kappa = -ln beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _quad
 from .kernel import Kernel, QuasiCarlemanTerm, FiniteRankTerm, UndefinableKernelError
-from .special import FProd, Jet, _jet_mul, gamma
+from .special import FProd, Jet, _jet_mul
 
 __all__ = [
     "RegularDensity",
@@ -63,6 +64,11 @@ class DecayError(ValueError):
 class _PowerLaw:
     """Shared function part of the two power-type sigma parts."""
 
+    @functools.cached_property
+    def weight(self):
+        """c/Gamma(q); q is real and off Gamma's poles by construction."""
+        return self.c / math.gamma(self.q)
+
     def density(self, lam):
         """c/Gamma(q) (lam-alpha)_+^{q-1} e^{-r(lam-alpha)}, pointwise away
         from alpha (a RegularizedPower distribution is more than this)."""
@@ -70,7 +76,7 @@ class _PowerLaw:
         out = np.zeros_like(lam)
         m = lam > self.alpha
         u = lam[m] - self.alpha
-        out[m] = self.c / float(gamma(self.q).real) * u ** (self.q - 1) * np.exp(-self.r * u)
+        out[m] = self.weight * u ** (self.q - 1) * np.exp(-self.r * u)
         return out
 
 
@@ -173,14 +179,6 @@ class SigmaDistribution:
     def regular_parts(self):
         return [p for p in self.parts if isinstance(p, RegularDensity)]
 
-    @property
-    def regularized_parts(self):
-        return [p for p in self.parts if isinstance(p, RegularizedPower)]
-
-    @property
-    def delta_parts(self):
-        return [p for p in self.parts if isinstance(p, DeltaCombo)]
-
 
 def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
     """Exact sigma distribution of a kernel; error if undefinable."""
@@ -241,7 +239,6 @@ def _density_pair_engine(part, psi, atol=1e-11, hints=None, max_depth=11):
     must already contain the e^{-r(lam-alpha)} factor.
     """
     a, q = part.alpha, part.q
-    weight = part.c / float(gamma(q).real)
     hs = sorted(h - a for h in (hints or []) if h > a)
     far_start = max(1.0, *[2.0 * h for h in hs]) if hs else 1.0
 
@@ -263,7 +260,7 @@ def _density_pair_engine(part, psi, atol=1e-11, hints=None, max_depth=11):
     total = mid + far
     if near is not None:
         total = total + near
-    return weight * total
+    return part.weight * total
 
 
 def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
@@ -276,7 +273,6 @@ def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
     direct evaluation of psi.
     """
     a, q, n = part.alpha, part.q, part.order
-    weight = part.c / float(gamma(q).real)
     jets = np.asarray(psi_jets)
     extra = jets.shape[-1] - (n + 1)
     if extra < 8:
@@ -318,7 +314,7 @@ def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
 
     far = _quad.semi_infinite(g_raw, a + far_start, atol=atol * 0.1)
     tail_corr = np.sum(taylor * (far_start ** (q + ps_lo) / (-q - ps_lo)), axis=-1)
-    return weight * (near + mid + far - tail_corr)
+    return part.weight * (near + mid + far - tail_corr)
 
 
 def _delta_pair_engine(part, jets):

@@ -301,6 +301,8 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
     Warns (RuntimeWarning) when ``iters`` iterations end before the relative
     change of the estimate of ||T||^2 falls to ``tol``.
     """
+    if iters < 1:
+        raise ValueError("mollifier_norm needs iters >= 1")
     k = mollifier_matrix(n, grid)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)

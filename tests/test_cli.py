@@ -193,7 +193,7 @@ def test_sweep_command(tmp_path):
     ]}
     cfg = _write(tmp_path, "sweep.json", config)
     out = str(tmp_path / "out")
-    assert main(["sweep", "--config", cfg, "--out", out, "--jobs", "2"]) == EXIT_OK
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
     rb = json.loads((tmp_path / "out" / "b" / "report.json").read_text())
     assert rb["counts"]["value"] == 1
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (_LaguerreProducts, assemble,
+from hankelsigma.galerkin import (_interpolation_trial, _LaguerreProducts,
+                                  _sign_directions, assemble,
                                   carleman_spectrum_study, certificate,
                                   section_inertia, stabilized_negcount)
-from hankelsigma.kernel import Kernel, carleman, finite_rank, quasi_carleman
+from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
+                                carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
-from hankelsigma.sigma import sigma_of_kernel, sigma_pair
+from hankelsigma.sigma import DeltaCombo, sigma_of_kernel, sigma_pair
 from hankelsigma.special import laguerre_image
 
 
@@ -213,6 +215,59 @@ def test_interpolation_certificate_mixed_kernel():
     target = predict_finite_rank(v).n_minus.n
     cert = certificate(carleman(), v, target)
     assert cert.success and cert.achieved >= target
+
+
+def _derivatives(trial, kappa, order):
+    jet = trial.jet(kappa, order)
+    return np.array([jet.derivative(l) for l in range(order + 1)])
+
+
+def test_interpolation_trials_carry_the_sign_block():
+    # The interpolation Gram takes its finite-rank block as diag of the
+    # negative sign-matrix eigenvalues.  That holds because every trial's
+    # jets at the exponents are its eigenvector: check it on the trials.
+    v = finite_rank([0, 1.0, 0.5], 0.8) + finite_rank([1.0, 0.5j], 1 + 1j)
+    kappas, directions = _sign_directions(v.conjugate_groups())
+    assert len(directions) == predict_finite_rank(v).n_minus.n
+    lams = np.array([lam for lam, _, _ in directions])
+    assert np.all(lams < 0)
+    trials = [_interpolation_trial(kind, ends, kappas, 0.2) for _, kind, ends in directions]
+    for trial, (_, _, ends) in zip(trials, directions):
+        own = [kap for kap, _ in ends]
+        for kap, a in ends:
+            assert np.max(np.abs(_derivatives(trial, kap, len(a) - 1) - a)) < 1e-12
+        for kap, order in kappas:
+            if kap not in own:
+                assert np.max(np.abs(_derivatives(trial, kap, order))) < 1e-12
+    m = len(trials)
+    g = np.zeros((m, m), dtype=complex)
+    for term in v.fr_terms:
+        s = DeltaCombo(term.beta, term.coeffs).sign_entries()
+        kap, kap_bar = -np.log(term.beta), -np.log(np.conj(term.beta))
+        for i in range(m):
+            for j in range(m):
+                g[i, j] += (np.conj(_derivatives(trials[i], kap_bar, term.degree)) @ s
+                            @ _derivatives(trials[j], kap, term.degree))
+    assert np.max(np.abs(g - np.diag(lams))) < 1e-10 * np.max(np.abs(lams))
+    # without an s0 part the certificate is that block, built in one round
+    cert = certificate(Kernel(()), v, len(directions))
+    assert cert.success and cert.eps == 0.2
+    assert np.array_equal(cert.gram, np.diag(lams).astype(complex))
+
+
+def test_interpolation_certificate_rejects_what_it_cannot_pair():
+    v = finite_rank([-1.0], 1.0)
+    # the construction pairs the trials with a density part of h0 only
+    for h0 in (quasi_carleman(1.0, -1.5, 1.0, 0.0) + finite_rank([2.0], 3.0),
+               quasi_carleman(1.0, -1.5, 1.0, 0.0), finite_rank([2.0], 3.0)):
+        with pytest.raises(ValueError, match="h0"):
+            certificate(h0, v, 1)
+    with pytest.raises(ValueError, match="finite-rank v"):
+        certificate(Kernel(()), v + quasi_carleman(1.0, 1.0, 1.0, 0.0), 1,
+                    kind="interpolation")
+    # a real exponent with a complex coefficient has no conjugate partner
+    with pytest.raises(NonSelfAdjointError):
+        certificate(Kernel(()), Kernel((FiniteRankTerm((-1.0 + 0.5j,), 1.0),)), 1)
 
 
 def test_certificate_soundness_on_finite_branches():

@@ -177,6 +177,12 @@ def test_mollifier_norm_silent_when_tol_is_met():
         assert mollifier_norm(7, tol=1e-2) > 1.0
 
 
+@pytest.mark.parametrize("iters", [0, -1])
+def test_mollifier_norm_rejects_no_iterations(iters):
+    with pytest.raises(ValueError, match="iters"):
+        mollifier_norm(1, iters=iters)
+
+
 def test_mollifier_random_vectors_under_bound():
     q_cap = math.exp(math.pi ** 2 / 2)
     rng = np.random.default_rng(123)
