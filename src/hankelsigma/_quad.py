@@ -74,12 +74,12 @@ def _adaptive_segment(f, a, b, atol, max_depth):
     return total
 
 
-def tanh_sinh_left(f, a, b, atol=1e-12, max_level=10):
+def tanh_sinh_left(f, a, b, atol=1e-12):
     """Integrate f over [a, b] with an integrable singularity allowed at a.
 
     The integrand is called as f(u) with u = x - a computed stably, so
     factors like u^{q-1} can be evaluated without cancellation right down
-    to u ~ 1e-280.
+    to u ~ 1e-280.  The step starts at 0.5 and halves at most 10 times.
     """
     half = 0.5 * (b - a)
     piq = np.pi / 2
@@ -104,7 +104,7 @@ def tanh_sinh_left(f, a, b, atol=1e-12, max_level=10):
     h = 0.5
     u, w = nodes_weights(h, only_odd=False)
     total = np.asarray(f(u)) @ w
-    for _ in range(max_level):
+    for _ in range(10):
         h /= 2
         u, w = nodes_weights(h, only_odd=True)
         refined = 0.5 * total + np.asarray(f(u)) @ w
@@ -115,8 +115,8 @@ def tanh_sinh_left(f, a, b, atol=1e-12, max_level=10):
     return total
 
 
-def semi_infinite(f, a, atol=1e-13, first_len=1.0, max_panels=90):
-    """Integrate f over [a, inf) by geometrically doubling GL panels.
+def semi_infinite(f, a, atol=1e-13):
+    """Integrate f over [a, inf) by up to 90 GL panels doubling from length 1.
 
     Divergence is reported when per-panel contributions grow persistently,
     or when they are still essentially flat once the panels span far beyond
@@ -125,9 +125,9 @@ def semi_infinite(f, a, atol=1e-13, first_len=1.0, max_panels=90):
     """
     total = None
     lo = a
-    length = first_len
+    length = 1.0
     history = []
-    for _ in range(max_panels):
+    for _ in range(90):
         part = _panel(f, lo, lo + length, 48)
         total = part if total is None else total + part
         mag = float(np.max(np.abs(part)))

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .form import ExpPoly, identity_residual, min_monomial_order, spectral_witnesses
-from .galerkin import certificate, stabilized_negcount
-from .kernel import (Classification, FiniteRankTerm, Kernel, QuasiCarlemanTerm,
-                     UndefinableKernelError, classify)
+from .galerkin import CertificateInputError, certificate, stabilized_negcount
+from .kernel import (Classification, FiniteRankTerm, Kernel, NonSelfAdjointError,
+                     QuasiCarlemanTerm, UndefinableKernelError, classify)
 from .predict import (AssumptionViolation, IntegerExponentError,
                       predict_finite_rank, predict_perturbed,
                       predict_quasi_carleman)
@@ -395,8 +395,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, UndefinableKernelError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (SpecError, UndefinableKernelError, NonSelfAdjointError,
+            CertificateInputError, FileNotFoundError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 

@@ -2,7 +2,8 @@
 
 The direct side evaluates <h, conj(f1) star f2>, (conj(f1) star f2)(t) =
 integral_0^t conj(f1(s)) f2(t-s) ds, monomial pair by monomial pair
-through Euler's integral for 2F1, which never divides by a rate gap.
+without dividing by a rate gap: finite-rank terms in closed form,
+quasi-Carleman terms through Euler's integral for 2F1.
 The sigma side evaluates <sigma, (Lf1)* (Lf2)>.  Equality of the two is
 the central identity everything else leans on, so both routes are kept
 fully independent: the direct side never touches the sigma machinery.
@@ -189,13 +190,12 @@ def _conv_monomials(m1, g1, m2, g2):
     return terms
 
 
-def laplace_convolution(f1, f2, grid=None):
+def laplace_convolution(f1, f2):
     """(conj(f1) star f2): a closed form within the ExpPoly family.
 
     Mixed rates divide by powers of the gap d and lose ~(m + n + 1) log10(1/|d|)
     digits, all of them for gaps ~1e-8 to ~1e-2 (``form_direct`` avoids this).
-    Indicator pairs return a piecewise-linear callable; mixed/grid inputs
-    fall back to a trapezoid convolution on a uniform t-grid.
+    Indicator pairs give a piecewise-linear callable; others raise TypeError.
     """
     if isinstance(f1, ExpPoly) and isinstance(f2, ExpPoly):
         out = []
@@ -217,15 +217,7 @@ def laplace_convolution(f1, f2, grid=None):
             return np.maximum(hi - lo, 0.0)
 
         return conv
-    # grid fallback
-    n = 4096 if grid is None else grid
-    tmax = 60.0
-    ts = np.linspace(0.0, tmax, n)
-    v1 = np.conj(np.asarray(f1(ts)))
-    v2 = np.asarray(f2(ts))
-    dt = ts[1] - ts[0]
-    full = np.convolve(v1, v2)[: n] * dt
-    return ts, full
+    raise TypeError("cannot convolve %r with %r" % (f1, f2))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +237,25 @@ def _monomial_pairs(f1, f2):
     return tuple(np.array(a) for a in zip(*pairs))
 
 
-def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
-    """sum_k v_k <(t+r)^{-q_k} e^{-alpha t}, conj(f1) star f2> from its monomial pairs.
+def _separable_pairing(coef, m, n, g1, g0, coeffs, beta):
+    """sum_k p_k <t^k e^{-beta t}, conj(f1) star f2> from its monomial pairs.
+
+    (s+u)^k = sum_j C(k,j) s^j u^{k-j} splits a pair into Gamma integrals,
+    C sum_k p_k sum_j C(k,j) (m+j)! (n+k-j)! / (a^{m+j+1} b^{n+k-j+1}) with
+    a = g1 + beta, b = g0 + beta: no x-rule, Gamma pole or rate gap.
+    """
+    kj = [(k, j) for k in range(len(coeffs)) for j in range(k + 1)]
+    weight = np.array([coeffs[k] * math.comb(k, j) for k, j in kj])
+    k, j = np.array(kj).T
+    e1, e2 = m[:, None] + j, n[:, None] + (k - j)
+    fact = np.array([math.factorial(i) for i in range(max(e1.max(), e2.max()) + 1)], float)
+    a, b = (g1 + beta)[:, None], (g0 + beta)[:, None]
+    terms = fact[e1] * fact[e2] / (a ** (e1 + 1) * b ** (e2 + 1))
+    return np.sum(coef * (terms @ weight))
+
+
+def _euler_pairing(coef, m, n, g1, g0, v0, q, alpha, r):
+    """v0 <(t+r)^{-q} e^{-alpha t}, conj(f1) star f2> from its monomial pairs.
 
     For r = 0 a pair is C Gamma(p) int_0^1 x^m (1-x)^n G^{-p} dx, G = g1 x +
     g0 (1-x) + alpha, p = m + n + 2 - q (DLMF 15.6.1), or its finite part at
@@ -257,14 +266,14 @@ def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
     zero x0, on its distance d (Johnston and Elliott); the Bernstein ellipse
     through x0's image sets their count.
     """
-    g1, g0, p = g1 + alpha, g0 + alpha, (m + n + 2.0)[:, None] - q
+    g1, g0, p = g1 + alpha, g0 + alpha, m + n + 2.0 - q
     x0 = g0 / np.where(g0 == g1, 1e-300, g0 - g1)  # equal rates: x0 far out
     c = np.clip(x0.real, 0.0, 1.0)
     d = np.minimum(np.abs(x0 - c), 1e8)
     lo, hi = np.arcsinh(-c / d), np.arcsinh((1.0 - c) / d)
     z = (2.0 * np.arcsinh((x0 - c) / d) - lo - hi) / (hi - lo)
     a = 0.5 * (np.abs(z - 1.0) + np.abs(z + 1.0))  # the ellipse's semi-major axis
-    need = 4 + (m + n) / 2 + (33 + 4 * np.maximum(p.max(-1) - 1, 0)) / (2 * np.arccosh(a))
+    need = 4 + (m + n) / 2 + (33 + 4 * np.maximum(p - 1, 0)) / (2 * np.arccosh(a))
     s, w = _quad._gl(int(np.ceil(np.max(need))))
     half = (0.5 * (hi - lo))[:, None]
     shift = d[:, None] * np.sinh(lo[:, None] + half * (s + 1.0))
@@ -272,18 +281,18 @@ def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
     base = coef[:, None] * w * half * np.hypot(d[:, None], shift) * x ** m[:, None] * y ** n[:, None]
     G = g1[:, None] * x + g0[:, None] * y
     if r == 0:
-        vals = base[:, None] * G[:, None] ** -p[..., None]
+        vals = base * G ** -p[:, None]
         pole = (p <= 0) & (p == np.round(p))
         k = np.where(pole, -p, 0).astype(int)
         inv = 1.0 / np.arange(1.0, k.max() + 2)
         sign = (-1.0) ** k * np.cumprod(inv)[k] * (k + 1)  # (-1)^k / k!
         residue = np.where(pole, sign * vals.sum(-1), 0.0)
-        if np.any(np.abs(residue.sum(0)) > 1e-12 * np.abs(residue).sum(0)):
+        if np.abs(residue.sum()) > 1e-12 * np.abs(residue).sum():
             raise FormDomainError("residues at the Gamma poles do not cancel")
         psi = (np.cumsum(inv) - inv)[k] - np.euler_gamma  # digamma(k + 1)
         # at a pole the finite part integrates vals (psi(k+1) - log G) instead
-        terms = vals * np.where(pole[..., None], psi[..., None] - np.log(G)[:, None], 1.0)
-        weight = np.where(pole, sign, gamma(np.where(pole, 0.5, p))) * v
+        terms = vals * np.where(pole[:, None], psi[:, None] - np.log(G), 1.0)
+        weight = np.where(pole, sign, gamma(np.where(pole, 0.5, p))) * v0
         parts = weight * terms.sum(-1)
         if np.sum(np.abs(weight) * np.abs(terms).sum(-1)) > 1e6 * np.sum(np.abs(parts)):
             raise ArithmeticError("Euler integrals cancel below 1e-6 of their integrands")
@@ -294,7 +303,7 @@ def _euler_pairing(coef, m, n, g1, g0, v, q, alpha, r):
 
     def integrand(t):
         conv = np.einsum("pk,pkt->t", base, np.exp(power * np.log(t) - G[..., None] * t))
-        return ((t[:, None] + r) ** -q @ v) * conv
+        return v0 * (t + r) ** -q * conv
 
     return (_quad.adaptive_gl(integrand, 0.0, 1.0, atol=1e-12)
             + _quad.semi_infinite(integrand, 1.0, atol=1e-13))
@@ -313,12 +322,9 @@ def form_direct(kernel, f1, f2=None):
         if m_conv - max(singular) <= -1:
             raise FormDomainError("convolution vanishes to order %d at 0, kernel singularity "
                                   "t^-%g" % (m_conv, max(singular)))
-    # sum_k v_k (t+r)^-q_k e^{-alpha t}: finite rank sum_k p_k t^k e^{-beta t} has q_k = -k
-    powers = [([t.v0], [t.q], t.alpha, t.r) for t in kernel.qc_terms]
-    powers += [(t.coeffs, -np.arange(len(t.coeffs)), t.beta, 0.0) for t in kernel.fr_terms]
     pairs = _monomial_pairs(f1, f2)
-    total = sum((_euler_pairing(*pairs, np.asarray(v), np.asarray(q, float), alpha, r)
-                 for v, q, alpha, r in powers), 0j)
+    total = sum((_euler_pairing(*pairs, t.v0, t.q, t.alpha, t.r) for t in kernel.qc_terms), 0j)
+    total += sum((_separable_pairing(*pairs, t.coeffs, t.beta) for t in kernel.fr_terms), 0j)
     if f2 is f1 and abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise ArithmeticError("diagonal direct form came out complex: %r" % total)
     return float(total.real) if f2 is f1 else total

@@ -55,6 +55,7 @@ __all__ = [
     "FiniteSection",
     "NegCountEstimate",
     "Certificate",
+    "CertificateInputError",
     "assemble",
     "section_inertia",
     "stabilized_negcount",
@@ -264,6 +265,10 @@ def _interpolation_trial(kind, ends, kappas, eps):
     return parts[0] if len(parts) == 1 else FSum(parts)
 
 
+class CertificateInputError(ValueError):
+    """``certificate`` has no trial construction for these kernels or target."""
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -374,7 +379,7 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
-        raise ValueError("perturbation has no negative directions to certify")
+        raise CertificateInputError("perturbation has no negative directions to certify")
     block = np.diag([lam for lam, _, _ in directions]).astype(complex)
     params = {"groups": len(groups)}
     s0_parts = h0_sigma.regular_parts
@@ -417,15 +422,15 @@ def certificate(h0, v, target, eps=None, kind="auto"):
     shrinking-eps schedule, else the one with the largest count (check
     ``.success``).  The interpolation construction needs a finite-rank,
     self-adjoint ``v`` and an ``h0`` whose sigma is a density (q > 0 parts
-    only); other inputs raise ValueError.
+    only); other inputs raise CertificateInputError.
     """
     if target < 1:
-        raise ValueError("target must be >= 1")
+        raise CertificateInputError("target must be >= 1")
     if kind == "auto" and v.fr_terms and not v.qc_terms:
         kind = "interpolation"
     elif kind == "auto":
         if len(v.qc_terms) != 1:
-            raise ValueError("certificate needs a single-term perturbation")
+            raise CertificateInputError("certificate needs a single-term perturbation")
         term = v.qc_terms[0]
         kind = "gaussian"
         if -term.q > 0 and not float(-term.q).is_integer():
@@ -436,12 +441,12 @@ def certificate(h0, v, target, eps=None, kind="auto"):
     if kind == "interpolation":
         sig0 = sigma_of_kernel(h0)
         if v.qc_terms or not all(isinstance(p, RegularDensity) for p in sig0.parts):
-            raise ValueError("an interpolation certificate needs a finite-rank v and "
-                             "an h0 whose sigma is a density (quasi-Carleman q > 0)")
+            raise CertificateInputError("an interpolation certificate needs a finite-rank v "
+                                        "and an h0 whose sigma is a density (quasi-Carleman q > 0)")
         v.check_self_adjoint()
         return _first_success(_certify_interpolation(sig0, v, target, eps0=eps or 0.2))
     if kind not in ("gaussian", "window"):
-        raise ValueError("unknown certificate kind %r" % (kind,))
+        raise CertificateInputError("unknown certificate kind %r" % (kind,))
     term, sig = v.qc_terms[0], sigma_of_kernel(h0 + v)
     if kind == "gaussian":
         return _first_success(_certify_gaussian(sig, term.alpha, target,

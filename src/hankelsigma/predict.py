@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Kernel, FiniteRankTerm
+from .kernel import Kernel
 from .sigma import (RegularDensity, SigmaDistribution, sigma_of_kernel,
                     sign_matrix)
 from .special import gamma
@@ -216,10 +216,8 @@ def predict_perturbed(h0, v):
         return Prediction(INFINITE, INFINITE, "HKC", critical_coupling=nu)
 
     if float(k).is_integer():
-        # finite-rank route: expand (t+rho)^k e^{-beta t}
-        m = int(k)
-        coeffs = [v0 * math.comb(m, i) * rho ** (m - i) for i in range(m + 1)]
-        pred = predict_finite_rank(Kernel((FiniteRankTerm(tuple(coeffs), beta),)))
+        # finite-rank route: Kernel expands (t+rho)^k e^{-beta t}
+        pred = predict_finite_rank(Kernel((v,)))
         return Prediction(pred.n_minus, INFINITE, "FDH1", rank=pred.rank)
 
     base = predict_quasi_carleman(-k, v0=v0)

@@ -191,10 +191,11 @@ def laplace_point(f, lam):
     return out[0] if np.ndim(lam) == 0 else out
 
 
-def laplace_via_mellin(f, decay_tol=1e-8):
+def laplace_via_mellin(f):
     """Laplace transform of f (sampled at t = e^x) via the Mellin factorization.
 
-    Returns the image sampled at lam = e^x on the same grid.
+    Returns the image sampled at lam = e^x on the same grid; e^{x/2} f(e^x)
+    must fall below 1e-8 of its peak at the grid edges.
     """
     grid = f.grid
     u = np.exp(grid.xs / 2) * f.values
@@ -202,9 +203,9 @@ def laplace_via_mellin(f, decay_tol=1e-8):
     if peak == 0:
         return GridFunction(grid, np.zeros(grid.count, complex))
     edge = max(np.max(np.abs(u[:4])), np.max(np.abs(u[-4:])))
-    if edge > decay_tol * peak:
+    if edge > 1e-8 * peak:
         raise InsufficientDecayError(
-            "weighted samples at grid edges are %.2e of peak (need < %.0e)" % (edge / peak, decay_tol)
+            "weighted samples at grid edges are %.2e of peak (need < 1e-8)" % (edge / peak)
         )
     mf = np.fft.ifftshift(fourier(GridFunction(grid, u)))  # fft order
     xi = _xi_fft_order(grid)
@@ -226,17 +227,17 @@ def u_of_laplace_image(f, grid=DEFAULT_GRID):
     return sample_u(f.laplace_image(), grid)
 
 
-def reconstruct(u, noise_floor=1e-12, decay_tol=0.05):
+def reconstruct(u):
     """Recover f (sampled at t = e^x) from u(x) = e^{-x/2} (L f)(e^{-x}).
 
     Works through (M f)(xi) = Gamma(1/2 + i xi)^{-1} (Phi u)(xi).  The
     spectrum of u is cut to the contiguous band around xi = 0 where it
-    still exceeds ``noise_floor`` relative to its peak -- beyond the first
-    crossing only discretization junk survives, and dividing that by
-    exponentially small Gamma values would destroy everything.  The
+    still exceeds 1e-12 of its peak -- beyond the first crossing only
+    discretization junk survives, and dividing that by exponentially
+    small Gamma values would destroy everything.  The
     precondition is that the quotient on the kept band has already turned
-    around and is decaying at the cut: that is the grid form of "Phi u
-    decays faster than Gamma(1/2+i xi)".
+    around and is decaying at the cut, to 5% of its peak or below: that is
+    the grid form of "Phi u decays faster than Gamma(1/2+i xi)".
     """
     grid = u.grid
     phi_u = fourier(u)
@@ -247,7 +248,7 @@ def reconstruct(u, noise_floor=1e-12, decay_tol=0.05):
     n = grid.count
     mid = n // 2  # index of xi = 0 on the shifted grid
     absu = np.abs(phi_u)
-    floor = noise_floor * peak
+    floor = 1e-12 * peak
     hi = mid
     while hi < n and absu[hi] >= floor:
         hi += 1
@@ -260,7 +261,7 @@ def reconstruct(u, noise_floor=1e-12, decay_tol=0.05):
     gmax = np.max(np.abs(g))
     if gmax > 0:
         edge = max(np.abs(g[hi - 1]), np.abs(g[lo + 1]))
-        if (hi >= n or lo < 0) or edge > decay_tol * gmax:
+        if (hi >= n or lo < 0) or edge > 0.05 * gmax:
             raise AmplificationError(
                 "Phi u does not decay faster than Gamma(1/2+i xi) on this grid"
             )
@@ -327,12 +328,12 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
 # Sandwiched Fourier operators  A = s(x) Phi* v(xi)
 # ---------------------------------------------------------------------------
 
-def sandwiched_apply(s, v, f, k_max=12):
+def sandwiched_apply(s, v, f):
     """Compute s(x) Phi*(v(xi) f(xi)).
 
     ``f`` lives on its own (frequency) grid; the result lives on the dual
     x-grid.  ``s`` and ``v`` are callables (FunctionSpecs work).  A
-    GrowthWarning is emitted when s grows faster than |x|^k_max toward the
+    GrowthWarning is emitted when s grows faster than |x|^12 toward the
     grid edges (the operator theory assumes a polynomial envelope on s).
     """
     xi = f.grid.xs
@@ -342,12 +343,12 @@ def sandwiched_apply(s, v, f, k_max=12):
     out = dual_grid(f.grid)
     x = out.xs
     sx = np.asarray(s(x), dtype=complex)
-    _check_polynomial_growth(x, sx, k_max)
+    _check_polynomial_growth(x, sx)
     return GridFunction(out, sx * out_vals)
 
 
-def _check_polynomial_growth(x, sx, k_max):
-    """Warn when log|s| grows super-polynomially toward the grid edges."""
+def _check_polynomial_growth(x, sx):
+    """Warn when |s| grows faster than |x|^12 toward the grid edges."""
     n = len(x)
     m = max(8, n // 10)
     for sl in (slice(n - m, n), slice(0, m)):
@@ -358,8 +359,8 @@ def _check_polynomial_growth(x, sx, k_max):
             continue
         lx, ls = np.log(xa[good]), np.log(sa[good])
         slope = np.polyfit(lx, ls, 1)[0]
-        if slope > k_max:
+        if slope > 12:
             warnings.warn(
-                "sandwiching function grows like |x|^%.1f at the edge (envelope %d)"
-                % (slope, k_max), GrowthWarning)
+                "sandwiching function grows like |x|^%.1f at the edge (envelope 12)"
+                % slope, GrowthWarning)
             return

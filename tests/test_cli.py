@@ -186,6 +186,23 @@ def test_certificate_command(tmp_path):
     assert report["certificate"]["success"] is True
 
 
+UNPAIRED = {"schema": "1", "type": "finite_rank",
+            "terms": [{"coeffs": [[1.0, 0.0]], "beta": [1.0, 2.0]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate", "--spec", "rank_one.json", "--h0", "fdh_sum.json", "--target", "1"],
+    ["certificate", "--spec", "fdh_sum.json", "--target", "1"],
+    ["predict", "--spec", "unpaired.json"],
+], ids=["interpolation-h0-not-a-density", "two-term-v", "unpaired-complex-beta"])
+def test_input_errors_exit_2(tmp_path, argv):
+    for name, doc in (("rank_one.json", RANK_ONE), ("fdh_sum.json", FDH_SUM),
+                      ("unpaired.json", UNPAIRED)):
+        _write(tmp_path, name, doc)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+
 def test_sweep_command(tmp_path):
     config = {"cases": [
         {"name": "a", "kernel": CARLEMAN},

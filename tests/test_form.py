@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hankelsigma import form
 from hankelsigma.form import (ExpPoly, FormDomainError, Indicator,
                               LaplaceImage, dilate, dilation_check,
                               form_direct, form_sigma, identity_residual,
@@ -163,6 +164,35 @@ def test_form_direct_raises_on_cancelling_euler_integral():
     f2 = ExpPoly(((1.0, 10, 0.63 + 1.34j),))
     with pytest.raises(ArithmeticError):
         form_direct(quasi_carleman(1, -4, 0, 0), f1, f2)
+
+
+def test_finite_rank_closed_form_where_euler_integral_cancels():
+    # the same pair on t^4 e^{-0.3 t}: its finite sum cancels by a factor of
+    # only ~16, against a 40-digit Gamma(p) int_0^1 x^m (1-x)^n G^-p dx
+    mp = pytest.importorskip("mpmath")
+    m, n, p = 8, 10, 24
+    with mp.workdps(40):
+        g1, g2, beta = mp.mpc(0.66, -1.70), mp.mpc(0.63, 1.34), mp.mpf(0.3)
+        ref = complex(mp.gamma(p) * mp.quad(lambda x: x ** m * (1 - x) ** n
+                                            * (g1 * x + g2 * (1 - x) + beta) ** -p, [0, 0.5, 1]))
+    f1 = ExpPoly(((1.0, m, 0.66 + 1.70j),))
+    f2 = ExpPoly(((1.0, n, 0.63 + 1.34j),))
+    val = form_direct(finite_rank([0, 0, 0, 0, 1], 0.3), f1, f2)
+    assert abs(val - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("kern", [finite_rank([1.0, -0.6, 0.3], 0.9),
+                                  finite_rank([0.8 + 0.4j, 0.2 - 0.1j], 0.7 + 0.5j)
+                                  + finite_rank([0.8 - 0.4j, 0.2 + 0.1j], 0.7 - 0.5j)],
+                         ids=["real", "pair"])
+def test_finite_rank_terms_skip_the_euler_integral(kern, monkeypatch):
+    def euler(*args):
+        raise AssertionError("finite-rank term reached _euler_pairing")
+
+    monkeypatch.setattr(form, "_euler_pairing", euler)
+    f = ExpPoly(((1.0, 0, 1.0), (-0.7, 2, 1.3 + 0.4j), (0.5, 1, 0.8)))
+    direct = form_direct(kern, f)
+    assert abs(direct - form_sigma(kern, f)) <= 1e-10 * (1 + abs(direct))
 
 
 def test_identity_residual_spot_grid():
