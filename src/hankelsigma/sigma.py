@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _quad
 from .kernel import Kernel, QuasiCarlemanTerm, FiniteRankTerm, UndefinableKernelError
-from .special import FProd, Jet, _jet_mul
+from .special import Jet, _jet_mul
 
 __all__ = [
     "RegularDensity",
@@ -204,7 +204,7 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 # Pairing engines.  Every pairing goes through one dispatch, _pair_product,
 # which walks sigma's parts against a test product prod = w1* w2 offering
 #
-#   prod(lam)                values on a lambda array, shape (..., len(lam));
+#   prod(lam)                values on a real lambda array, shape (..., len(lam));
 #   prod.jet(center, order)  Taylor coefficients at center, shape (..., order+1);
 #   prod.decay()             (rate, power): |prod| <~ lam^power e^{-rate lam},
 #                            ValueError when no such bound is known.
@@ -354,19 +354,25 @@ def _pair_product(sig, prod, atol, hints, near_radius, max_depth):
 
 
 class _SpecProduct:
-    """The test product w1* w2 of two FunctionSpec tests."""
+    """The test product w1* w2 of two FunctionSpec tests, w1* the mirror
+    z -> conj(w1(conj z)) (the conjugate on real lam); a diagonal product
+    (w2 is w1) evaluates its test once."""
 
     def __init__(self, w1, w2):
-        self.spec = FProd([w1.conj(), w2])
+        self.w1, self.w2 = w1, w2
 
     def __call__(self, lam):
-        return self.spec(lam)
+        v1 = self.w1(lam)
+        return np.conj(v1) * (v1 if self.w2 is self.w1 else self.w2(lam))
 
     def jet(self, center, order):
-        return self.spec.jet(center, order).coeffs
+        j1 = self.w1.jet(np.conj(center), order).conj_mirror()
+        same = self.w2 is self.w1 and center == np.conj(center)
+        return (j1 * (j1.conj_mirror() if same else self.w2.jet(center, order))).coeffs
 
     def decay(self):
-        return self.spec.decay()
+        (r1, p1), (r2, p2) = self.w1.decay(), self.w2.decay()
+        return (r1 + r2, p1 + p2)
 
 
 def sigma_pair(sig, w1, w2, atol=1e-10, hints=None, near_radius=0.5):

@@ -8,6 +8,7 @@ of analytic expressions (rational * exponential * power * log factors).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,9 +181,6 @@ class Jet:
         """f^{(p)}(center)."""
         return self.coeffs[p] * math.factorial(p)
 
-    def value(self):
-        return self.coeffs[0]
-
     def _check(self, other):
         if self.center != other.center or self.order != other.order:
             raise ValueError("jet centers/orders must match")
@@ -286,10 +284,6 @@ class FunctionSpec:
     def jet(self, center, order):
         raise NotImplementedError
 
-    def conj(self):
-        """Spec of z -> conj(f(conj z)); equals pointwise conjugate on R."""
-        raise NotImplementedError
-
     def decay(self):
         """(rate, power): |f| ~ C lam^power e^{-rate lam} as lam -> +inf.
 
@@ -309,10 +303,10 @@ class FunctionSpec:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return FSum([self, FProd([FPoly([-1.0]), _as_spec(other)])])
+        return FSum([self, -_as_spec(other)])
 
     def __neg__(self):
-        return FProd([FPoly([-1.0]), self])
+        return FProd([-1.0, self])
 
 
 def _as_spec(x):
@@ -328,7 +322,12 @@ class FPoly(FunctionSpec):
             self.coeffs = np.zeros(1, complex)
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        # polyval's Horner steps (numpy takes a real z as z + 0j): bitwise equal
+        z = np.asarray(z)
+        out = self.coeffs[-1] + z * 0
+        for c in self.coeffs[-2::-1]:
+            out = c + out * z
+        return out
 
     def jet(self, center, order):
         out = Jet(center, np.zeros(order + 1, complex))
@@ -336,9 +335,6 @@ class FPoly(FunctionSpec):
         for c in self.coeffs[::-1]:
             out = out * zj + c
         return out
-
-    def conj(self):
-        return FPoly(np.conj(self.coeffs))
 
     def decay(self):
         deg = max([k for k, c in enumerate(self.coeffs) if c != 0], default=0)
@@ -354,9 +350,6 @@ class FExp(FunctionSpec):
 
     def jet(self, center, order):
         return self.child.jet(center, order).exp()
-
-    def conj(self):
-        return FExp(self.child.conj())
 
     def decay(self):
         ch = self.child
@@ -386,9 +379,6 @@ class FLog(FunctionSpec):
     def jet(self, center, order):
         return self.child.jet(center, order).log()
 
-    def conj(self):
-        return FLog(self.child.conj())
-
     def decay(self):
         # grows slower than any power; 0 is safe inside strict comparisons
         return (0.0, 0.0)
@@ -409,9 +399,6 @@ class FPow(FunctionSpec):
     def jet(self, center, order):
         return self.child.jet(center, order).pow(self.exponent)
 
-    def conj(self):
-        return FPow(self.child.conj(), np.conj(self.exponent) if isinstance(self.exponent, complex) else self.exponent)
-
     def decay(self):
         rate, power = self.child.decay()
         e = float(np.real(self.exponent))
@@ -430,9 +417,6 @@ class FRecip(FunctionSpec):
     def jet(self, center, order):
         return self.child.jet(center, order).reciprocal()
 
-    def conj(self):
-        return FRecip(self.child.conj())
-
     def decay(self):
         rate, power = self.child.decay()
         if rate != 0.0:
@@ -441,23 +425,32 @@ class FRecip(FunctionSpec):
 
 
 class FProd(FunctionSpec):
+    """scale * prod(parts), with nested products and constant factors folded."""
+
     def __init__(self, parts):
-        self.parts = [_as_spec(p) for p in parts]
+        self.scale, self.parts = 1.0 + 0.0j, []
+        for p in map(_as_spec, parts):
+            if isinstance(p, FProd):
+                self.scale *= p.scale
+                self.parts += p.parts
+            elif isinstance(p, FPoly) and len(p.coeffs) == 1:
+                self.scale *= p.coeffs[0]
+            else:
+                self.parts.append(p)
+        if not self.parts:
+            self.scale, self.parts = 1.0 + 0.0j, [FPoly([self.scale])]
 
     def __call__(self, z):
         out = self.parts[0](z)
         for p in self.parts[1:]:
             out = out * p(z)
-        return out
+        return out if self.scale == 1 else self.scale * out
 
     def jet(self, center, order):
         out = self.parts[0].jet(center, order)
         for p in self.parts[1:]:
             out = out * p.jet(center, order)
-        return out
-
-    def conj(self):
-        return FProd([p.conj() for p in self.parts])
+        return out if self.scale == 1 else out * self.scale
 
     def decay(self):
         rate, power = 0.0, 0.0
@@ -468,8 +461,14 @@ class FProd(FunctionSpec):
 
 
 class FSum(FunctionSpec):
+    """sum(parts), with nested sums flattened and polynomial parts merged."""
+
     def __init__(self, parts):
-        self.parts = [_as_spec(p) for p in parts]
+        flat = [q for p in map(_as_spec, parts) for q in (p.parts if isinstance(p, FSum) else [p])]
+        self.parts = [p for p in flat if not isinstance(p, FPoly)]
+        polys = [p.coeffs for p in flat if isinstance(p, FPoly)]
+        if polys:
+            self.parts.append(FPoly(functools.reduce(np.polynomial.polynomial.polyadd, polys)))
 
     def __call__(self, z):
         out = self.parts[0](z)
@@ -482,9 +481,6 @@ class FSum(FunctionSpec):
         for p in self.parts[1:]:
             out = out + p.jet(center, order)
         return out
-
-    def conj(self):
-        return FSum([p.conj() for p in self.parts])
 
     def decay(self):
         # dominant term: smallest rate, then largest power
@@ -519,9 +515,6 @@ class FIndicatorImage(FunctionSpec):
         ea = (za * (-self.a)).exp()
         eb = (za * (-self.b)).exp()
         return (ea - eb) * za.reciprocal()
-
-    def conj(self):
-        return FIndicatorImage(self.a, self.b)
 
     def decay(self):
         return (self.a, -1.0) if self.a > 0 else (0.0, -1.0)

@@ -181,6 +181,26 @@ def test_finite_rank_closed_form_where_euler_integral_cancels():
     assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
+def test_form_direct_raises_on_cancelling_finite_rank_sum():
+    # P(t) = L_K(2 beta t) against f = e^{-beta t}: the form is
+    # int L_K(s) s e^{-s} ds / (4 beta^2) = 0 for K >= 2, a finite sum of
+    # terms up to ~1e8 that cancels to rounding noise
+    beta, K = 0.8, 24
+    lag = [math.comb(K, k) * (-2 * beta) ** k / math.factorial(k) for k in range(K + 1)]
+    with pytest.raises(ArithmeticError):
+        form_direct(finite_rank(lag, beta), ExpPoly(((1.0, 0, beta),)))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_form_sigma_on_image_that_decays_by_cancellation(q):
+    # L(e^{-t} - e^{-2t}) = 1/((lam+1)(lam+2)) ~ lam^-2, though each term is
+    # ~lam^-1: the image declares the decay of f's vanishing order
+    f = ExpPoly(((1.0, 0, 1.0), (-1.0, 0, 2.0)))
+    kern = quasi_carleman(1, q, 0, 0)
+    assert f.laplace_image().decay() == (0.0, -2.0)
+    assert abs(form_sigma(kern, f) - form_direct(kern, f)) < 1e-10
+
+
 @pytest.mark.parametrize("kern", [finite_rank([1.0, -0.6, 0.3], 0.9),
                                   finite_rank([0.8 + 0.4j, 0.2 - 0.1j], 0.7 + 0.5j)
                                   + finite_rank([0.8 - 0.4j, 0.2 + 0.1j], 0.7 - 0.5j)],

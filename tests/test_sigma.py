@@ -7,13 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from hankelsigma.form import ExpPoly, form_direct
+from hankelsigma.galerkin import gaussian_trial
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
 from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError,
-                               RegularizedPower, matrix_inertia,
+                               RegularizedPower, _SpecProduct, matrix_inertia,
                                sigma_of_kernel, sigma_pair, sigma_pair_real,
                                sign_matrix, sign_matrix_tilde)
-from hankelsigma.special import (FLog, FPow, FProd, fs_const, fs_var,
-                                 laguerre_image)
+from hankelsigma.special import (FLog, FPow, FProd, FunctionSpec, fs_const,
+                                 fs_var, laguerre_image)
 from hankelsigma.kernel import UndefinableKernelError
 
 
@@ -235,3 +236,56 @@ def test_matrix_inertia():
     assert sign_matrix([0, -1.0], 1.0).inertia == (1, 1, 0)
     with pytest.raises(NonHermitianError):
         matrix_inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the test product w1* w2
+# ---------------------------------------------------------------------------
+
+class _Counting(FunctionSpec):
+    """A FunctionSpec that counts its evaluations."""
+
+    def __init__(self, spec):
+        self.spec, self.calls, self.jets = spec, 0, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.spec(z)
+
+    def jet(self, center, order):
+        self.jets += 1
+        return self.spec.jet(center, order)
+
+    def decay(self):
+        return self.spec.decay()
+
+
+def test_spec_product_diagonal_evaluates_once():
+    w = _Counting(gaussian_trial(1.3, 0.1))
+    other = gaussian_trial(1.3, 0.1)  # the same test, a second object
+    diag, pair = _SpecProduct(w, w), _SpecProduct(w, other)
+    lam = np.linspace(0.5, 3.0, 48)
+    assert np.array_equal(diag(lam), pair(lam)) and w.calls == 2
+    for center in (1.2, 1.2 + 0.3j):
+        assert np.array_equal(diag.jet(center, 8), pair.jet(center, 8))
+    # diagonal, then the pair: one jet each at the real center, two and one
+    # at the complex one
+    assert w.jets == (1 + 1) + (2 + 1)
+    assert diag.decay() == pair.decay()
+
+
+def test_spec_product_jets_at_a_conjugate_pair():
+    # the mirror rule against the image of the conjugated ExpPoly, whose
+    # tree carries conj(c) and conj(g) by hand
+    f1 = ExpPoly(((0.7 - 0.4j, 1, 0.9 + 0.6j), (0.3j, 0, 1.4 - 0.2j)))
+    f2 = ExpPoly(((1.0, 2, 0.8 - 0.5j),))
+    w1, w2 = f1.laplace_image(), f2.laplace_image()
+    kern = finite_rank([0.6 + 0.2j, -0.3j, 0.25], 1.0 + 0.7j)
+    by_hand, prod = FProd([f1.conj().laplace_image(), w2]), _SpecProduct(w1, w2)
+    for part in sigma_of_kernel(kern).parts:
+        ref = by_hand.jet(part.beta, part.degree).coeffs
+        got = prod.jet(part.beta, part.degree)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert prod.decay() == by_hand.decay() == (0.0, -4.0)
+    direct = form_direct(kern, f1, f2)
+    assert abs(sigma_pair(sigma_of_kernel(kern), w1, w2) - direct) < 1e-12 * abs(direct)

@@ -1,15 +1,21 @@
 """Gamma, Laguerre, jets, and the expression language."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
+from hankelsigma.form import ExpPoly
+from hankelsigma.galerkin import (_interpolation_trial, _sign_directions,
+                                  gaussian_trial, window_trials)
+from hankelsigma.kernel import finite_rank
 from hankelsigma.special import (FExp, FIndicatorImage, FPoly, FPow,
                                  FProd, FRecip, FSum, PoleError,
-                                 NonAnalyticError, _jet_mul, fs_affine, gamma,
-                                 jet_eval,
+                                 NonAnalyticError, _as_spec, _jet_mul,
+                                 fs_affine, fs_var, gamma, jet_eval,
                                  laguerre, laguerre_e, laguerre_image,
                                  log_gamma)
 
@@ -149,9 +155,15 @@ def test_jet_non_integer_power():
 
 
 def test_function_spec_conj_mirror():
+    # the mirrored jet of spec at conj(z) is the Taylor expansion at z of
+    # g(u) = conj(spec(conj u)): check its center and its series near z
     spec = FProd([FPoly([1.0 + 2.0j, 0.5]), FExp(FPoly([0, -1.0 + 0.3j]))])
     z = 1.2 + 0.4j
-    assert abs(spec.conj()(z) - np.conj(spec(np.conj(z)))) < 1e-13
+    mirror = spec.jet(np.conj(z), 10).conj_mirror()
+    assert mirror.center == z
+    for h in (0.0, 0.05, -0.03 + 0.04j):
+        series = np.sum(mirror.coeffs * h ** np.arange(11))
+        assert abs(series - np.conj(spec(np.conj(z + h)))) < 1e-13
 
 
 def test_indicator_image_stable_near_zero():
@@ -177,3 +189,83 @@ def test_decay_metadata():
     rate, power = FProd([FPoly([0, 0, 1.0]), FExp(FPoly([0, -0.7]))]).decay()
     assert rate == pytest.approx(0.7) and power == 2.0
     assert FIndicatorImage(0.5, 1.0).decay()[0] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Construction-time folding against an unfolded reference
+# ---------------------------------------------------------------------------
+
+def _unfolded_init(self, parts):
+    self.scale, self.parts = 1.0, [_as_spec(p) for p in parts]
+
+
+@contextmanager
+def _unfolded():
+    """Build and evaluate trees as plain nested products and sums, with
+    every constant its own FPoly node evaluated by numpy's polyval."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FProd, "__init__", _unfolded_init)
+        mp.setattr(FSum, "__init__", _unfolded_init)
+        mp.setattr(FPoly, "__call__", lambda self, z: polyval(np.asarray(z, dtype=complex), self.coeffs))
+        yield
+
+
+def _interpolation_trials():
+    v = finite_rank([0, 1.0, 0.5], 0.8) + finite_rank([1.0, 0.5j], 1 + 1j)
+    kappas, directions = _sign_directions(v.conjugate_groups())
+    return [_interpolation_trial(kind, ends, kappas, 0.2) for _, kind, ends in directions]
+
+
+_TREES = {
+    "gaussian": (lambda: [gaussian_trial(1.3, 0.05), gaussian_trial(2.0, 0.3)], (1.25, 1.3 + 0.05j)),
+    "window": (lambda: window_trials(1.0, 0.7, 3, 3, 0.2), (1.0, 1.1 - 0.1j)),
+    "interpolation": (_interpolation_trials, (0.2, -np.log(1 + 1j))),
+    "laguerre": (lambda: [laguerre_image(0), laguerre_image(5)], (0.7, 2.0 + 1.0j)),
+    "exppoly": (lambda: [ExpPoly(((1 + 0.5j, 2, 0.7 - 0.3j), (-0.4, 0, 1.1),
+                                  (0.3j, 1, 0.5), (0.4, 0, 1.1))).laplace_image()], (0.9, 1.0 + 1.0j)),
+    "arithmetic": (lambda: [laguerre_image(1) - 2.0 * laguerre_image(2) + fs_var() + 0.5,
+                            -laguerre_image(3) - 1j],
+                   (0.6, 1.5 - 0.5j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TREES))
+def test_folded_trees_match_unfolded_reference(name):
+    build, centers = _TREES[name]
+    lam = np.linspace(0.05, 6.0, 97)
+    with _unfolded():
+        ref = build()
+        ref_vals = [w(lam) for w in ref]
+        ref_jets = [[w.jet(c, 12).coeffs for c in centers] for w in ref]
+    for w, vals, jets, w_ref in zip(build(), ref_vals, ref_jets, ref):
+        assert np.max(np.abs(w(lam) - vals)) <= 1e-15 * np.max(np.abs(vals))
+        for c, jet in zip(centers, jets):
+            assert np.max(np.abs(w.jet(c, 12).coeffs - jet)) <= 1e-15 * np.max(np.abs(jet))
+        assert _decay(w) == _decay(w_ref)
+
+
+def _decay(spec):
+    try:
+        return spec.decay()
+    except ValueError as exc:  # no bound known, e.g. the interpolation windows
+        return str(exc)
+
+
+def _nodes(spec):
+    yield spec
+    for child in getattr(spec, "parts", []) + [getattr(spec, "child", None)]:
+        if child is not None:
+            yield from _nodes(child)
+
+
+def test_subtraction_and_negation_fold_their_sign():
+    a, b = laguerre_image(1), FExp(FPoly([0, -0.5]))
+    for spec in (a - b, -a, -(a - b), b - 3.0):
+        assert not any(isinstance(n, FPoly) and len(n.coeffs) == 1 and n.coeffs[0] == -1
+                       for n in _nodes(spec))
+    assert (-a).scale == -1 and (-a).parts == a.parts
+    merged = a - b + fs_var() + 0.5  # one polynomial part, 0.5 + z
+    assert [p.coeffs.tolist() for p in merged.parts if isinstance(p, FPoly)] == [[0.5, 1.0]]
+    assert isinstance(-(-a), FProd) and (-(-a)).scale == 1
+    z = np.array([0.4, 2.5])
+    assert np.allclose((a - b)(z), a(z) - b(z), rtol=1e-15, atol=0)
