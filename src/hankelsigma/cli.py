@@ -32,8 +32,8 @@ from .form import ExpPoly, identity_residual, min_monomial_order, spectral_witne
 from .galerkin import CertificateInputError, certificate, stabilized_negcount
 from .kernel import (Classification, FiniteRankTerm, Kernel, NonSelfAdjointError,
                      QuasiCarlemanTerm, UndefinableKernelError, classify)
-from .predict import (AssumptionViolation, IntegerExponentError,
-                      predict_finite_rank, predict_perturbed,
+from .predict import (INFINITE, AssumptionViolation, IntegerExponentError, Prediction,
+                      assumption_hfree, predict_finite_rank, predict_perturbed,
                       predict_quasi_carleman)
 from .sigma import RegularizedPower, DeltaCombo, sigma_of_kernel
 from .special import laguerre_e, laguerre_image
@@ -192,12 +192,13 @@ def predict_kernel(kern):
 
 
 def predict_perturbed_finite(kern):
-    from .predict import assumption_hfree
-
+    """One quasi-Carleman term perturbed by finite rank: N- of the finite-rank
+    part; N+ is infinite, as for predict_perturbed's integer k."""
     sigma0 = sigma_of_kernel(Kernel(tuple(kern.qc_terms)))
     if not assumption_hfree(sigma0):
         raise AssumptionViolation("unperturbed part violates the regularity assumption")
-    return predict_finite_rank(Kernel(tuple(kern.fr_terms)))
+    pred = predict_finite_rank(Kernel(tuple(kern.fr_terms)))
+    return Prediction(pred.n_minus, INFINITE, "FDH1", rank=pred.rank)
 
 
 def cmd_predict(args):

@@ -342,12 +342,12 @@ def form_direct(kernel, f1, f2=None):
 # Sigma side and the identity residual
 # ---------------------------------------------------------------------------
 
-def form_sigma(kernel, f1, f2=None, atol=1e-10, hints=None, near_radius=0.5):
+def form_sigma(kernel, f1, f2=None, atol=1e-10):
     """<sigma(h), (Lf1)* (Lf2)>; f2 defaults to f1 (then returns a float)."""
     sig = sigma_of_kernel(kernel)
     w1 = f1.laplace_image()
     w2 = w1 if f2 is None else f2.laplace_image()
-    val = sigma_pair(sig, w1, w2, atol=atol, hints=hints, near_radius=near_radius)
+    val = sigma_pair(sig, w1, w2, atol=atol)
     if f2 is None:
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ArithmeticError("diagonal sigma form came out complex: %r" % val)

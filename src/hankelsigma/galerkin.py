@@ -44,8 +44,8 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DecayError, RegularDensity, _pair_product, matrix_inertia,
-                    sigma_of_kernel, sigma_pair, sign_matrix, sign_matrix_tilde)
+from .sigma import (DecayError, RegularDensity, _SpecProduct, _eig_inertia, _pair_product,
+                    matrix_inertia, sigma_of_kernel, sigma_pair, sign_matrix, sign_matrix_tilde)
 from .special import FExp, FLog, FPoly, FPow, FProd, FSum, fs_affine, fs_const, fs_var
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
@@ -127,8 +127,7 @@ def assemble(kernel, n, atol=1e-12):
         warnings.warn("assembling finite sections of an unbounded positive form")
     sig = sigma_of_kernel(kernel)
     try:
-        f = _pair_product(sig, _LaguerreProducts(2 * n - 2), atol, hints=None,
-                          near_radius=0.5, max_depth=16)
+        f = _pair_product(sig, _LaguerreProducts(2 * n - 2), atol, hints=None, max_depth=16)
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     f = np.broadcast_to(f, 2 * n - 1)  # a kernel without parts pairs to a scalar 0
@@ -141,15 +140,9 @@ def assemble(kernel, n, atol=1e-12):
     return FiniteSection(n, h, kernel)
 
 
-def _inertia(ev, tol):
-    """(n_plus, n_minus) of the eigenvalues ``ev`` at relative tolerance ``tol``."""
-    t = tol * max(np.max(np.abs(ev)), 1e-300)
-    return int(np.sum(ev > t)), int(np.sum(ev < -t))
-
-
-def section_inertia(section, tol=1e-10):
-    """(n_plus, n_minus) of the section at relative tolerance ``tol``."""
-    return _inertia(np.linalg.eigvalsh(section.matrix), tol)
+def section_inertia(section):
+    """(n_plus, n_minus) of the section, by the rule of ``sigma.matrix_inertia``."""
+    return _eig_inertia(np.linalg.eigvalsh(section.matrix))[:2]
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class NegCountEstimate:
                 "history": [list(h) for h in self.history]}
 
 
-def stabilized_negcount(kernel, sizes=(16, 32, 64, 128), tol=1e-10):
+def stabilized_negcount(kernel, sizes=(16, 32, 64, 128)):
     """Estimate N_minus from a nested family of finite sections.
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
@@ -177,7 +170,7 @@ def stabilized_negcount(kernel, sizes=(16, 32, 64, 128), tol=1e-10):
         raise ValueError("need at least 3 section sizes")
     top = assemble(kernel, sizes[-1])
     spectra = [np.linalg.eigvalsh(top.leading(n).matrix) for n in sizes]
-    history = tuple((n,) + _inertia(ev, tol)[::-1] for n, ev in zip(sizes, spectra))
+    history = tuple((n,) + _eig_inertia(ev)[1::-1] for n, ev in zip(sizes, spectra))
     max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
     if negs[-1] == negs[-2] == negs[-3]:
@@ -321,10 +314,8 @@ def _certify_gaussian(sig, beta, target, eps0, delta0):
     for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
         hints = [a * f for a in centers for f in (math.exp(-4 * eps), 1.0, math.exp(4 * eps))]
-        nr = min(0.25 * (min(centers) - beta), 0.1)
-        g = _hermitian_gram(
-            lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints, near_radius=nr),
-            [gaussian_trial(a, eps) for a in centers])
+        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints),
+                            [gaussian_trial(a, eps) for a in centers])
         yield Certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
                           g, _neg_inertia(g), target)
         if rd % 2 == 0:
@@ -339,9 +330,7 @@ def _certify_window(sig, beta, rho, n_sub, target, eps0):
     for _ in range(_ROUNDS):
         trials = window_trials(beta, rho, n_sub, target, eps)
         hints = [beta * math.exp(-2 * eps), beta * math.exp(2 * eps), beta + 1.0]
-        nr = min(0.1, eps / 2)
-        g = _hermitian_gram(
-            lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints, near_radius=nr), trials)
+        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints), trials)
         yield Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
                           g, _neg_inertia(g), target)
         eps *= 0.5
@@ -396,15 +385,14 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
 
 def _s0_pair_x(s0_parts, u1, u2):
     """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x})."""
-    def s0(x):
-        lam = np.exp(-x)
-        total = np.zeros_like(lam)
-        for p in s0_parts:
-            total = total + p.density(lam)
-        return total
+    prod = _SpecProduct(u1, u2)
 
     def integrand(x):
-        return s0(x) * np.conj(u1(x)) * u2(x)
+        lam = np.exp(-x)
+        s0 = np.zeros_like(lam)
+        for p in s0_parts:
+            s0 = s0 + p.density(lam)
+        return s0 * prod(x)
 
     return _quad.adaptive_gl(integrand, -40.0, 40.0,
                              atol=1e-12, knots=list(np.linspace(-12, 12, 25)))

@@ -253,7 +253,9 @@ def predict_finite_rank(v):
 
 
 def finite_rank_inertia_check(v):
-    """Sum of sign-matrix inertias; positive+negative must equal the rank."""
+    """Sum of sign-matrix inertias; positive+negative must equal the rank.
+    Raises NonSelfAdjointError like ``predict_finite_rank``."""
+    v.check_self_adjoint()
     n_plus = n_minus = 0
     for kind, t in v.conjugate_groups():
         if kind == "real":

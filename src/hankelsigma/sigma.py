@@ -232,21 +232,30 @@ def _check_density_decay(q, r, prod):
         )
 
 
-def _density_pair_engine(part, psi, atol=1e-11, hints=None, max_depth=11):
+def _splits(alpha, hints):
+    """(knots, far_start, d0) of the power-law engines, offsets from alpha:
+    the hints above alpha, the start of the tail (1, or twice the farthest
+    knot) and the finite part's series radius min(0.5, nearest knot / 4)."""
+    knots = sorted(h - alpha for h in (hints or ()) if h > alpha)
+    far_start = max([1.0] + [2.0 * h for h in knots])
+    d0 = min([0.5] + [0.25 * h for h in knots[:1]])
+    return knots, far_start, d0
+
+
+def _density_pair_engine(part, psi, atol, splits, max_depth):
     """integral_alpha^inf u^{q-1} psi(alpha+u) du * c/Gamma(q), q > 0.
 
     ``psi`` maps a lambda array to values with any leading batch shape and
-    must already contain the e^{-r(lam-alpha)} factor.
+    must already contain the e^{-r(lam-alpha)} factor; ``splits``: _splits.
     """
     a, q = part.alpha, part.q
-    hs = sorted(h - a for h in (hints or []) if h > a)
-    far_start = max(1.0, *[2.0 * h for h in hs]) if hs else 1.0
+    hs, far_start, _ = splits
 
     if q < 1.0:
         def g_near(u):
             return u ** (q - 1) * psi(a + u)
-        near = _quad.tanh_sinh_left(g_near, 0.0, min(1.0, far_start), atol=atol)
-        mid_lo = min(1.0, far_start)
+        near = _quad.tanh_sinh_left(g_near, 0.0, 1.0, atol=atol)  # far_start >= 1
+        mid_lo = 1.0
     else:
         near = None
         mid_lo = 0.0
@@ -263,14 +272,13 @@ def _density_pair_engine(part, psi, atol=1e-11, hints=None, max_depth=11):
     return part.weight * total
 
 
-def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
-                             near_radius=0.5):
+def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
     """Finite-part pairing for q < 0 non-integer.
 
     psi_jets: Taylor coefficients of psi at alpha, shape (..., n+EXTRA+1);
-    psi(lam array) -> (..., m).  The series radius is halved automatically
-    until the truncated tail is negligible and the series reproduces a
-    direct evaluation of psi.
+    psi(lam array) -> (..., m).  The series radius d0 of ``splits`` is halved
+    until the truncated tail is negligible and the series reproduces psi at
+    alpha + d0: a check at the radius's edge that misses features inside.
     """
     a, q, n = part.alpha, part.q, part.order
     jets = np.asarray(psi_jets)
@@ -278,13 +286,7 @@ def _regularized_pair_engine(part, psi, psi_jets, atol=1e-11, hints=None,
     if extra < 8:
         raise ValueError("need at least 8 spare jet orders")
 
-    hs = sorted(h - a for h in (hints or []) if h > a)
-    far_start = max(1.0, *[2.0 * h for h in hs]) if hs else 1.0
-
-    # adaptive series radius: shrink until the truncated tail is negligible
-    # at the requested absolute tolerance and the series matches a direct
-    # evaluation of psi (a live check that the radius of convergence holds)
-    d0 = min(near_radius, 0.5 * far_start)
+    hs, far_start, d0 = splits
     ps_hi = np.arange(n + 1, n + extra + 1)
     for _ in range(60):
         terms = jets[..., n + 1:] * (d0 ** (q + ps_hi) / (q + ps_hi))
@@ -325,9 +327,9 @@ def _delta_pair_engine(part, jets):
     return jets @ (np.asarray(part.coeffs) * (-1.0) ** j * fact)
 
 
-def _pair_product(sig, prod, atol, hints, near_radius, max_depth):
-    """<sigma, prod> for a test product (see above); ``max_depth`` caps the
-    adaptive quadrature of the density parts."""
+def _pair_product(sig, prod, atol, hints, max_depth):
+    """<sigma, prod> for a test product (see above), ``hints`` as in _splits;
+    ``max_depth`` caps the adaptive quadrature of the density parts."""
     total = 0.0 + 0.0j
     for part in sig.parts:
         if isinstance(part, DeltaCombo):
@@ -336,20 +338,19 @@ def _pair_product(sig, prod, atol, hints, near_radius, max_depth):
         if not isinstance(part, _PowerLaw):
             raise TypeError("unknown sigma part %r" % (part,))
         _check_density_decay(part.q, part.r, prod)
+        splits = _splits(part.alpha, hints)
 
         def psi(lam, _p=part):
             return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
 
         if isinstance(part, RegularDensity):
-            total = total + _density_pair_engine(part, psi, atol=atol, hints=hints,
-                                                 max_depth=max_depth)
+            total = total + _density_pair_engine(part, psi, atol, splits, max_depth)
         else:
             order = part.order + _SERIES_EXTRA
             damp = np.zeros(order + 1, complex)
             damp[1] = -part.r
             jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
-            total = total + _regularized_pair_engine(part, psi, jets, atol=atol, hints=hints,
-                                                     near_radius=near_radius)
+            total = total + _regularized_pair_engine(part, psi, jets, atol, splits)
     return total
 
 
@@ -375,18 +376,21 @@ class _SpecProduct:
         return (r1 + r2, p1 + p2)
 
 
-def sigma_pair(sig, w1, w2, atol=1e-10, hints=None, near_radius=0.5):
+def sigma_pair(sig, w1, w2, atol=1e-10, hints=None):
     """<sigma, w1* w2>: antilinear in w1, linear in w2.
 
     w1, w2 are FunctionSpec tests analytic on Re lam > 0 with enough decay;
-    ``hints`` seeds quadrature breakpoints (sharp test-function features).
+    ``hints`` mark sharp test-function features.  They become quadrature
+    breakpoints, and a q < 0 finite part keeps its series piece within 0.5
+    of alpha and a quarter of the way to the first hint above alpha.  A
+    feature within 0.5 of alpha that no hint names goes unseen.
     """
-    return _pair_product(sig, _SpecProduct(w1, w2), atol, hints, near_radius, max_depth=11)
+    return _pair_product(sig, _SpecProduct(w1, w2), atol, hints, max_depth=11)
 
 
-def sigma_pair_real(sig, w, atol=1e-10, hints=None, near_radius=0.5):
+def sigma_pair_real(sig, w):
     """Diagonal pairing <sigma, w* w> for a self-adjoint sigma; returns float."""
-    val = sigma_pair(sig, w, w, atol=atol, hints=hints, near_radius=near_radius)
+    val = sigma_pair(sig, w, w)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise NonHermitianError("diagonal pairing came out complex: %r" % val)
     return float(val.real)
@@ -405,16 +409,20 @@ class SignMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
 
-def matrix_inertia(a, tol=None):
+def _eig_inertia(ev):
+    """(n_plus, n_minus, n_zero) of the eigenvalues ``ev``: the signs of
+    those beyond 1e-10 max|ev|, the rest counted as zero."""
+    t = 1e-10 * max(np.max(np.abs(ev)), 1e-300)
+    return (int(np.sum(ev > t)), int(np.sum(ev < -t)), int(np.sum(np.abs(ev) <= t)))
+
+
+def matrix_inertia(a):
     """(n_plus, n_minus, n_zero) of a hermitian matrix by eigenvalue signs."""
     a = np.asarray(a, dtype=complex)
     scale = max(np.max(np.abs(a)), 1e-300)
     if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
         raise NonHermitianError("matrix is not hermitian within 1e-12")
-    ev = np.linalg.eigvalsh(a)
-    norm = max(np.max(np.abs(ev)), 1e-300)
-    t = (1e-10 if tol is None else tol) * norm
-    return (int(np.sum(ev > t)), int(np.sum(ev < -t)), int(np.sum(np.abs(ev) <= t)))
+    return _eig_inertia(np.linalg.eigvalsh(a))
 
 
 def sign_matrix(pcoeffs, beta):

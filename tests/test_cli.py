@@ -104,6 +104,19 @@ def test_predict_command(tmp_path):
     assert report["prediction"]["n_plus"] == "infinite"
 
 
+def test_predict_command_finite_rank_perturbation(tmp_path):
+    # Carleman plus -t^2 e^{-t}: N- = 2 from the sign-matrix (K = 2, P'' < 0);
+    # N+ stays infinite from the Carleman part, not rank 3 - 2
+    doc = {"schema": "1", "type": "sum", "parts": [
+        CARLEMAN, {"type": "finite_rank", "terms": [
+            {"coeffs": [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], "beta": [1.0, 0.0]}]}]}
+    spec = _write(tmp_path, "k.json", doc)
+    assert main(["predict", "--spec", spec, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "predict.json").read_text())
+    assert report["prediction"]["n_minus"] == 2
+    assert report["prediction"]["n_plus"] == "infinite"
+
+
 def test_verify_identity_command(tmp_path):
     spec = _write(tmp_path, "k.json", CARLEMAN)
     out = str(tmp_path / "out")

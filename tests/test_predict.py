@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hankelsigma.kernel import (Kernel, QuasiCarlemanTerm, carleman,
-                                finite_rank, quasi_carleman)
+from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
+                                QuasiCarlemanTerm, carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import (AssumptionViolation, IntegerExponentError,
                                  NegCount, assumption_hfree, critical_coupling,
                                  finite_rank_inertia_check,
@@ -149,6 +149,17 @@ def test_finite_rank_inertia_sums_to_rank():
         npos, nneg = finite_rank_inertia_check(k)
         assert nneg == pred.n_minus.n
         assert npos + nneg == pred.rank
+
+
+def test_finite_rank_inertia_rejects_non_self_adjoint_kernels():
+    # a complex exponent without its conjugate partner, and a real exponent
+    # with a complex coefficient: both predictors refuse them alike
+    for v in (Kernel((FiniteRankTerm((1.0,), 1 + 1j),)),
+              Kernel((FiniteRankTerm((1 + 1j, 0.5), 1.0),))):
+        with pytest.raises(NonSelfAdjointError):
+            predict_finite_rank(v)
+        with pytest.raises(NonSelfAdjointError):
+            finite_rank_inertia_check(v)
 
 
 def test_assumption_hfree():

@@ -102,6 +102,25 @@ def test_pair_regularized_matches_direct_oracle():
     assert abs(val - oracle) < 1e-9
 
 
+def test_finite_part_sees_a_bump_inside_half_a_unit_of_alpha():
+    # The gaussian trial at 1.12 has jets ~e^{-128} at alpha = 1, so no check
+    # at the series radius's edge sees it: only the hints keep the series
+    # piece below the bump.  Reference: both densities times |w|^2 by quad.
+    eps, center = 0.01, 1.12
+    sig = sigma_of_kernel(carleman() + quasi_carleman(-1.0, -1.5, 1.0, 0.0))
+    w = gaussian_trial(center, eps)
+    hints = [center * math.exp(f) for f in (-4 * eps, 0.0, 4 * eps)]
+    val = sigma_pair(sig, w, w, atol=1e-11, hints=hints)
+
+    def density_times_w2(lam):
+        w2 = math.exp(-2 * math.log(lam / center) ** 2 / eps ** 2) / (eps * lam)
+        return (1.0 - (lam - 1.0) ** -2.5 / math.gamma(-1.5)) * w2
+    ref, _ = quad(density_times_w2, 1.0, 1.3, points=[center], epsabs=0, epsrel=1e-13,
+                  limit=200)
+    assert ref == pytest.approx(-106.0555742556, rel=1e-10)
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
 def test_pair_hermitian_symmetry():
     sig = sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.0) + carleman())
     w1, w2 = laguerre_image(0), laguerre_image(2)

@@ -45,3 +45,19 @@ def test_benchmark_tracer_installs_and_undoes():
     seen = {tracing.NAMES[i] for i in tracer.name}
     assert {"galerkin.assemble", "sigma.density", "sigma.regularized",
             "sigma.delta", "special.jet"} <= seen
+
+
+def test_benchmark_tracer_sees_an_interpolation_certificate():
+    # the spans of the certificates workload's interpolation ops: the s0
+    # pairing and the per-round inertia, which reach matrix_inertia
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        cert = galerkin.certificate(carleman(), finite_rank([-1.0], 1.0), 1)
+    finally:
+        undo()
+    assert cert.success
+    seen = {tracing.NAMES[i] for i in tracer.name}
+    assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round",
+            "galerkin.inertia"} <= seen
