@@ -11,7 +11,7 @@ Run:  python demos/02_predictions_and_sections.py
 
 import numpy as np
 
-from hankelsigma import (carleman, finite_rank, predict_finite_rank,
+from hankelsigma import (carleman, finite_rank, predict_finite_rank, predict_kernel,
                          predict_perturbed, predict_quasi_carleman,
                          quasi_carleman, stabilized_negcount)
 from hankelsigma.kernel import QuasiCarlemanTerm
@@ -60,3 +60,11 @@ vneg = finite_rank([-1.0], 1.0)
 h = finite_rank([2.0], 1.0) + vneg
 print("   N-(V) =", predict_finite_rank(vneg).n_minus,
       "  N-(sum) =", predict_finite_rank(h).n_minus)
+
+print()
+print("=" * 72)
+print("predict_kernel picks the theorem from the kernel's shape: the term of")
+print("largest q is the background, the other piece the perturbation")
+kern = carleman() + finite_rank([0, 0, 1.0], 1.0) + finite_rank([1.0], 1 + 1j)
+pred = predict_kernel(kern)
+print("   C + V: N- = %s, N+ = %s (source %s)" % (pred.n_minus, pred.n_plus, pred.source))

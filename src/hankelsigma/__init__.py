@@ -21,7 +21,7 @@ from .form import (ExpPoly, Indicator, LaplaceImage, dilation_check,
                    form_direct, form_sigma, identity_residual,
                    laguerre_test, laplace_convolution, spectral_witnesses)
 from .predict import (NegCount, Prediction, assumption_hfree,
-                      critical_coupling, predict_finite_rank,
+                      critical_coupling, predict_finite_rank, predict_kernel,
                       predict_perturbed, predict_quasi_carleman)
 from .galerkin import (Certificate, FiniteSection, assemble, certificate,
                        carleman_spectrum_study, section_inertia,

@@ -12,6 +12,18 @@ Commands: sigma, predict, verify {identity|galerkin|factorization|witness},
 certificate, sweep.  Exit codes: 0 success, 2 validation/precondition
 failure, 3 numerical tolerance failure.  HS_LOG sets the log level.
 
+predict, verify galerkin and sweep count through ``predict_kernel``, which
+picks the theorem by the kernel's shape (background = the quasi-Carleman
+term of largest q):  finite rank alone -> sign-matrix inertia (FDH1);
+one quasi-Carleman term -> parity of [|q|] (HKL); background + one term
+with k = -q < 0 -> critical coupling (HKC), with non-integer k > 0 ->
+parity table (FDH); background + finite rank -> sign-matrix inertia (FDH1).
+Other shapes get no prediction: predict exits 2, verify galerkin and sweep
+write "prediction": null.  A sum is checked for self-adjointness as a whole.
+Exit 2 also covers malformed specs, non-self-adjoint or empty kernels,
+failed theorem preconditions and diverging Laguerre sections; a sweep
+records these as the case's "error" and goes on.
+
 Run as ``python -m hankelsigma <command> ...``.
 """
 
@@ -28,13 +40,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .form import ExpPoly, identity_residual, min_monomial_order, spectral_witnesses
+from .form import (ExpPoly, FormDomainError, identity_residual, min_monomial_order,
+                   spectral_witnesses)
 from .galerkin import CertificateInputError, certificate, stabilized_negcount
 from .kernel import (Classification, FiniteRankTerm, Kernel, NonSelfAdjointError,
                      QuasiCarlemanTerm, UndefinableKernelError, classify)
-from .predict import (INFINITE, AssumptionViolation, IntegerExponentError, Prediction,
-                      assumption_hfree, predict_finite_rank, predict_perturbed,
-                      predict_quasi_carleman)
+from .predict import predict_kernel
 from .sigma import RegularizedPower, DeltaCombo, sigma_of_kernel
 from .special import laguerre_e, laguerre_image
 from .transform import DEFAULT_GRID, GridFunction, laplace_via_mellin
@@ -64,45 +75,38 @@ def _parse_complex(v):
     raise SpecError("complex numbers are [re, im] pairs, got %r" % (v,))
 
 
-def parse_kernel(doc):
-    """Parse a kernel-spec JSON document into a validated Kernel."""
+def _spec_terms(doc):
+    """The terms of a kernel-spec document, a sum's parts concatenated."""
     if not isinstance(doc, dict):
         raise SpecError("kernel spec must be a JSON object")
     if str(doc.get("schema", SCHEMA)) != SCHEMA:
         raise SpecError("unsupported schema %r" % doc.get("schema"))
     ktype = doc.get("type")
     if ktype == "quasi_carleman":
-        try:
-            term = QuasiCarlemanTerm(float(doc["v0"]), float(doc["q"]),
-                                     float(doc.get("alpha", 0.0)),
-                                     float(doc.get("r", 0.0)))
-        except (KeyError, ValueError) as exc:
-            raise SpecError("bad quasi_carleman spec: %s" % exc) from exc
-        return Kernel((term,))
+        return (QuasiCarlemanTerm(float(doc["v0"]), float(doc["q"]),
+                                  float(doc.get("alpha", 0.0)), float(doc.get("r", 0.0))),)
     if ktype == "finite_rank":
-        terms = []
-        for entry in doc.get("terms", []):
-            coeffs = tuple(_parse_complex(c) for c in entry["coeffs"])
-            beta = _parse_complex(entry["beta"])
-            try:
-                terms.append(FiniteRankTerm(coeffs, beta))
-            except ValueError as exc:
-                raise SpecError("bad finite_rank term: %s" % exc) from exc
-        if not terms:
-            raise SpecError("finite_rank spec needs at least one term")
-        k = Kernel(tuple(terms))
-        k.check_self_adjoint()
-        return k
+        return tuple(FiniteRankTerm(tuple(_parse_complex(c) for c in entry["coeffs"]),
+                                    _parse_complex(entry["beta"]))
+                     for entry in doc.get("terms", []))
     if ktype == "sum":
-        k = Kernel(())
-        for part in doc.get("parts", []):
-            sub = dict(part)
-            sub.setdefault("schema", SCHEMA)
-            k = k + parse_kernel(sub)
-        if not k.terms:
-            raise SpecError("sum spec needs at least one part")
-        return k
+        return sum((_spec_terms(part) for part in doc.get("parts", [])), ())
     raise SpecError("unknown kernel type %r" % (ktype,))
+
+
+def parse_kernel(doc):
+    """Parse a kernel-spec JSON document into a validated Kernel.  A sum is
+    checked for self-adjointness as a whole, so its parts may split a pair."""
+    try:
+        kern = Kernel(_spec_terms(doc))
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError("bad kernel spec (%s: %s)" % (type(exc).__name__, exc)) from exc
+    if not kern.terms:
+        raise SpecError("kernel spec has no terms")
+    kern.conjugate_groups()
+    return kern
 
 
 def load_kernel(path):
@@ -173,41 +177,12 @@ def cmd_sigma(args):
     return EXIT_OK
 
 
-def predict_kernel(kern):
-    """Prediction dispatch used by the predict and verify commands."""
-    qc = kern.qc_terms
-    fr = kern.fr_terms
-    if qc and classify(kern) is Classification.UNDEFINABLE:
-        raise UndefinableKernelError("kernel is undefinable")
-    if not qc:
-        return predict_finite_rank(kern)
-    if len(qc) == 1 and not fr:
-        return predict_quasi_carleman(qc[0].q, v0=qc[0].v0)
-    if len(qc) == 2:
-        base, pert = sorted(qc, key=lambda t: t.q, reverse=True)
-        return predict_perturbed(Kernel((base,)), pert)
-    if len(qc) == 1 and fr:
-        return predict_perturbed_finite(kern)
-    raise SpecError("no prediction route for this kernel shape")
-
-
-def predict_perturbed_finite(kern):
-    """One quasi-Carleman term perturbed by finite rank: N- of the finite-rank
-    part; N+ is infinite, as for predict_perturbed's integer k."""
-    sigma0 = sigma_of_kernel(Kernel(tuple(kern.qc_terms)))
-    if not assumption_hfree(sigma0):
-        raise AssumptionViolation("unperturbed part violates the regularity assumption")
-    pred = predict_finite_rank(Kernel(tuple(kern.fr_terms)))
-    return Prediction(pred.n_minus, INFINITE, "FDH1", rank=pred.rank)
-
-
 def cmd_predict(args):
     kern = load_kernel(args.spec)
     report = _report_skeleton("predict", args)
     try:
         pred = predict_kernel(kern)
-    except (UndefinableKernelError, SpecError, IntegerExponentError,
-            AssumptionViolation) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
     report["prediction"] = pred.to_json()
@@ -251,8 +226,7 @@ def cmd_verify(args):
         report["counts"] = est.to_json()
         try:
             report["prediction"] = predict_kernel(kern).to_json()
-        except (SpecError, IntegerExponentError, UndefinableKernelError,
-                AssumptionViolation):
+        except ValueError:
             report["prediction"] = None
         report["max_eig"] = est.max_eigs[-1]
         rows = [[n, nneg, npos, "%.12g" % ev]
@@ -309,24 +283,22 @@ def cmd_certificate(args):
 
 
 def _sweep_case(case, args):
+    """One case's report; a refused kernel, shape or section is its ``error``."""
     sub = argparse.Namespace(**vars(args))
     sub.out = os.path.join(args.out, case["name"])
-    kern = parse_kernel(case["kernel"])
     report = _report_skeleton("sweep-case", sub)
+    report["prediction"] = None
+    code = EXIT_OK
     try:
+        kern = parse_kernel(case["kernel"])
         report["prediction"] = predict_kernel(kern).to_json()
-        code = EXIT_OK
-    except (SpecError, IntegerExponentError, UndefinableKernelError,
-            AssumptionViolation) as exc:
+        if case.get("galerkin"):
+            sizes = tuple(case.get("sizes", (16, 32, 64, 128)))
+            report["counts"] = stabilized_negcount(kern, sizes).to_json()
+    except ValueError as exc:
         report["error"] = str(exc)
         code = EXIT_VALIDATION
-    if case.get("galerkin") and code == EXIT_OK:
-        sizes = tuple(case.get("sizes", (16, 32, 64, 128)))
-        report["counts"] = stabilized_negcount(kern, sizes).to_json()
-    os.makedirs(sub.out, exist_ok=True)
-    with open(os.path.join(sub.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(report, sub, "report.json")
     return code
 
 
@@ -396,8 +368,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, UndefinableKernelError, NonSelfAdjointError,
-            CertificateInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SpecError, UndefinableKernelError, NonSelfAdjointError, CertificateInputError,
+            FormDomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 

@@ -431,7 +431,6 @@ def certificate(h0, v, target, eps=None, kind="auto"):
         if v.qc_terms or not all(isinstance(p, RegularDensity) for p in sig0.parts):
             raise CertificateInputError("an interpolation certificate needs a finite-rank v "
                                         "and an h0 whose sigma is a density (quasi-Carleman q > 0)")
-        v.check_self_adjoint()
         return _first_success(_certify_interpolation(sig0, v, target, eps0=eps or 0.2))
     if kind not in ("gaussian", "window"):
         raise CertificateInputError("unknown certificate kind %r" % (kind,))

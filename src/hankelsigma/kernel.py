@@ -93,7 +93,7 @@ def _normalize_term(term):
     return term
 
 
-def _merge_finite_rank(terms, tol=1e-12):
+def _merge_finite_rank(terms):
     """Combine finite-rank terms with equal beta (Kronecker form needs
     distinct exponents); drop terms whose polynomials cancel entirely."""
     out = []
@@ -103,7 +103,7 @@ def _merge_finite_rank(terms, tol=1e-12):
             out.append(t)
             continue
         for entry in merged:
-            if abs(entry["beta"] - t.beta) <= tol:
+            if abs(entry["beta"] - t.beta) <= 1e-12:
                 n = max(len(entry["coeffs"]), len(t.coeffs))
                 c = np.zeros(n, dtype=complex)
                 c[: len(entry["coeffs"])] += entry["coeffs"]
@@ -113,7 +113,7 @@ def _merge_finite_rank(terms, tol=1e-12):
         else:
             merged.append({"beta": t.beta, "coeffs": np.asarray(t.coeffs, dtype=complex)})
     for entry in merged:
-        if np.max(np.abs(entry["coeffs"])) > tol:
+        if np.max(np.abs(entry["coeffs"])) > 1e-12:
             out.append(FiniteRankTerm(tuple(entry["coeffs"]), entry["beta"]))
     return out
 
@@ -142,7 +142,11 @@ class Kernel:
     def conjugate_groups(self):
         """Finite-rank terms grouped as the sign-matrix counts see them:
         ("real", term) for each real beta, and ("pair", term) once per
-        conjugate pair, with the Im beta > 0 member as ``term``."""
+        conjugate pair, with the Im beta > 0 member as ``term``.
+
+        Raises NonSelfAdjointError unless every real beta has real
+        coefficients and every complex beta has a partner at conj beta
+        with the conjugate coefficients."""
         terms = self.fr_terms
         used = [False] * len(terms)
         groups = []
@@ -151,33 +155,24 @@ class Kernel:
                 continue
             used[i] = True
             if abs(t.beta.imag) <= 1e-12:
+                if not _close(t.coeffs, np.real(t.coeffs)):
+                    raise NonSelfAdjointError("finite-rank term with real beta has a complex coefficient")
                 groups.append(("real", t))
                 continue
-            for j in range(i + 1, len(terms)):
-                if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12:
-                    used[j] = True
-                    break
+            mate = next((j for j in range(i + 1, len(terms))
+                         if not used[j] and abs(terms[j].beta - np.conj(t.beta)) <= 1e-12), None)
+            if mate is None or not _close(np.conj(t.coeffs), terms[mate].coeffs):
+                raise NonSelfAdjointError("complex finite-rank term lacks its conjugate partner")
+            used[mate] = True
             if t.beta.imag < 0:
                 t = FiniteRankTerm(tuple(np.conj(np.asarray(t.coeffs))), np.conj(t.beta))
             groups.append(("pair", t))
         return groups
 
-    def check_self_adjoint(self, tol=1e-12):
-        """Require real quasi-Carleman data and conjugate-paired complex terms."""
-        pool = [t for t in self.fr_terms if abs(t.beta.imag) > tol or any(abs(c.imag) > tol * max(1, abs(c)) for c in t.coeffs)]
-        while pool:
-            t = pool.pop()
-            mate = None
-            for i, u in enumerate(pool):
-                if abs(u.beta - np.conj(t.beta)) <= tol and len(u.coeffs) == len(t.coeffs) and all(
-                    abs(np.conj(a) - b) <= tol * max(1.0, abs(a)) for a, b in zip(t.coeffs, u.coeffs)
-                ):
-                    mate = i
-                    break
-            if mate is None:
-                raise NonSelfAdjointError("complex finite-rank term lacks its conjugate partner")
-            pool.pop(mate)
-        return True
+
+def _close(a, b):
+    """Coefficient tuples equal to 1e-12, relative to each entry of ``a``."""
+    return len(a) == len(b) and all(abs(x - y) <= 1e-12 * max(1.0, abs(x)) for x, y in zip(a, b))
 
 
 class Classification(enum.Enum):

@@ -1,18 +1,21 @@
 """Closed-form predictions for the numbers of negative/positive eigenvalues.
 
-Four regimes, keyed by the perturbation exponent k (kernel
-v0 (t+rho)^k e^{-beta t}):
+``predict_kernel`` picks the theorem from the kernel's shape.  The
+background is the quasi-Carleman term of largest q; the perturbation is
+one more term v0 (t+rho)^k e^{-beta t} (q = -k) or the finite-rank part:
 
-* pure quasi-Carleman kernels: positivity for q > 0; for q < 0 and
-  non-integer |q| the finite count sits on one side and infinity on the
-  other, by the parity of [|q|];
-* k < 0 perturbations of a nonnegative singular operator: sign-definite
-  regular sigma perturbation; for k <= -1 a critical coupling nu decides
-  nonnegativity;
-* k > 0 non-integer: the three-branch parity table, independent of the
-  unperturbed operator;
-* integer k >= 0 (finite rank): inertia of the sign-matrices, summed
-  over real exponents and conjugate pairs.
+* one quasi-Carleman term alone (HKL): positivity for q > 0; for q < 0
+  and non-integer |q| the finite count sits on one side and infinity on
+  the other, by the parity of [|q|];
+* background + k < 0 (HKC): sign-definite regular sigma perturbation;
+  for k <= -1 a critical coupling nu decides nonnegativity;
+* background + non-integer k > 0 (FDH): the three-branch parity table,
+  independent of the unperturbed operator;
+* finite rank, alone or on a background, integer k >= 0 included (FDH1):
+  inertia of the sign-matrices, summed over real exponents and conjugate
+  pairs.
+
+Other shapes raise ValueError.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import Kernel
-from .sigma import (RegularDensity, SigmaDistribution, sigma_of_kernel,
-                    sign_matrix)
+from .kernel import (Classification, Kernel, QuasiCarlemanTerm,
+                     UndefinableKernelError, classify)
+from .sigma import RegularDensity, sigma_of_kernel, sign_matrix
 from .special import gamma
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "Prediction",
     "AssumptionViolation",
     "IntegerExponentError",
+    "predict_kernel",
     "predict_quasi_carleman",
     "critical_coupling",
     "predict_perturbed",
@@ -127,15 +131,8 @@ def assumption_hfree(sigma0):
 
     Only RegularDensity parts can qualify; any singular part disqualifies.
     """
-    if isinstance(sigma0, SigmaDistribution):
-        if any(not isinstance(p, RegularDensity) for p in sigma0.parts):
-            return False
-        parts = list(sigma0.parts)
-    elif isinstance(sigma0, RegularDensity):
-        parts = [sigma0]
-    else:
-        return False
-    if not parts:
+    parts = sigma0.parts
+    if not parts or any(not isinstance(p, RegularDensity) for p in parts):
         return False
     for p in parts:
         if p.c < 0:
@@ -158,8 +155,6 @@ def critical_coupling(sigma0, k, beta, rho):
         raise ValueError("critical coupling is defined for k <= -1")
     if k < -1 and rho <= 0:
         raise ValueError("k < -1 requires rho > 0")
-    if isinstance(sigma0, RegularDensity):
-        sigma0 = SigmaDistribution((sigma0,))
     if not assumption_hfree(sigma0):
         raise AssumptionViolation("critical coupling needs a regular sigma0")
 
@@ -184,24 +179,20 @@ def critical_coupling(sigma0, k, beta, rho):
 
 
 def predict_perturbed(h0, v):
-    """Negative count of H0 + V for V = v0 (t+rho)^k e^{-beta t}.
-
-    ``h0`` is a kernel satisfying the regularity assumption (checked);
-    ``v`` is a QuasiCarlemanTerm with q = -k and alpha = beta > 0.
-    """
-    if isinstance(v, Kernel):
-        qc = v.qc_terms
-        if len(qc) != 1 or v.fr_terms:
-            raise ValueError("perturbation must be a single quasi-Carleman term")
-        v = qc[0]
+    """Counts of H0 + V for ``h0`` satisfying the regularity assumption
+    (checked) and ``v`` one QuasiCarlemanTerm (q = -k, alpha = beta > 0)
+    or a finite-rank Kernel; ``Kernel`` turns an integer k >= 0 into
+    finite rank."""
     sigma0 = sigma_of_kernel(h0)
     if not assumption_hfree(sigma0):
         raise AssumptionViolation(
             "unperturbed kernel violates the sigma-regularity assumption")
-    k = -v.q
-    beta = v.alpha
-    rho = v.r
-    v0 = v.v0
+    if isinstance(v, QuasiCarlemanTerm) and Kernel((v,)).fr_terms:
+        v = Kernel((v,))
+    if isinstance(v, Kernel):
+        pred = predict_finite_rank(v)
+        return Prediction(pred.n_minus, INFINITE, "FDH1", rank=pred.rank)
+    k, beta, rho, v0 = -v.q, v.alpha, v.r, v.v0
     if beta <= 0:
         raise ValueError("perturbation needs beta > 0")
 
@@ -215,13 +206,25 @@ def predict_perturbed(h0, v):
             return Prediction(FINITE_ZERO, INFINITE, "HKC", critical_coupling=nu)
         return Prediction(INFINITE, INFINITE, "HKC", critical_coupling=nu)
 
-    if float(k).is_integer():
-        # finite-rank route: Kernel expands (t+rho)^k e^{-beta t}
-        pred = predict_finite_rank(Kernel((v,)))
-        return Prediction(pred.n_minus, INFINITE, "FDH1", rank=pred.rank)
-
     base = predict_quasi_carleman(-k, v0=v0)
     return Prediction(base.n_minus, INFINITE, "FDH")
+
+
+def predict_kernel(kernel):
+    """Closed-form counts of ``kernel``, by the shape table of this module;
+    other shapes raise ValueError, as do the theorems' preconditions."""
+    qc, fr = kernel.qc_terms, kernel.fr_terms
+    if not qc:
+        return predict_finite_rank(kernel)
+    if classify(kernel) is Classification.UNDEFINABLE:
+        raise UndefinableKernelError("kernel is undefinable")
+    if len(qc) == 1 and not fr:
+        return predict_quasi_carleman(qc[0].q, v0=qc[0].v0)
+    if len(qc) + bool(fr) == 2:
+        base, *rest = sorted(qc, key=lambda t: t.q, reverse=True)
+        return predict_perturbed(Kernel((base,)), rest[0] if rest else Kernel(tuple(fr)))
+    raise ValueError("no closed-form count for %d quasi-Carleman terms%s"
+                     % (len(qc), " plus finite rank" if fr else ""))
 
 
 def _neg_count_real(K, lead_deriv):
@@ -239,7 +242,6 @@ def predict_finite_rank(v):
     """
     if v.qc_terms:
         raise ValueError("predict_finite_rank expects a finite-rank kernel")
-    v.check_self_adjoint()
     rank = sum(t.degree + 1 for t in v.fr_terms)
     total = 0
     for kind, t in v.conjugate_groups():
@@ -255,7 +257,6 @@ def predict_finite_rank(v):
 def finite_rank_inertia_check(v):
     """Sum of sign-matrix inertias; positive+negative must equal the rank.
     Raises NonSelfAdjointError like ``predict_finite_rank``."""
-    v.check_self_adjoint()
     n_plus = n_minus = 0
     for kind, t in v.conjugate_groups():
         if kind == "real":

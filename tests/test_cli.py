@@ -45,6 +45,9 @@ def test_parse_kernel_rejects_bad_specs():
         {"type": "finite_rank", "terms": [{"coeffs": [[1, 0]], "beta": [-1, 0]}]},
         {"type": "finite_rank", "terms": []},
         {"type": "sum", "parts": []},
+        {"type": "finite_rank", "terms": [{"coeffs": [1.0]}]},  # missing beta
+        {"type": "quasi_carleman", "v0": [1, 2], "q": 1.0},
+        {"type": "finite_rank", "terms": "x"},
     ):
         with pytest.raises(SpecError):
             parse_kernel(doc)
@@ -115,6 +118,36 @@ def test_predict_command_finite_rank_perturbation(tmp_path):
     report = json.loads((tmp_path / "out" / "predict.json").read_text())
     assert report["prediction"]["n_minus"] == 2
     assert report["prediction"]["n_plus"] == "infinite"
+
+
+# Carleman + t^{3/2} e^{-t} + finite rank: no theorem covers two quasi-Carleman
+# terms plus finite rank, and the sections see 3 negative eigenvalues
+TWO_QC_PLUS_RANK = {"schema": "1", "type": "sum", "parts": FDH_SUM["parts"] + [
+    {"type": "finite_rank", "terms": [{"coeffs": [[-5.0, 0.0]], "beta": [b, 0.0]}
+                                      for b in (1.0, 2.0, 3.0)]}]}
+# Carleman + t^{-2}: the background t^{-2} perturbed by a term with beta = 0
+BETA_ZERO = {"schema": "1", "type": "sum", "parts": [
+    CARLEMAN, {"type": "quasi_carleman", "v0": 1.0, "q": 2.0}]}
+DIVERGENT = {"schema": "1", "type": "quasi_carleman", "v0": 1.0, "q": 3.0}
+
+
+def test_verify_galerkin_without_a_theorem_writes_null(tmp_path):
+    spec = _write(tmp_path, "k.json", TWO_QC_PLUS_RANK)
+    out = tmp_path / "out"
+    assert main(["verify", "galerkin", "--spec", spec, "--out", str(out),
+                 "--sizes", "32,64,128"]) == EXIT_OK
+    report = json.loads((out / "verify_galerkin.json").read_text())
+    assert report["prediction"] is None
+    assert report["counts"]["value"] == 3
+
+
+def test_sum_spec_may_split_a_conjugate_pair(tmp_path):
+    half = [{"type": "finite_rank", "terms": [{"coeffs": [[1.0, s * 0.5]], "beta": [1.0, s]}]}
+            for s in (1.0, -1.0)]
+    spec = _write(tmp_path, "k.json", {"schema": "1", "type": "sum", "parts": half})
+    assert main(["predict", "--spec", spec, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "predict.json").read_text())
+    assert report["prediction"]["n_minus"] == 1 and report["prediction"]["n_plus"] == 1
 
 
 def test_verify_identity_command(tmp_path):
@@ -207,10 +240,14 @@ UNPAIRED = {"schema": "1", "type": "finite_rank",
     ["certificate", "--spec", "rank_one.json", "--h0", "fdh_sum.json", "--target", "1"],
     ["certificate", "--spec", "fdh_sum.json", "--target", "1"],
     ["predict", "--spec", "unpaired.json"],
-], ids=["interpolation-h0-not-a-density", "two-term-v", "unpaired-complex-beta"])
+    ["predict", "--spec", "two_qc_plus_rank.json"],
+    ["predict", "--spec", "beta_zero.json"],
+], ids=["interpolation-h0-not-a-density", "two-term-v", "unpaired-complex-beta",
+        "no-theorem-for-the-shape", "perturbation-with-beta-0"])
 def test_input_errors_exit_2(tmp_path, argv):
     for name, doc in (("rank_one.json", RANK_ONE), ("fdh_sum.json", FDH_SUM),
-                      ("unpaired.json", UNPAIRED)):
+                      ("unpaired.json", UNPAIRED), ("two_qc_plus_rank.json", TWO_QC_PLUS_RANK),
+                      ("beta_zero.json", BETA_ZERO)):
         _write(tmp_path, name, doc)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -226,6 +263,30 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
     rb = json.loads((tmp_path / "out" / "b" / "report.json").read_text())
     assert rb["counts"]["value"] == 1
+
+
+def test_verify_galerkin_divergent_sections_exit_2(tmp_path):
+    spec = _write(tmp_path, "k.json", DIVERGENT)
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        code = main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+
+
+def test_sweep_records_refused_cases_and_goes_on(tmp_path):
+    config = {"cases": [
+        {"name": "a", "kernel": BETA_ZERO},
+        {"name": "b", "kernel": DIVERGENT, "galerkin": True, "sizes": [16, 32, 64]},
+        {"name": "c", "kernel": CARLEMAN},
+    ]}
+    cfg = _write(tmp_path, "sweep.json", config)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    ra, rb, rc = (json.loads((out / n / "report.json").read_text()) for n in "abc")
+    assert ra["prediction"] is None and "beta > 0" in ra["error"]
+    assert "diverge" in rb["error"]
+    assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
 
 
 def test_sweep_empty_config(tmp_path):

@@ -83,7 +83,17 @@ def test_same_beta_terms_merge():
 def test_unmatched_complex_term_rejected():
     k = Kernel((FiniteRankTerm((1.0,), 1 + 1j),))
     with pytest.raises(NonSelfAdjointError):
-        k.check_self_adjoint()
+        k.conjugate_groups()
+
+
+def test_conjugate_groups_checks_the_partner_coefficients():
+    mismatched = Kernel((FiniteRankTerm((1.0,), 1 + 1j), FiniteRankTerm((2.0,), 1 - 1j)))
+    with pytest.raises(NonSelfAdjointError):
+        mismatched.conjugate_groups()
+    with pytest.raises(NonSelfAdjointError):
+        Kernel((FiniteRankTerm((1j,), 1.0),)).conjugate_groups()
+    (kind, t), = finite_rank([1 + 0.5j], 1 - 1j).conjugate_groups()
+    assert kind == "pair" and t.beta == 1 + 1j and t.coeffs == (1 - 0.5j,)
 
 
 def _measure_ratio(kern, lam):

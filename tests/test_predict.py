@@ -10,7 +10,7 @@ from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
 from hankelsigma.predict import (AssumptionViolation, IntegerExponentError,
                                  NegCount, assumption_hfree, critical_coupling,
                                  finite_rank_inertia_check,
-                                 predict_finite_rank, predict_perturbed,
+                                 predict_finite_rank, predict_kernel, predict_perturbed,
                                  predict_quasi_carleman)
 from hankelsigma.sigma import sigma_of_kernel
 
@@ -169,3 +169,39 @@ def test_assumption_hfree():
     # blowup at an interior point: alpha > 0 with q < 1
     assert assumption_hfree(sigma_of_kernel(quasi_carleman(1, 0.5, 1, 0))) is False
     assert assumption_hfree(sigma_of_kernel(quasi_carleman(1, 1.0, 1, 0))) is True
+
+
+INF = "infinite"
+
+
+@pytest.mark.parametrize("kern, want", [
+    (quasi_carleman(1.0, -1.5, 1.0, 0.0), (1, INF, "HKL")),
+    (carleman() + quasi_carleman(-1.1, 1.0, 1.0, 1.0), (INF, INF, "HKC")),
+    (carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0), (1, INF, "FDH")),
+    # the background is the term of largest q, whatever the order of the sum
+    (quasi_carleman(1.0, -1.5, 1.0, 0.0) + carleman(), (1, INF, "FDH")),
+    (carleman() + finite_rank([0.0, 0.0, -1.0], 1.0), (2, INF, "FDH1")),
+    (finite_rank([-1.0], 1.0) + finite_rank([1.0], 1 + 1j), (2, 1, "FDH1")),
+], ids=["HKL", "HKC", "FDH", "FDH-background-last", "FDH1-on-background", "finite-rank"])
+def test_predict_kernel_routes(kern, want):
+    p = predict_kernel(kern)
+    assert (p.n_minus.to_json(), p.n_plus.to_json(), p.source) == want
+
+
+@pytest.mark.parametrize("kern", [
+    carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0) + finite_rank([-5.0], 1.0)
+    + finite_rank([-5.0], 2.0) + finite_rank([-5.0], 3.0),
+    carleman() + quasi_carleman(1.0, 2.0),
+], ids=["two-qc-plus-finite-rank", "background-perturbed-by-beta-0"])
+def test_predict_kernel_refuses_shapes_without_a_theorem(kern):
+    with pytest.raises(ValueError):
+        predict_kernel(kern)
+
+
+def test_predict_perturbed_integer_k_is_the_finite_rank_route():
+    # (t + 1/2)^2 e^{-t}: the term and its expansion as a finite-rank Kernel
+    term = QuasiCarlemanTerm(-1.0, -2.0, 1.0, 0.5)
+    expanded = finite_rank([-0.25, -1.0, -1.0], 1.0)
+    p = predict_perturbed(carleman(), term)
+    assert p == predict_perturbed(carleman(), expanded)
+    assert (p.n_minus, p.source, p.rank) == (NegCount.of(2), "FDH1", 3)
