@@ -20,9 +20,11 @@ with k = -q < 0 -> critical coupling (HKC), with non-integer k > 0 ->
 parity table (FDH); background + finite rank -> sign-matrix inertia (FDH1).
 Other shapes get no prediction: predict exits 2, verify galerkin and sweep
 write "prediction": null.  A sum is checked for self-adjointness as a whole.
-Exit 2 also covers malformed specs, non-self-adjoint or empty kernels,
-failed theorem preconditions and diverging Laguerre sections; a sweep
-records these as the case's "error" and goes on.
+Exit 2 also covers malformed specs, sweep cases without a name or a
+kernel, section sizes (--sizes or a sweep case's "sizes") that are fewer
+than 3 or not positive integers, non-self-adjoint or empty kernels, failed
+theorem preconditions and diverging Laguerre sections; a sweep records
+these as the case's "error" and goes on.
 
 Run as ``python -m hankelsigma <command> ...``.
 """
@@ -33,6 +35,7 @@ import argparse
 import csv
 import json
 import logging
+import operator
 import os
 import sys
 import time
@@ -208,6 +211,18 @@ def _random_tests(kern, count, seed):
     return out
 
 
+def _section_sizes(items):
+    """Section sizes of ``--sizes`` (split at commas) or of a sweep case:
+    at least 3 positive integers."""
+    try:
+        sizes = tuple(int(s) if isinstance(s, str) else operator.index(s) for s in items)
+    except (TypeError, ValueError):
+        raise SpecError("section sizes must be integers, got %r" % (items,)) from None
+    if len(sizes) < 3 or min(sizes) < 1:
+        raise SpecError("need at least 3 positive section sizes, got %r" % (items,))
+    return sizes
+
+
 def cmd_verify(args):
     kern = load_kernel(args.spec)
     report = _report_skeleton("verify-" + args.mode, args)
@@ -221,8 +236,7 @@ def cmd_verify(args):
         if report["max_residual"] > args.tol:
             code = EXIT_TOLERANCE
     elif args.mode == "galerkin":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        est = stabilized_negcount(kern, sizes)
+        est = stabilized_negcount(kern, _section_sizes(args.sizes.split(",")))
         report["counts"] = est.to_json()
         try:
             report["prediction"] = predict_kernel(kern).to_json()
@@ -282,18 +296,25 @@ def cmd_certificate(args):
     return EXIT_OK if cert.success else EXIT_TOLERANCE
 
 
-def _sweep_case(case, args):
-    """One case's report; a refused kernel, shape or section is its ``error``."""
+def _sweep_case(index, case, args):
+    """One case's report; a case without a name or a kernel, and a refused
+    kernel, shape or section, is its ``error``.  A case without a name
+    reports to ``case-<index>``."""
+    name = case.get("name") if isinstance(case, dict) else None
+    if not isinstance(name, str) or not name:
+        name = None
     sub = argparse.Namespace(**vars(args))
-    sub.out = os.path.join(args.out, case["name"])
+    sub.out = os.path.join(args.out, name or "case-%d" % index)
     report = _report_skeleton("sweep-case", sub)
     report["prediction"] = None
     code = EXIT_OK
     try:
+        if name is None or "kernel" not in case:
+            raise SpecError("sweep case %d needs a \"name\" string and a \"kernel\"" % index)
         kern = parse_kernel(case["kernel"])
         report["prediction"] = predict_kernel(kern).to_json()
         if case.get("galerkin"):
-            sizes = tuple(case.get("sizes", (16, 32, 64, 128)))
+            sizes = _section_sizes(case.get("sizes", (16, 32, 64, 128)))
             report["counts"] = stabilized_negcount(kern, sizes).to_json()
     except ValueError as exc:
         report["error"] = str(exc)
@@ -307,7 +328,7 @@ def cmd_sweep(args):
         config = json.load(fh)
     cases = config.get("cases", [])
     os.makedirs(args.out, exist_ok=True)
-    return max((_sweep_case(case, args) for case in cases), default=EXIT_OK)
+    return max((_sweep_case(i, case, args) for i, case in enumerate(cases)), default=EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The Galerkin basis is e_n(t) = L_n(t) e^{-t/2}, whose Laplace images are
 mu(lam)^n / (lam + 1/2) with mu = (lam-1/2)/(lam+1/2).  Every section
 entry is therefore a sigma pairing against mu^{j+k} (lam+1/2)^{-2}: the
-matrix is Hankel in j+k.  ``assemble`` hands all 2N-1 of these products to
-the sigma pairing dispatch as one test product with a batch axis (values,
-Taylor coefficients and a decay bound, see ``sigma``), so a whole section
-costs one pass over the sigma parts.
+matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of a
+power-law part with r = 0 are moments of a Jacobi weight in mu, and
+``assemble`` takes them from their three-term recurrence.  The other parts
+(r > 0 and delta combinations) get all 2N-1 products from the sigma pairing
+dispatch as one test product with a batch axis (values, Taylor coefficients
+and a decay bound, see ``sigma``), so they cost one pass over those parts.
 
 Certificates build explicit trial subspaces on which the full quadratic
 form is negative definite, which witnesses N_minus >= dim by the
@@ -44,8 +46,9 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DecayError, RegularDensity, _SpecProduct, _eig_inertia, _pair_product,
-                    matrix_inertia, sigma_of_kernel, sigma_pair, sign_matrix, sign_matrix_tilde)
+from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
+                    _eig_inertia, _pair_product, matrix_inertia, sigma_of_kernel, sigma_pair,
+                    sign_matrix, sign_matrix_tilde)
 from .special import FExp, FLog, FPoly, FPow, FProd, FSum, fs_affine, fs_const, fs_var
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
@@ -105,6 +108,35 @@ class _LaguerreProducts:
         return (0.0, -2.0)  # mu -> 1 as lam -> inf
 
 
+def _power_law_moments(part, smax):
+    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part with r = 0.
+
+    With a = (alpha-1/2)/(alpha+1/2) the substitution mu = (lam-1/2)/(lam+1/2)
+    makes the entries c (alpha+1/2)^{q-1}/Gamma(q) m_s, with m_s the moments
+    of the Jacobi weight (mu-a)^{q-1} (1-mu)^{1-q} on [a, 1].  Integrating
+    mu^s (mu-a)(1-mu) times the weight's derivative by parts gives
+
+        (s+2) m_{s+1} = [s(1+a) + q + a(2-q)] m_s - s a m_{s-1},
+
+    from m_0 = (1-a) Gamma(q) Gamma(2-q) and m_1 = (a + (1-a) q/2) m_0.
+    The recurrence is run on m_s/Gamma(q).  It is stable forward: its roots
+    are 1 and a, |a| <= 1, and the moments follow the root 1.  For q < 0 the
+    formulas are the analytic continuation in q, which is the finite part.
+    The moments exist for q < 2 only; DecayError otherwise.
+    """
+    q = part.q
+    if q >= 2:
+        raise DecayError("pairing integrand ~ lam^%g with no exponential decay" % (q - 3))
+    b = 1.0 / (part.alpha + 0.5)  # 1 - a
+    a = (part.alpha - 0.5) * b
+    m = [b * math.gamma(2.0 - q)]
+    if smax:
+        m.append((a + 0.5 * b * q) * m[0])
+    for s in range(1, smax):
+        m.append(((s * (1.0 + a) + q + a * (2.0 - q)) * m[s] - s * a * m[s - 1]) / (s + 2))
+    return part.c * (part.alpha + 0.5) ** (q - 1.0) * np.array(m)
+
+
 @dataclass(frozen=True)
 class FiniteSection:
     size: int
@@ -118,25 +150,31 @@ class FiniteSection:
 def assemble(kernel, n, atol=1e-12):
     """N x N Laguerre finite section of the kernel's quadratic form.
 
-    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>.
-    Unbounded-positive kernels are allowed with a warning as long as every
-    entry integral is finite; otherwise FormDomainError.
+    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>, in
+    closed form for power-law parts with r = 0 (``_power_law_moments``) and
+    from the batched pairing at ``atol`` for the others.  Subnormal entries
+    are flushed to 0.  Unbounded-positive kernels are allowed with a warning
+    as long as every entry integral is finite; otherwise FormDomainError.
     """
     cls = classify(kernel)
     if cls is Classification.UNBOUNDED_POSITIVE_FORM:
         warnings.warn("assembling finite sections of an unbounded positive form")
     sig = sigma_of_kernel(kernel)
+    closed = [p for p in sig.parts if isinstance(p, _PowerLaw) and p.r == 0]
+    rest = SigmaDistribution(tuple(p for p in sig.parts if p not in closed))
     try:
-        f = _pair_product(sig, _LaguerreProducts(2 * n - 2), atol, hints=None, max_depth=16)
+        f = sum((_power_law_moments(p, 2 * n - 2) for p in closed), np.zeros(2 * n - 1))
+        if rest.parts:
+            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), atol, hints=None,
+                                  max_depth=16)
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
-    f = np.broadcast_to(f, 2 * n - 1)  # a kernel without parts pairs to a scalar 0
     scale = max(np.max(np.abs(f)), 1e-300)
     if np.max(np.abs(f.imag)) > 1e-8 * scale:
         raise ArithmeticError("section entries came out complex; kernel not self-adjoint?")
     fr = f.real
-    idx = np.arange(n)
-    h = fr[idx[:, None] + idx[None, :]]
+    fr[np.abs(fr) < np.finfo(float).tiny] = 0.0  # subnormals slow down LAPACK
+    h = np.lib.stride_tricks.sliding_window_view(fr, n).copy()
     return FiniteSection(n, h, kernel)
 
 

@@ -181,6 +181,35 @@ def test_verify_galerkin_command(tmp_path):
     assert all(int(r["n_minus"]) == 1 for r in rows)
 
 
+# q = 1.7 with r = 0: finite sections, once out of reach of the quadrature path
+Q17 = {"schema": "1", "type": "quasi_carleman", "v0": 1.0, "q": 1.7, "alpha": 1.0, "r": 0.0}
+
+
+def test_verify_galerkin_q_below_2(tmp_path):
+    spec = _write(tmp_path, "k.json", Q17)
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        code = main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o"),
+                     "--sizes", "16,32,64"])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "o" / "verify_galerkin.json").read_text())
+    assert [h[1] for h in report["counts"]["history"]] == [0, 0, 0]
+    assert report["prediction"]["n_minus"] == 0
+
+
+def test_verify_galerkin_r0_q_2_5_exits_2(tmp_path):
+    spec = _write(tmp_path, "k.json", dict(Q17, q=2.5))
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        code = main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("sizes", ["16,32", "16,32,6x", "16,32.5,64", "0,16,32"])
+def test_verify_galerkin_bad_sizes_exit_2(tmp_path, sizes):
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    assert main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--sizes", sizes]) == EXIT_VALIDATION
+
+
 def test_verify_galerkin_assembles_once(tmp_path, monkeypatch):
     real = galerkin.assemble
     calls = []
@@ -287,6 +316,31 @@ def test_sweep_records_refused_cases_and_goes_on(tmp_path):
     assert ra["prediction"] is None and "beta > 0" in ra["error"]
     assert "diverge" in rb["error"]
     assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
+
+
+def test_sweep_case_without_a_kernel_is_its_error(tmp_path):
+    config = {"cases": [{"name": "a"}, {"kernel": CARLEMAN},
+                        {"name": "b", "kernel": CARLEMAN, "galerkin": True, "sizes": [16, None, 64]},
+                        {"name": "c", "kernel": CARLEMAN}]}
+    cfg = _write(tmp_path, "sweep.json", config)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    ra, r1, rb, rc = (json.loads((out / n / "report.json").read_text())
+                      for n in ("a", "case-1", "b", "c"))
+    assert "kernel" in ra["error"] and "name" in r1["error"]
+    assert "sizes" in rb["error"] and "counts" not in rb
+    assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
+
+
+def test_sweep_galerkin_q_below_2_writes_counts(tmp_path):
+    config = {"cases": [{"name": "a", "kernel": Q17, "galerkin": True, "sizes": [16, 32, 64]}]}
+    cfg = _write(tmp_path, "sweep.json", config)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "a" / "report.json").read_text())
+    assert report["counts"]["kind"] == "finite" and report["counts"]["value"] == 0
+    assert "error" not in report
 
 
 def test_sweep_empty_config(tmp_path):

@@ -8,13 +8,14 @@ import pytest
 
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_interpolation_trial, _LaguerreProducts,
-                                  _sign_directions, assemble,
+                                  _power_law_moments, _sign_directions, assemble,
                                   carleman_spectrum_study, certificate,
                                   section_inertia, stabilized_negcount)
 from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
-from hankelsigma.sigma import DeltaCombo, sigma_of_kernel, sigma_pair
+from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
+                               _pair_product, sigma_of_kernel, sigma_pair)
 from hankelsigma.special import laguerre_image
 
 
@@ -63,9 +64,80 @@ def test_laguerre_products_match_loop_reference():
         assert np.array_equal(got, products_ref(smax, lams))
 
 
+@pytest.mark.parametrize("q", [1.0, 0.5, 0.3, -0.5, -1.5, -3.5])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0, 100.0])
+def test_moment_recurrence_matches_batched_pairing(q, alpha):
+    # the r = 0 entries against the quadrature path they replace in assemble
+    n = 24
+    part = RegularDensity(1.3, q, alpha) if q > 0 else RegularizedPower(1.3, q, alpha)
+    ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
+                        1e-12, None, 16).real
+    got = _power_law_moments(part, 2 * n - 2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("q, alpha", [(1.2, 3.0), (1.3, 1.0), (1.4, 0.0), (1.5, 0.5)])
+def test_moment_recurrence_matches_mpmath(q, alpha):
+    # 1 < q < 2, where the quadrature path is 2.6e-13 to 1.9e-12 off; mpmath's
+    # tanh-sinh converges here at 30 digits (not for q near 2)
+    mp = pytest.importorskip("mpmath")
+    got = _power_law_moments(RegularDensity(1.0, q, alpha), 40)
+    with mp.workdps(30):
+        for s in (0, 1, 5, 40):
+            def entry(lam):
+                mu = (lam - 0.5) / (lam + 0.5)
+                return (lam - alpha) ** (q - 1) * mu ** s / (lam + 0.5) ** 2
+            want = mp.quad(entry, [alpha, alpha + 1, mp.inf]) / mp.gamma(q)
+            assert abs(got[s] - float(want)) <= 1e-14 * max(1.0, abs(got[s]))
+
+
+@pytest.mark.parametrize("q, alpha", [(1.55, 0.0), (1.7, 1.0), (1.99, 0.5)])
+def test_moment_recurrence_near_q_2_matches_jacobi_weight_quadrature(q, alpha):
+    # the moments of (mu-a)^{q-1} (1-mu)^{1-q} by QUADPACK's algebraic-weight rule
+    integrate = pytest.importorskip("scipy.integrate")
+    a = (alpha - 0.5) / (alpha + 0.5)
+    got = _power_law_moments(RegularDensity(1.0, q, alpha), 40)
+    for s in (0, 1, 7, 40):
+        m, _ = integrate.quad(lambda mu: mu ** s, a, 1.0, weight="alg", wvar=(q - 1, 1 - q),
+                              epsabs=1e-15, epsrel=1e-14)
+        want = m * (alpha + 0.5) ** (q - 1) / math.gamma(q)
+        assert abs(got[s] - want) <= 1e-14 * abs(want)
+
+
+def test_assemble_single_entry():
+    kern = carleman() + quasi_carleman(0.5, -1.5, 1.0, 0.0)
+    sec = assemble(kern, 1)
+    assert sec.matrix.shape == (1, 1)
+    assert sec.matrix[0, 0] == assemble(kern, 4).matrix[0, 0]
+
+
+def test_assemble_q_below_2_is_a_positive_section():
+    # q = 1.7 diverged in the quadrature path; its form is finite and nonnegative
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sec = assemble(quasi_carleman(1.0, 1.7, 1.0, 0.0), 64)
+    assert np.all(np.isfinite(sec.matrix))
+    assert section_inertia(sec)[1] == 0
+
+
+def test_assemble_holds_no_subnormal_entry():
+    # Carleman's odd entries are exactly 0, so the odd entries here are the
+    # delta part alone, which decays geometrically below the normal range
+    tiny = np.finfo(float).tiny
+    fr = finite_rank([0.6, -1.0], 0.8)
+    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12, None, 16).real
+    assert np.any((deltas != 0) & (np.abs(deltas) < tiny))
+    h = assemble(carleman() + fr, 1024).matrix
+    assert not np.any((h != 0) & (np.abs(h) < tiny))
+
+
 def test_section_symmetric():
     sec = assemble(finite_rank([1.0, -0.4], 0.9) + carleman(), 24)
     assert np.max(np.abs(sec.matrix - sec.matrix.T)) < 1e-12
+    # Hankel: the gather H[j, k] = f[j + k] of its first row and last column
+    f = np.concatenate([sec.matrix[0], sec.matrix[1:, -1]])
+    idx = np.arange(24)
+    assert np.array_equal(sec.matrix, f[idx[:, None] + idx[None, :]])
 
 
 def test_section_inertia_basics():
@@ -162,10 +234,11 @@ def test_assemble_unbounded_warns():
 def test_assemble_form_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(FormDomainError):
-            assemble(quasi_carleman(1.0, 3.0, 1.0, 0.0), 8)
-        with pytest.raises(FormDomainError):
-            assemble(quasi_carleman(1.0, 2.0, 0.0, 0.0), 8)
+        # with r = 0, every q >= 2 diverges, not only Gamma(2-q)'s poles
+        for kern in (quasi_carleman(1.0, 3.0, 1.0, 0.0), quasi_carleman(1.0, 2.0, 0.0, 0.0),
+                     quasi_carleman(1.0, 2.5, 1.0, 0.0), carleman() + quasi_carleman(0.1, 2.5, 0.5)):
+            with pytest.raises(FormDomainError):
+                assemble(kern, 8)
 
 
 # ---------------------------------------------------------------------------
