@@ -24,10 +24,12 @@ dx/dxi-weighted norms.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import FunctionSpec, gamma, log_gamma
 
@@ -134,6 +136,17 @@ def _xi_fft_order(grid):
     return 2 * np.pi * np.fft.fftfreq(grid.count, d=grid.dx)
 
 
+@functools.lru_cache(maxsize=8)
+def _gamma_half(grid):
+    """Gamma(1/2 + i xi) on the fft-order frequencies of ``grid``.
+
+    Computed once per grid and shared by every call, so it is read-only.
+    """
+    g = gamma(0.5 + 1j * _xi_fft_order(grid))
+    g.flags.writeable = False
+    return g
+
+
 def fourier(gf):
     """Phi applied to a GridFunction; returns values on the ascending xi grid."""
     grid = gf.grid
@@ -208,8 +221,7 @@ def laplace_via_mellin(f):
             "weighted samples at grid edges are %.2e of peak (need < 1e-8)" % (edge / peak)
         )
     mf = np.fft.ifftshift(fourier(GridFunction(grid, u)))  # fft order
-    xi = _xi_fft_order(grid)
-    mf = gamma(0.5 + 1j * xi) * mf
+    mf = _gamma_half(grid) * mf
     mf = _reflect_fft_order(mf)
     uw = inv_fourier(np.fft.fftshift(mf), grid)
     w = np.exp(-grid.xs / 2) * uw.values
@@ -244,7 +256,6 @@ def reconstruct(u):
     peak = np.max(np.abs(phi_u))
     if peak == 0:
         return GridFunction(grid, np.zeros(grid.count, complex))
-    xi = xi_grid_of(grid)
     n = grid.count
     mid = n // 2  # index of xi = 0 on the shifted grid
     absu = np.abs(phi_u)
@@ -257,7 +268,7 @@ def reconstruct(u):
         lo -= 1
     band = np.zeros(n, dtype=bool)
     band[lo + 1: hi] = True
-    g = np.where(band, phi_u / gamma(0.5 + 1j * xi), 0.0)
+    g = np.where(band, phi_u / np.fft.fftshift(_gamma_half(grid)), 0.0)
     gmax = np.max(np.abs(g))
     if gmax > 0:
         edge = max(np.abs(g[hi - 1]), np.abs(g[lo + 1]))
@@ -274,6 +285,15 @@ def reconstruct(u):
 # Mollifier sandwich operators T_n = Gamma* chihat_n (Gamma*)^{-1}
 # ---------------------------------------------------------------------------
 
+def _mollifier_entries(n, grid, lg_i, lg_j, d):
+    """T_n kernel entries n dx / (2 sqrt(pi)) e^{lg_i - lg_j - n^2 d^2 / 4}.
+
+    ``lg`` is log Gamma(1/2 - i xi) (its real part for |K|) at rows i and
+    columns j, and d = xi_i - xi_j.
+    """
+    return n / (2 * np.sqrt(np.pi)) * np.exp(lg_i - lg_j - (n ** 2 / 4.0) * d ** 2) * grid.dx
+
+
 def mollifier_matrix(n, grid=MOLLIFIER_GRID):
     """Dense xi-grid matrix of T_n with the Gamma ratio folded in log-space.
 
@@ -283,34 +303,88 @@ def mollifier_matrix(n, grid=MOLLIFIER_GRID):
     """
     xi = grid.xs
     lg = log_gamma(0.5 - 1j * xi)
-    expo = lg[:, None] - lg[None, :] - (n ** 2 / 4.0) * (xi[:, None] - xi[None, :]) ** 2
-    k = n / (2 * np.sqrt(np.pi)) * np.exp(expo) * grid.dx
-    return k
+    return _mollifier_entries(n, grid, lg[:, None], lg[None, :], xi[:, None] - xi[None, :])
+
+
+def _band_width(n, grid):
+    """Half-width b of the band of |K| kept for T_n.
+
+    With a = Re log Gamma(1/2 - i xi) = log(pi / cosh(pi xi)) / 2, one has
+    a_i - a_j <= pi |d| / 2, so an entry at offset o is at most
+    n dx / (2 sqrt(pi)) e^{pi |o dx| / 2 - n^2 (o dx)^2 / 4}.  b is the
+    smallest width whose dropped tail, twice the sum of that envelope over
+    o > b, is <= 1e-17: every row and column outside the band then sums to
+    <= 1e-17 of the diagonal entry, and so of the norm.
+    """
+    s = grid.dx * np.arange(grid.count)
+    env = np.exp(np.pi * s / 2 - n ** 2 * s ** 2 / 4)
+    beyond = np.append(np.cumsum(env[::-1])[-2::-1], 0.0)  # sum over o > b, b = 0..N-1
+    return int(np.argmax(2 * beyond <= 1e-17))
+
+
+def _mollifier_band(n, grid, a):
+    """Row i holds the entries (i, j), j = i-b..i+b, of a kernel with lg = a.
+
+    Entries with j off the grid are 0.  With a = Re log Gamma(1/2 - i xi)
+    these are the band of |K|; with -a, the band of its transpose.
+    """
+    b = _band_width(n, grid)
+    xi = grid.xs
+    w = 2 * b + 1
+    on = sliding_window_view(np.pad(np.ones(grid.count), b), w)
+    xj = sliding_window_view(np.pad(xi, b), w)
+    aj = sliding_window_view(np.pad(a, b), w)
+    return on * _mollifier_entries(n, grid, a[:, None], aj, xi[:, None] - xj)
+
+
+def _band_apply(band, x):
+    """band @ x for x stored as real and imaginary rows, shape (2, N)."""
+    b = band.shape[1] // 2
+    win = sliding_window_view(np.pad(x, ((0, 0), (b, b))), 2 * b + 1, axis=1)
+    return np.einsum("ik,jik->ji", band, win)
+
+
+def _mollifier_phases(grid):
+    """a = Re lg and U = e^{i Im lg}, lg = log Gamma(1/2 - i xi): K = U |K| U^H."""
+    lg = log_gamma(0.5 - 1j * grid.xs)
+    return lg.real, np.exp(1j * lg.imag)
+
+
+def _check_index(n):
+    if n < 1:
+        raise ValueError("mollifier index must be >= 1")
 
 
 def mollifier_tn(n, g):
-    """Apply T_n to a GridFunction on the xi grid."""
-    if n < 1:
-        raise ValueError("mollifier index must be >= 1")
-    k = mollifier_matrix(n, g.grid)
-    return GridFunction(g.grid, k @ g.values)
+    """Apply T_n to a GridFunction on the xi grid, as U (|K| (U^H g))."""
+    _check_index(n)
+    a, phase = _mollifier_phases(g.grid)
+    x = phase.conj() * g.values
+    y = _band_apply(_mollifier_band(n, g.grid, a), np.stack([x.real, x.imag]))
+    return GridFunction(g.grid, phase * (y[0] + 1j * y[1]))
 
 
 def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
     """Grid operator-norm estimate of T_n by power iteration on T*T.
 
-    Warns (RuntimeWarning) when ``iters`` iterations end before the relative
+    T*T = U |K|^T |K| U^H with U unitary and diagonal, so the iteration runs
+    on the real band of |K| from U^H of the seeded complex start: the same
+    iterates, estimates and stopping rule as on K itself.  Warns
+    (RuntimeWarning) when ``iters`` iterations end before the relative
     change of the estimate of ||T||^2 falls to ``tol``.
     """
+    _check_index(n)
     if iters < 1:
         raise ValueError("mollifier_norm needs iters >= 1")
-    k = mollifier_matrix(n, grid)
+    a, phase = _mollifier_phases(grid)
+    band, band_t = _mollifier_band(n, grid, a), _mollifier_band(n, grid, -a)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
-    v /= np.linalg.norm(v)
+    v = phase.conj() * v / np.linalg.norm(v)
+    v = np.stack([v.real, v.imag])
     prev = 0.0
     for _ in range(iters):
-        w = ((k @ v).conj() @ k).conj()  # K^H K v without forming K^H
+        w = _band_apply(band_t, _band_apply(band, v))
         s = np.linalg.norm(w)
         v = w / s
         step = abs(s - prev)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from hankelsigma.form import ExpPoly, Indicator, form_sigma
 from hankelsigma.kernel import quasi_carleman
+from hankelsigma import transform
 from hankelsigma.special import gamma, laguerre_e, laguerre_image, log_gamma
 from hankelsigma.transform import (DEFAULT_GRID, MOLLIFIER_GRID,
                                    AmplificationError, GridFunction,
@@ -19,6 +20,7 @@ from hankelsigma.transform import (DEFAULT_GRID, MOLLIFIER_GRID,
                                    mollifier_tn, reconstruct,
                                    sandwiched_apply, u_of_laplace_image,
                                    xi_grid_of)
+from hankelsigma.transform import _band_width, _gamma_half, _xi_fft_order
 
 
 def _mellin_residual(fvals, wtrue, grid=DEFAULT_GRID):
@@ -132,6 +134,28 @@ def test_reconstruct_zero():
     assert np.max(np.abs(out.values)) == 0.0
 
 
+def test_gamma_half_is_one_read_only_array_per_grid():
+    grid = DEFAULT_GRID
+    g = _gamma_half(grid)
+    assert _gamma_half(grid) is g
+    assert np.array_equal(g, gamma(0.5 + 1j * _xi_fft_order(grid)))
+    assert np.array_equal(np.fft.fftshift(g), gamma(0.5 + 1j * xi_grid_of(grid)))
+    with pytest.raises(ValueError):
+        g[0] = 0.0
+
+
+def test_cached_gamma_leaves_the_pipeline_bitwise_unchanged(monkeypatch):
+    grid = DEFAULT_GRID
+    t = grid.lambdas_pos
+    f = GridFunction(grid, t ** 2 * np.exp(-0.7 * t) - 0.4 * np.exp(-1.3 * t))
+    u = u_of_laplace_image(ExpPoly(((0.7, 0, 0.5), (-0.2, 2, 1.5))), grid)
+    cached = laplace_via_mellin(f).values, reconstruct(u).values
+    monkeypatch.setattr(transform, "_gamma_half",
+                        lambda g: gamma(0.5 + 1j * _xi_fft_order(g)))
+    assert np.array_equal(laplace_via_mellin(f).values, cached[0])
+    assert np.array_equal(reconstruct(u).values, cached[1])
+
+
 def test_reconstruct_amplification_error():
     grid = DEFAULT_GRID
     # lorentzian: spectrum ~ e^{-0.5 |xi|}, slower than the gamma weight decay
@@ -181,6 +205,71 @@ def test_mollifier_norm_silent_when_tol_is_met():
 def test_mollifier_norm_rejects_no_iterations(iters):
     with pytest.raises(ValueError, match="iters"):
         mollifier_norm(1, iters=iters)
+
+
+def _dense_power_norm(n, grid):
+    """Power iteration on K^H K with the dense complex matrix: seed 7, 30
+    iterations, tol 1e-6.  Returns the norm and whether it hit the cap."""
+    k = mollifier_matrix(n, grid)
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
+    v /= np.linalg.norm(v)
+    prev = 0.0
+    for _ in range(30):
+        w = k.conj().T @ (k @ v)
+        s = np.linalg.norm(w)
+        v = w / s
+        if abs(s - prev) <= 1e-6 * s:
+            return math.sqrt(s), False
+        prev = s
+    return math.sqrt(s), True
+
+
+@pytest.mark.parametrize("grid", [MOLLIFIER_GRID, LogGrid(-20.0, 20.0, 256)],
+                         ids=["mollifier_grid", "coarse_grid"])
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+def test_banded_norm_is_the_dense_power_iteration(n, grid):
+    want, capped = _dense_power_norm(n, grid)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        got = mollifier_norm(n, grid)
+    assert abs(got - want) <= 1e-13 * want
+    assert [w.category for w in rec] == [RuntimeWarning] * capped
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_mollifier_matrix_outside_its_band_is_within_the_tail_bound(n):
+    grid = MOLLIFIER_GRID
+    xi = grid.xs
+    idx = np.arange(grid.count)
+    outside = np.abs(idx[:, None] - idx[None, :]) > _band_width(n, grid)
+    d = xi[:, None] - xi[None, :]
+    c_dx = n / (2 * math.sqrt(math.pi)) * grid.dx
+    bound = c_dx * np.exp(np.pi * np.abs(d) / 2 - n ** 2 * d ** 2 / 4)
+    k = np.where(outside, np.abs(mollifier_matrix(n, grid)), 0.0)
+    normal = bound >= np.finfo(float).tiny  # subnormals carry no relative precision
+    assert np.all(k[normal] <= bound[normal] * (1 + 1e-12))
+    assert np.all(k[~normal] <= 2 * np.finfo(float).tiny)
+    assert np.max(k.sum(axis=0)) <= 1e-17 * c_dx
+    assert np.max(k.sum(axis=1)) <= 1e-17 * c_dx
+
+
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_mollifier_tn_through_the_band_matches_the_dense_matrix(n):
+    grid = MOLLIFIER_GRID
+    xs = grid.xs
+    g = np.exp(-(xs - 1.0) ** 2 / 4) * (1 + 0.3j) + 0.2 * np.exp(-np.abs(xs + 3.0))
+    want = mollifier_matrix(n, grid) @ g
+    got = mollifier_tn(n, GridFunction(grid, g)).values
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_mollifier_index_below_one_raises(n):
+    with pytest.raises(ValueError, match="mollifier index"):
+        mollifier_norm(n)
+    with pytest.raises(ValueError, match="mollifier index"):
+        mollifier_tn(n, GridFunction(MOLLIFIER_GRID, np.ones(MOLLIFIER_GRID.count)))
 
 
 def test_mollifier_random_vectors_under_bound():
