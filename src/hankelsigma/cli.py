@@ -138,7 +138,6 @@ def _write_report(report, args, name):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s", path)
-    return path
 
 
 def _write_csv(args, name, header, rows):
@@ -149,7 +148,6 @@ def _write_csv(args, name, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     log.info("wrote %s", path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +155,7 @@ def _write_csv(args, name, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_sigma(args):
-    kern = load_kernel(args.spec)
-    try:
-        sig = sigma_of_kernel(kern)
-    except UndefinableKernelError as exc:
-        log.error("%s", exc)
-        return EXIT_VALIDATION
+    sig = sigma_of_kernel(load_kernel(args.spec))
     lam = np.exp(np.linspace(np.log(args.lam_min), np.log(args.lam_max), args.points))
     dens = sig.density(lam)
     rows = [["density", "%.17g" % lv, "%.17g" % dv, "", "", "", ""]
@@ -393,6 +386,9 @@ def main(argv=None):
             FormDomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:  # numerical failure, e.g. DivergentIntegralError
+        log.error("%s", exc)
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

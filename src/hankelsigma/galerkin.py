@@ -77,6 +77,8 @@ class _LaguerreProducts:
     """The test products mu^s (lam+1/2)^{-2}, s = 0..smax, batched along
     the leading axis."""
 
+    knots = ()
+
     def __init__(self, smax):
         self.smax = smax
 
@@ -165,8 +167,7 @@ def assemble(kernel, n, atol=1e-12):
     try:
         f = sum((_power_law_moments(p, 2 * n - 2) for p in closed), np.zeros(2 * n - 1))
         if rest.parts:
-            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), atol, hints=None,
-                                  max_depth=16)
+            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), atol, max_depth=16)
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     scale = max(np.max(np.abs(f)), 1e-300)
@@ -231,10 +232,17 @@ def carleman_spectrum_study(n, q=1.0):
 # Trial functions
 # ---------------------------------------------------------------------------
 
+def _log_window(center, eps, m, knots):
+    """exp(-eps^{-2m} ln^{2m}(lam/center)) as a FunctionSpec narrow at ``knots``."""
+    lnratio = FLog(FProd([fs_var(), fs_const(1.0 / center)]))
+    window = FExp(FProd([fs_const(-eps ** (-2.0 * m)), FPow(lnratio, 2 * m)]))
+    window.knots = tuple(knots)
+    return window
+
+
 def gaussian_trial(center, eps):
     """w(lam) = (eps lam)^{-1/2} e^{-ln^2(lam/center)/eps^2} as a FunctionSpec."""
-    lnratio = FLog(FProd([fs_var(), fs_const(1.0 / center)]))
-    window = FExp(FProd([fs_const(-1.0 / eps ** 2), FPow(lnratio, 2)]))
+    window = _log_window(center, eps, 1, [center * math.exp(f) for f in (-4 * eps, 0.0, 4 * eps)])
     return FProd([fs_const(eps ** -0.5), FPow(fs_var(), -0.5), window])
 
 
@@ -248,13 +256,10 @@ def window_trials(beta, rho, n_sub, ell, eps):
     m = n_sub // 2 + 1
     rcoeffs = [(rho / 2.0) ** p / math.factorial(p) for p in range(n_sub + 1)]
     rpoly = FPoly(_shift_poly(rcoeffs, -beta))
-    lnratio = FLog(FProd([fs_var(), fs_const(1.0 / beta)]))
-    window = FExp(FProd([fs_const(-eps ** (-2.0 * m)), FPow(lnratio, 2 * m)]))
-    out = []
-    for i in range(ell):
-        mono = FPoly(_shift_poly([0.0] * i + [1.0], -beta)) if i else fs_const(1.0)
-        out.append(FProd([mono, rpoly, window]))
-    return out
+    window = _log_window(beta, eps, m, [beta * math.exp(-2 * eps), beta * math.exp(2 * eps),
+                                        beta + 1.0])
+    return [FProd([FPoly(_shift_poly([0.0] * i + [1.0], -beta)) if i else 1.0, rpoly, window])
+            for i in range(ell)]
 
 
 def _shift_poly(coeffs, shift):
@@ -351,8 +356,7 @@ def _certify_gaussian(sig, beta, target, eps0, delta0):
     delta, eps = delta0, min(eps0, delta0 / 6.0)
     for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
-        hints = [a * f for a in centers for f in (math.exp(-4 * eps), 1.0, math.exp(4 * eps))]
-        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints),
+        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11),
                             [gaussian_trial(a, eps) for a in centers])
         yield Certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
                           g, _neg_inertia(g), target)
@@ -367,8 +371,7 @@ def _certify_window(sig, beta, rho, n_sub, target, eps0):
     eps = eps0
     for _ in range(_ROUNDS):
         trials = window_trials(beta, rho, n_sub, target, eps)
-        hints = [beta * math.exp(-2 * eps), beta * math.exp(2 * eps), beta + 1.0]
-        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11, hints=hints), trials)
+        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11), trials)
         yield Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
                           g, _neg_inertia(g), target)
         eps *= 0.5

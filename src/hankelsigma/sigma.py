@@ -207,7 +207,8 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 #   prod(lam)                values on a real lambda array, shape (..., len(lam));
 #   prod.jet(center, order)  Taylor coefficients at center, shape (..., order+1);
 #   prod.decay()             (rate, power): |prod| <~ lam^power e^{-rate lam},
-#                            ValueError when no such bound is known.
+#                            ValueError when no such bound is known;
+#   prod.knots               real points where prod is narrow.
 #
 # The leading batch shape is () for the FunctionSpec tests of sigma_pair and
 # (2N-1,) for the Laguerre products of a Galerkin section; the engines
@@ -232,11 +233,11 @@ def _check_density_decay(q, r, prod):
         )
 
 
-def _splits(alpha, hints):
+def _splits(alpha, knots):
     """(knots, far_start, d0) of the power-law engines, offsets from alpha:
-    the hints above alpha, the start of the tail (1, or twice the farthest
+    the knots above alpha, the start of the tail (1, or twice the farthest
     knot) and the finite part's series radius min(0.5, nearest knot / 4)."""
-    knots = sorted(h - alpha for h in (hints or ()) if h > alpha)
+    knots = sorted(h - alpha for h in knots if h > alpha)
     far_start = max([1.0] + [2.0 * h for h in knots])
     d0 = min([0.5] + [0.25 * h for h in knots[:1]])
     return knots, far_start, d0
@@ -327,9 +328,9 @@ def _delta_pair_engine(part, jets):
     return jets @ (np.asarray(part.coeffs) * (-1.0) ** j * fact)
 
 
-def _pair_product(sig, prod, atol, hints, max_depth):
-    """<sigma, prod> for a test product (see above), ``hints`` as in _splits;
-    ``max_depth`` caps the adaptive quadrature of the density parts."""
+def _pair_product(sig, prod, atol, max_depth):
+    """<sigma, prod> for a test product (see above); ``max_depth`` caps the
+    adaptive quadrature of the density parts."""
     total = 0.0 + 0.0j
     for part in sig.parts:
         if isinstance(part, DeltaCombo):
@@ -338,7 +339,7 @@ def _pair_product(sig, prod, atol, hints, max_depth):
         if not isinstance(part, _PowerLaw):
             raise TypeError("unknown sigma part %r" % (part,))
         _check_density_decay(part.q, part.r, prod)
-        splits = _splits(part.alpha, hints)
+        splits = _splits(part.alpha, prod.knots)
 
         def psi(lam, _p=part):
             return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
@@ -361,6 +362,7 @@ class _SpecProduct:
 
     def __init__(self, w1, w2):
         self.w1, self.w2 = w1, w2
+        self.knots = w1.knots + w2.knots
 
     def __call__(self, lam):
         v1 = self.w1(lam)
@@ -376,16 +378,15 @@ class _SpecProduct:
         return (r1 + r2, p1 + p2)
 
 
-def sigma_pair(sig, w1, w2, atol=1e-10, hints=None):
+def sigma_pair(sig, w1, w2, atol=1e-10):
     """<sigma, w1* w2>: antilinear in w1, linear in w2.
 
-    w1, w2 are FunctionSpec tests analytic on Re lam > 0 with enough decay;
-    ``hints`` mark sharp test-function features.  They become quadrature
-    breakpoints, and a q < 0 finite part keeps its series piece within 0.5
-    of alpha and a quarter of the way to the first hint above alpha.  A
-    feature within 0.5 of alpha that no hint names goes unseen.
+    w1, w2 are FunctionSpec tests analytic on Re lam > 0 with enough decay.
+    Their ``knots`` become quadrature breakpoints and bound the series radius
+    of a q < 0 finite part (``_splits``): a feature within 0.5 of alpha that
+    no knot marks goes unseen.
     """
-    return _pair_product(sig, _SpecProduct(w1, w2), atol, hints, max_depth=11)
+    return _pair_product(sig, _SpecProduct(w1, w2), atol, max_depth=11)
 
 
 def sigma_pair_real(sig, w):
@@ -434,11 +435,10 @@ def sign_matrix(pcoeffs, beta):
     of the conjugated data is the adjoint.
     """
     S = DeltaCombo(beta, tuple(pcoeffs)).sign_entries()
-    scale = max(np.max(np.abs(S)), 1e-300)
-    inertia = None
-    if np.max(np.abs(S - S.conj().T)) <= 1e-12 * scale:
-        inertia = matrix_inertia(S)
-    return SignMatrix(S, inertia)
+    try:
+        return SignMatrix(S, matrix_inertia(S))
+    except NonHermitianError:
+        return SignMatrix(S, None)
 
 
 def sign_matrix_tilde(pcoeffs, beta):

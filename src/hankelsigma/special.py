@@ -278,6 +278,8 @@ def _var_jet(center, order):
 class FunctionSpec:
     """Base class for the closed-form expression language."""
 
+    knots = ()  # real points where it is narrow; products and sums join them
+
     def __call__(self, z):
         raise NotImplementedError
 
@@ -439,6 +441,7 @@ class FProd(FunctionSpec):
                 self.parts.append(p)
         if not self.parts:
             self.scale, self.parts = 1.0 + 0.0j, [FPoly([self.scale])]
+        self.knots = sum((p.knots for p in self.parts), ())
 
     def __call__(self, z):
         out = self.parts[0](z)
@@ -469,6 +472,7 @@ class FSum(FunctionSpec):
         polys = [p.coeffs for p in flat if isinstance(p, FPoly)]
         if polys:
             self.parts.append(FPoly(functools.reduce(np.polynomial.polynomial.polyadd, polys)))
+        self.knots = sum((p.knots for p in self.parts), ())
 
     def __call__(self, z):
         out = self.parts[0](z)

@@ -102,6 +102,7 @@ class LogGrid:
 
 DEFAULT_GRID = LogGrid(-60.0, 60.0, 16384)
 MOLLIFIER_GRID = LogGrid(-40.0, 40.0, 1024)
+_NORM_ITERS, _NORM_TOL = 30, 1e-6  # mollifier_norm's power iteration
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def _mollifier_band(n, grid, a):
 
 
 def _band_apply(band, x):
-    """band @ x for x stored as real and imaginary rows, shape (2, N)."""
+    """band @ x for each row of x, shape (m, N)."""
     b = band.shape[1] // 2
     win = sliding_window_view(np.pad(x, ((0, 0), (b, b))), 2 * b + 1, axis=1)
     return np.einsum("ik,jik->ji", band, win)
@@ -364,36 +365,30 @@ def mollifier_tn(n, g):
     return GridFunction(g.grid, phase * (y[0] + 1j * y[1]))
 
 
-def mollifier_norm(n, grid=MOLLIFIER_GRID, iters=30, tol=1e-6, seed=7):
+def mollifier_norm(n, grid=MOLLIFIER_GRID):
     """Grid operator-norm estimate of T_n by power iteration on T*T.
 
     T*T = U |K|^T |K| U^H with U unitary and diagonal, so the iteration runs
-    on the real band of |K| from U^H of the seeded complex start: the same
-    iterates, estimates and stopping rule as on K itself.  Warns
-    (RuntimeWarning) when ``iters`` iterations end before the relative
-    change of the estimate of ||T||^2 falls to ``tol``.
+    on the real band of the entrywise positive |K|, from the vector with
+    every entry 1/sqrt(N).  Warns (RuntimeWarning) when _NORM_ITERS
+    iterations end before the relative change of ||T||^2 falls to _NORM_TOL.
     """
     _check_index(n)
-    if iters < 1:
-        raise ValueError("mollifier_norm needs iters >= 1")
-    a, phase = _mollifier_phases(grid)
+    a, _ = _mollifier_phases(grid)
     band, band_t = _mollifier_band(n, grid, a), _mollifier_band(n, grid, -a)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)
-    v = phase.conj() * v / np.linalg.norm(v)
-    v = np.stack([v.real, v.imag])
+    v = np.full((1, grid.count), grid.count ** -0.5)
     prev = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_ITERS):
         w = _band_apply(band_t, _band_apply(band, v))
         s = np.linalg.norm(w)
         v = w / s
         step = abs(s - prev)
-        if step <= tol * s:
+        if step <= _NORM_TOL * s:
             break
         prev = s
     else:
         warnings.warn("mollifier_norm(%d): power iteration stopped at iters=%d with "
-                      "relative change %.3g > tol=%g" % (n, iters, step / s, tol),
+                      "relative change %.3g > tol=%g" % (n, _NORM_ITERS, step / s, _NORM_TOL),
                       RuntimeWarning, stacklevel=2)
     return float(np.sqrt(s))
 

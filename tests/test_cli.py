@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ def test_verify_identity_tolerance_exit(tmp_path):
     code = main(["verify", "identity", "--spec", spec, "--out", out,
                  "--count", "3", "--tol", "1e-30"])
     assert code == EXIT_TOLERANCE
+
+
+def test_verify_identity_cancelling_finite_rank_form_exits_3(tmp_path, caplog):
+    # P(t) = L_24(2 beta t), beta = 1/2: the finite-rank sum cancels to 0 from
+    # terms ~1e8, and form_direct raises ArithmeticError
+    coeffs = [[(-1) ** k * math.comb(24, k) / math.factorial(k), 0.0] for k in range(25)]
+    spec = _write(tmp_path, "k.json", {"schema": "1", "type": "finite_rank",
+                                       "terms": [{"coeffs": coeffs, "beta": [0.5, 0.0]}]})
+    code = main(["verify", "identity", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == EXIT_TOLERANCE
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "cancel" in caplog.records[0].getMessage()
 
 
 def test_verify_galerkin_command(tmp_path):

@@ -71,7 +71,7 @@ def test_moment_recurrence_matches_batched_pairing(q, alpha):
     n = 24
     part = RegularDensity(1.3, q, alpha) if q > 0 else RegularizedPower(1.3, q, alpha)
     ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
-                        1e-12, None, 16).real
+                        1e-12, 16).real
     got = _power_law_moments(part, 2 * n - 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -125,7 +125,7 @@ def test_assemble_holds_no_subnormal_entry():
     # delta part alone, which decays geometrically below the normal range
     tiny = np.finfo(float).tiny
     fr = finite_rank([0.6, -1.0], 0.8)
-    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12, None, 16).real
+    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12, 16).real
     assert np.any((deltas != 0) & (np.abs(deltas) < tiny))
     h = assemble(carleman() + fr, 1024).matrix
     assert not np.any((h != 0) & (np.abs(h) < tiny))

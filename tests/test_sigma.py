@@ -103,22 +103,36 @@ def test_pair_regularized_matches_direct_oracle():
 
 
 def test_finite_part_sees_a_bump_inside_half_a_unit_of_alpha():
-    # The gaussian trial at 1.12 has jets ~e^{-128} at alpha = 1, so no check
-    # at the series radius's edge sees it: only the hints keep the series
-    # piece below the bump.  Reference: both densities times |w|^2 by quad.
-    eps, center = 0.01, 1.12
+    # A gaussian trial this close to alpha = 1 has jets ~e^{-128} or smaller
+    # there, so no check at the series radius's edge sees it: only the
+    # trial's own knots keep the series piece below the bump.  Reference:
+    # both densities times |w|^2 by quad.
     sig = sigma_of_kernel(carleman() + quasi_carleman(-1.0, -1.5, 1.0, 0.0))
-    w = gaussian_trial(center, eps)
-    hints = [center * math.exp(f) for f in (-4 * eps, 0.0, 4 * eps)]
-    val = sigma_pair(sig, w, w, atol=1e-11, hints=hints)
+    for center, eps, want in ((1.12, 0.01, -106.0555742556), (1.05, 0.005, -958.9032894235),
+                              (1.3, 0.02, -9.588321170517)):
+        w = gaussian_trial(center, eps)
+        val = sigma_pair(sig, w, w, atol=1e-11)
 
-    def density_times_w2(lam):
-        w2 = math.exp(-2 * math.log(lam / center) ** 2 / eps ** 2) / (eps * lam)
-        return (1.0 - (lam - 1.0) ** -2.5 / math.gamma(-1.5)) * w2
-    ref, _ = quad(density_times_w2, 1.0, 1.3, points=[center], epsabs=0, epsrel=1e-13,
-                  limit=200)
-    assert ref == pytest.approx(-106.0555742556, rel=1e-10)
-    assert abs(val - ref) <= 1e-10 * abs(ref)
+        def density_times_w2(lam):
+            w2 = math.exp(-2 * math.log(lam / center) ** 2 / eps ** 2) / (eps * lam)
+            return (1.0 - (lam - 1.0) ** -2.5 / math.gamma(-1.5)) * w2
+        ref, _ = quad(density_times_w2, 1.0, 1.6, points=[center], epsabs=0, epsrel=1e-13,
+                      limit=400)
+        assert ref == pytest.approx(want, rel=1e-10)
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("center, eps", [(20.0, 0.002), (3.0, 0.003), (1.3, 0.01)])
+def test_narrow_gaussian_trial_pairs_through_its_own_knots(q, center, eps):
+    # <lam^{q-1}/Gamma(q), |w|^2> is a gaussian integral in x = ln(lam/center):
+    # center^{q-1} sqrt(pi/2) e^{(q-1)^2 eps^2 / 8} / Gamma(q).  The trial's
+    # knots alone let the quadrature see a bump this narrow.
+    sig = sigma_of_kernel(quasi_carleman(1.0, q, 0.0, 0.0))
+    w = gaussian_trial(center, eps)
+    want = (center ** (q - 1) * math.sqrt(math.pi / 2) * math.exp((q - 1) ** 2 * eps ** 2 / 8)
+            / math.gamma(q))
+    assert abs(sigma_pair(sig, w, w) - want) <= 1e-12 * want
 
 
 def test_pair_hermitian_symmetry():
@@ -253,6 +267,7 @@ def test_matrix_inertia():
     assert matrix_inertia(np.diag([1.0, -2.0, 0.0])) == (1, 1, 1)
     assert sign_matrix([0, 0, 1.0], 1.0).inertia == (2, 1, 0)
     assert sign_matrix([0, -1.0], 1.0).inertia == (1, 1, 0)
+    assert sign_matrix([0.3, -1.0, 2.0], 2 + 1j).inertia is None  # not Hermitian
     with pytest.raises(NonHermitianError):
         matrix_inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

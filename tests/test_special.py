@@ -217,7 +217,9 @@ def _interpolation_trials():
 
 
 _TREES = {
-    "gaussian": (lambda: [gaussian_trial(1.3, 0.05), gaussian_trial(2.0, 0.3)], (1.25, 1.3 + 0.05j)),
+    "gaussian": (lambda: [gaussian_trial(1.3, 0.05), gaussian_trial(2.0, 0.3),
+                          gaussian_trial(1.3, 0.05) - 2.0 * gaussian_trial(2.0, 0.3)],
+                 (1.25, 1.3 + 0.05j)),
     "window": (lambda: window_trials(1.0, 0.7, 3, 3, 0.2), (1.0, 1.1 - 0.1j)),
     "interpolation": (_interpolation_trials, (0.2, -np.log(1 + 1j))),
     "laguerre": (lambda: [laguerre_image(0), laguerre_image(5)], (0.7, 2.0 + 1.0j)),
@@ -242,6 +244,9 @@ def test_folded_trees_match_unfolded_reference(name):
         for c, jet in zip(centers, jets):
             assert np.max(np.abs(w.jet(c, 12).coeffs - jet)) <= 1e-15 * np.max(np.abs(jet))
         assert _decay(w) == _decay(w_ref)
+        # flattening keeps every leaf's knots (the log windows carry them)
+        assert sorted(w.knots) == sorted(k for n in _nodes(w_ref) for k in n.knots)
+        assert bool(w.knots) == (name in ("gaussian", "window"))
 
 
 def _decay(spec):
