@@ -23,8 +23,9 @@ write "prediction": null.  A sum is checked for self-adjointness as a whole.
 Exit 2 also covers malformed specs, sweep cases without a name or a
 kernel, section sizes (--sizes or a sweep case's "sizes") that are fewer
 than 3 or not positive integers, non-self-adjoint or empty kernels, failed
-theorem preconditions and diverging Laguerre sections; a sweep records
-these as the case's "error" and goes on.
+theorem preconditions and diverging Laguerre sections; exit 3 covers
+numerical failures (a divergent integral, cancelling terms).  A sweep
+records either as the case's "error" and goes on.
 
 Run as ``python -m hankelsigma <command> ...``.
 """
@@ -290,9 +291,10 @@ def cmd_certificate(args):
 
 
 def _sweep_case(index, case, args):
-    """One case's report; a case without a name or a kernel, and a refused
-    kernel, shape or section, is its ``error``.  A case without a name
-    reports to ``case-<index>``."""
+    """One case's report; a case without a name or a kernel, a refused
+    kernel, shape or section (exit 2), and a numerical failure such as a
+    ``DivergentIntegralError`` (exit 3), is its ``error``.  A case without a
+    name reports to ``case-<index>``."""
     name = case.get("name") if isinstance(case, dict) else None
     if not isinstance(name, str) or not name:
         name = None
@@ -312,6 +314,9 @@ def _sweep_case(index, case, args):
     except ValueError as exc:
         report["error"] = str(exc)
         code = EXIT_VALIDATION
+    except ArithmeticError as exc:
+        report["error"] = str(exc)
+        code = EXIT_TOLERANCE
     _write_report(report, sub, "report.json")
     return code
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hankelsigma import cli, galerkin
+from hankelsigma._quad import DivergentIntegralError
 from hankelsigma.cli import (EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION,
                              SpecError, main, parse_kernel)
 
@@ -343,6 +344,29 @@ def test_sweep_case_without_a_kernel_is_its_error(tmp_path):
     assert "kernel" in ra["error"] and "name" in r1["error"]
     assert "sizes" in rb["error"] and "counts" not in rb
     assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
+
+
+def test_sweep_records_a_numerical_failure_and_goes_on(tmp_path, monkeypatch):
+    # no known spec reaches an ArithmeticError in a sweep, so the first
+    # case's sections raise one
+    calls = []
+
+    def negcount(kern, sizes):
+        calls.append(sizes)
+        if len(calls) == 1:
+            raise DivergentIntegralError("tail did not converge within panel budget")
+        return galerkin.stabilized_negcount(kern, sizes)
+
+    monkeypatch.setattr(cli, "stabilized_negcount", negcount)
+    config = {"cases": [{"name": "a", "kernel": CARLEMAN, "galerkin": True, "sizes": [8, 16, 32]},
+                        {"name": "b", "kernel": CARLEMAN, "galerkin": True, "sizes": [8, 16, 32]}]}
+    cfg = _write(tmp_path, "sweep.json", config)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    ra, rb = (json.loads((out / n / "report.json").read_text()) for n in "ab")
+    assert "panel budget" in ra["error"] and "counts" not in ra
+    assert rb["counts"]["value"] == 0 and "error" not in rb
+    assert len(calls) == 2
 
 
 def test_sweep_galerkin_q_below_2_writes_counts(tmp_path):

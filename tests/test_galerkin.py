@@ -1,5 +1,6 @@
 """Finite sections, stabilized counts, spectrum study, certificates."""
 
+import contextlib
 import math
 import warnings
 
@@ -67,11 +68,16 @@ def test_laguerre_products_match_loop_reference():
 @pytest.mark.parametrize("q", [1.0, 0.5, 0.3, -0.5, -1.5, -3.5])
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0, 100.0])
 def test_moment_recurrence_matches_batched_pairing(q, alpha):
-    # the r = 0 entries against the quadrature path they replace in assemble
+    # the r = 0 entries against the quadrature path they replace in assemble.
+    # At (q, alpha) = (-3.5, 0.05) the finite part's Taylor-subtracted
+    # integrand cancels, so the error estimates there are the rounding noise
+    # of the terms it subtracts; that path caps panels at max_depth and says so
     n = 24
     part = RegularDensity(1.3, q, alpha) if q > 0 else RegularizedPower(1.3, q, alpha)
-    ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
-                        1e-12, 16).real
+    capped = (q, alpha) == (-3.5, 0.05)
+    with pytest.warns(RuntimeWarning, match="max_depth") if capped else contextlib.nullcontext():
+        ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
+                            1e-12, 16).real
     got = _power_law_moments(part, 2 * n - 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -273,8 +279,11 @@ def test_window_certificate_with_shift():
 
 
 def test_window_certificate_cannot_exceed_dimension():
-    cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.0), 2,
-                       kind="window")
+    # every round fails, so eps halves down to 1.2e-4; from eps = 0.002 on,
+    # the finite part's subtracted integrand caps panels at max_depth
+    with pytest.warns(RuntimeWarning, match="max_depth"):
+        cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.0), 2,
+                           kind="window")
     assert not cert.success and cert.achieved <= 1
 
 

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from hankelsigma import galerkin, sigma, special
+from hankelsigma import _quad, galerkin, sigma, special
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -63,3 +63,19 @@ def test_benchmark_tracer_sees_an_interpolation_certificate():
     seen = {tracing.NAMES[i] for i in tracer.name}
     assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round",
             "galerkin.inertia"} <= seen
+
+
+def test_benchmark_tracer_counts_adaptive_panel_evaluations():
+    # quad.evals counts the integrand values of every rule, including an
+    # adaptive panel's single call on the 72 nodes of its two rules
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        val = _quad.adaptive_gl(lambda x: np.stack([np.exp(x), x]), 0.0, 1.0)
+    finally:
+        undo()
+    assert np.allclose(val, [np.e - 1.0, 0.5])
+    assert tracer.evals == 2 * 72
+    seen = [tracing.NAMES[i] for i in tracer.name]
+    assert seen == ["quad.adaptive_gl", "quad.integrand"]
