@@ -22,10 +22,10 @@ Other shapes get no prediction: predict exits 2, verify galerkin and sweep
 write "prediction": null.  A sum is checked for self-adjointness as a whole.
 Exit 2 also covers malformed specs, sweep cases without a name or a
 kernel, section sizes (--sizes or a sweep case's "sizes") that are fewer
-than 3 or not positive integers, non-self-adjoint or empty kernels, failed
-theorem preconditions and diverging Laguerre sections; exit 3 covers
-numerical failures (a divergent integral, cancelling terms).  A sweep
-records either as the case's "error" and goes on.
+than 3, repeat or are not positive integers, non-self-adjoint or empty
+kernels, failed theorem preconditions and diverging Laguerre sections;
+exit 3 covers numerical failures (a divergent integral, cancelling
+terms).  A sweep records either as the case's "error" and goes on.
 
 Run as ``python -m hankelsigma <command> ...``.
 """
@@ -207,13 +207,15 @@ def _random_tests(kern, count, seed):
 
 def _section_sizes(items):
     """Section sizes of ``--sizes`` (split at commas) or of a sweep case:
-    at least 3 positive integers."""
+    at least 3 distinct positive integers."""
     try:
         sizes = tuple(int(s) if isinstance(s, str) else operator.index(s) for s in items)
     except (TypeError, ValueError):
         raise SpecError("section sizes must be integers, got %r" % (items,)) from None
     if len(sizes) < 3 or min(sizes) < 1:
         raise SpecError("need at least 3 positive section sizes, got %r" % (items,))
+    if len(set(sizes)) < len(sizes):
+        raise SpecError("section sizes repeat, got %r" % (items,))
     return sizes
 
 

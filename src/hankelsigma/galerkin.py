@@ -10,6 +10,13 @@ power-law part with r = 0 are moments of a Jacobi weight in mu, and
 dispatch as one test product with a batch axis (values, Taylor coefficients
 and a decay bound, see ``sigma``), so they cost one pass over those parts.
 
+The counts of nested sections come from their spectra (``_section_spectra``).
+Sections up to 4 * 64 get a dense ``eigvalsh``.  Larger ones are compressed
+once by a seeded rank-64 range finder, H ~ Q M Q^T, and each leading block is
+read from a 64 x 64 matrix.  The a-posteriori bound 2 ||H - H Q Q^T||_F and
+Weyl's inequality certify every count; when one is not certified, all sizes
+fall back to the dense ``eigvalsh``.
+
 Certificates build explicit trial subspaces on which the full quadratic
 form is negative definite, which witnesses N_minus >= dim by the
 variational definition of the counts.  Three constructions are used:
@@ -46,9 +53,9 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
-                    _eig_inertia, _pair_product, matrix_inertia, sigma_of_kernel, sigma_pair,
-                    sign_matrix, sign_matrix_tilde)
+from .sigma import (_INERTIA_RTOL, DecayError, RegularDensity, SigmaDistribution, _PowerLaw,
+                    _SpecProduct, _eig_inertia, _pair_product, matrix_inertia, sigma_of_kernel,
+                    sigma_pair, sign_matrix, sign_matrix_tilde)
 from .special import FExp, FLog, FPoly, FPow, FProd, FSum, fs_affine, fs_const, fs_var
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
@@ -179,9 +186,71 @@ def assemble(kernel, n, atol=1e-12):
     return FiniteSection(n, h, kernel)
 
 
+_RANK = 64  # columns of the range finder of ``_section_spectra``
+_SEED = 0  # of its Gaussian test matrix, so that reruns are byte-identical
+_BLOCK = 128  # rows per block of its residual
+
+
+def _compression_bound(h, q):
+    """(2 ||H - H Q Q^T||_F, H Q).  The first is a bound on ||H - P H P||_2
+    for symmetric H and P = Q Q^T: H - PHP = (I-P)H + PH(I-P), and both terms
+    have 2-norm at most ||(I-P)H||_2 = ||H(I-P)||_2.  It is summed over row
+    blocks, so that no N x N temporary is made."""
+    hq = h @ q
+    sq = sum(float(np.sum((h[i:i + _BLOCK] - hq[i:i + _BLOCK] @ q.T) ** 2))
+             for i in range(0, len(h), _BLOCK))
+    return 2.0 * math.sqrt(sq), hq
+
+
+def _margin(ev, err):
+    """(distance of the nearest of ``ev`` from +-tau, minus ``err``) / max|ev|,
+    tau = _INERTIA_RTOL max|ev| the threshold of ``sigma._eig_inertia``.  When
+    every eigenvalue of a matrix lies within ``err`` of ``ev``, a positive
+    margin means their inertias agree: tau itself then moves by at most
+    _INERTIA_RTOL err."""
+    top = max(np.max(np.abs(ev)), 1e-300)
+    gap = np.min(np.abs(np.abs(ev) - _INERTIA_RTOL * top))
+    return float((gap - (1.0 + _INERTIA_RTOL) * err) / top)
+
+
+def _section_spectra(h, sizes):
+    """(spectra, margins) of the leading blocks h[:s, :s], s in ``sizes``
+    (ascending, the last one len(h)).
+
+    Up to 4 _RANK rows every block gets a dense ``eigvalsh``.  Larger
+    sections are compressed once: Q = qr(H Omega) with a seeded Gaussian
+    Omega of _RANK columns, M = Q^T H Q, and the block of size s is read as
+    E_s^T P H P E_s = Q_s M Q_s^T, whose spectrum is that of T M T^T
+    (T the R factor of Q_s = Q[:s]) padded with zeros.  By Weyl's inequality
+    each eigenvalue of the block lies within ||E_s^T (H - PHP) E_s|| <=
+    ||H - PHP|| <= delta (``_compression_bound``) of the compressed one, and
+    len(h) eps max|theta| more covers rounding.  A size is decided when its
+    ``_margin`` with that error is positive; if any size is undecided,
+    every block gets the dense ``eigvalsh``.  There the margins use the
+    error s eps max|ev|, and may be negative.
+    """
+    n, eps = len(h), np.finfo(float).eps
+    if n > 4 * _RANK:
+        omega = np.random.default_rng(_SEED).standard_normal((n, _RANK))
+        q = np.linalg.qr(h @ omega)[0]
+        delta, hq = _compression_bound(h, q)
+        m = q.T @ hq
+        spectra = []
+        for s in sizes:
+            t = np.linalg.qr(q[:s], mode="r")
+            theta = np.linalg.eigvalsh(t @ m @ t.T)
+            spectra.append(np.sort(np.concatenate([theta, np.zeros(s - len(theta))])))
+        margins = [_margin(ev, delta + n * eps * np.max(np.abs(ev))) for ev in spectra]
+        if min(margins) > 0:
+            return spectra, margins
+    spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
+    return spectra, [_margin(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
+
+
 def section_inertia(section):
-    """(n_plus, n_minus) of the section, by the rule of ``sigma.matrix_inertia``."""
-    return _eig_inertia(np.linalg.eigvalsh(section.matrix))[:2]
+    """(n_plus, n_minus) of the section, by the rule of ``sigma.matrix_inertia``
+    on the spectrum of ``_section_spectra``."""
+    return _eig_inertia(_section_spectra(section.matrix, [section.size])[0][0])[:2]
 
 
 @dataclass(frozen=True)
@@ -190,6 +259,7 @@ class NegCountEstimate:
     value: int | None
     history: tuple  # (size, n_minus, n_plus) triples
     max_eigs: tuple  # largest eigenvalue of each section in ``history``
+    margins: tuple  # each section's ``_margin``: > 0 when its count is certified
 
     def to_json(self):
         return {"kind": self.kind, "value": self.value,
@@ -201,26 +271,32 @@ def stabilized_negcount(kernel, sizes=(16, 32, 64, 128)):
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
     count strictly increases across every listed size; undecided otherwise.
-    Only the largest section is assembled, the others are its leading blocks;
-    ``max_eigs`` holds each section's largest eigenvalue, in ``history``'s order.
+    Repeated sizes count once, and fewer than 3 distinct sizes raise
+    ValueError.  Only the largest section is assembled, the others are its
+    leading blocks, and their spectra come from ``_section_spectra``;
+    ``max_eigs`` and ``margins`` follow ``history``'s order.
     """
-    sizes = sorted(sizes)
+    sizes = sorted(set(sizes))
     if len(sizes) < 3:
-        raise ValueError("need at least 3 section sizes")
+        raise ValueError("need at least 3 distinct section sizes")
     top = assemble(kernel, sizes[-1])
-    spectra = [np.linalg.eigvalsh(top.leading(n).matrix) for n in sizes]
+    spectra, margins = _section_spectra(top.matrix, sizes)
     history = tuple((n,) + _eig_inertia(ev)[1::-1] for n, ev in zip(sizes, spectra))
     max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
     if negs[-1] == negs[-2] == negs[-3]:
-        return NegCountEstimate("finite", negs[-1], history, max_eigs)
-    if all(b > a for a, b in zip(negs, negs[1:])):
-        return NegCountEstimate("infinite-suspected", None, history, max_eigs)
-    return NegCountEstimate("undecided", None, history, max_eigs)
+        kind, value = "finite", negs[-1]
+    elif all(b > a for a, b in zip(negs, negs[1:])):
+        kind, value = "infinite-suspected", None
+    else:
+        kind, value = "undecided", None
+    return NegCountEstimate(kind, value, history, max_eigs, tuple(margins))
 
 
 def carleman_spectrum_study(n, q=1.0):
-    """(min_eig, max_eig) of the section of h(t) = t^{-q}."""
+    """(min_eig, max_eig) of the section of h(t) = t^{-q}.  Dense
+    ``eigvalsh`` at every size: the compression of ``_section_spectra``
+    resolves only the eigenvalues of largest modulus, not the smallest one."""
     if n < 1:
         raise ValueError("need n >= 1")
     sec = assemble(Kernel((QuasiCarlemanTerm(1.0, q, 0.0, 0.0),)), n)

@@ -410,10 +410,13 @@ class SignMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
 
 
+_INERTIA_RTOL = 1e-10  # eigenvalues within this times max|ev| count as zero
+
+
 def _eig_inertia(ev):
     """(n_plus, n_minus, n_zero) of the eigenvalues ``ev``: the signs of
-    those beyond 1e-10 max|ev|, the rest counted as zero."""
-    t = 1e-10 * max(np.max(np.abs(ev)), 1e-300)
+    those beyond _INERTIA_RTOL max|ev|, the rest counted as zero."""
+    t = _INERTIA_RTOL * max(np.max(np.abs(ev)), 1e-300)
     return (int(np.sum(ev > t)), int(np.sum(ev < -t)), int(np.sum(np.abs(ev) <= t)))
 
 

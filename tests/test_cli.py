@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,11 +218,15 @@ def test_verify_galerkin_r0_q_2_5_exits_2(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("sizes", ["16,32", "16,32,6x", "16,32.5,64", "0,16,32"])
+@pytest.mark.parametrize("sizes", ["16,32", "16,32,6x", "16,32.5,64", "0,16,32", "64,64,64"])
 def test_verify_galerkin_bad_sizes_exit_2(tmp_path, sizes):
     spec = _write(tmp_path, "k.json", CARLEMAN)
     assert main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o"),
                  "--sizes", sizes]) == EXIT_VALIDATION
+
+
+# N- infinite: three copies of one section would "agree" on a finite count
+QC_HALF = {"schema": "1", "type": "quasi_carleman", "v0": 1.0, "q": -0.5, "alpha": 1.0, "r": 0.0}
 
 
 def test_verify_galerkin_assembles_once(tmp_path, monkeypatch):
@@ -335,14 +340,16 @@ def test_sweep_records_refused_cases_and_goes_on(tmp_path):
 def test_sweep_case_without_a_kernel_is_its_error(tmp_path):
     config = {"cases": [{"name": "a"}, {"kernel": CARLEMAN},
                         {"name": "b", "kernel": CARLEMAN, "galerkin": True, "sizes": [16, None, 64]},
+                        {"name": "r", "kernel": QC_HALF, "galerkin": True, "sizes": [16, 32, 32]},
                         {"name": "c", "kernel": CARLEMAN}]}
     cfg = _write(tmp_path, "sweep.json", config)
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
-    ra, r1, rb, rc = (json.loads((out / n / "report.json").read_text())
-                      for n in ("a", "case-1", "b", "c"))
+    ra, r1, rb, rr, rc = (json.loads((out / n / "report.json").read_text())
+                          for n in ("a", "case-1", "b", "r", "c"))
     assert "kernel" in ra["error"] and "name" in r1["error"]
     assert "sizes" in rb["error"] and "counts" not in rb
+    assert "repeat" in rr["error"] and "counts" not in rr
     assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
 
 
@@ -402,3 +409,47 @@ def test_reports_reproducible_modulo_timestamp(tmp_path):
         assert set(report.pop("timings")) == {"timestamp", "runtime_sec"}
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_edge_inputs_exit_cleanly(tmp_path, capsys):
+    # malformed and edge inputs end in an exit code, never in a traceback
+    specs = {"qc_half": QC_HALF, "carleman": CARLEMAN, "t3": DIVERGENT,
+             "r0_q2_5": dict(Q17, q=2.5), "beta_zero": BETA_ZERO, "rank_one": RANK_ONE}
+    for name, doc in specs.items():
+        _write(tmp_path, name + ".json", doc)
+    configs = {
+        "no_kernel": {"cases": [{"name": "a"}, {"name": "b", "kernel": CARLEMAN}]},
+        "repeated": {"cases": [{"name": "a", "kernel": QC_HALF, "galerkin": True,
+                                "sizes": [64, 64, 64]}]},
+        "bad_sizes": {"cases": [{"name": "a", "kernel": CARLEMAN, "galerkin": True,
+                                 "sizes": "16,32,64"}]},
+        "not_a_case": {"cases": [7, None, {"name": "b", "kernel": {"type": "sum"}}]},
+    }
+    for name, doc in configs.items():
+        _write(tmp_path, name + ".cfg", doc)
+    cases = [  # (argv, exit code)
+        (["verify", "galerkin", "--spec", "qc_half.json", "--sizes", "64,64,64"], 2),
+        (["verify", "galerkin", "--spec", "carleman.json", "--sizes", "16,32"], 2),
+        (["verify", "galerkin", "--spec", "carleman.json", "--sizes", "x"], 2),
+        (["verify", "galerkin", "--spec", "carleman.json", "--sizes", "x,16,32"], 2),
+        (["verify", "galerkin", "--spec", "carleman.json", "--sizes=-16,32,64"], 2),
+        (["verify", "galerkin", "--spec", "carleman.json", "--sizes", ""], 2),
+        (["verify", "galerkin", "--spec", "t3.json"], 2),
+        (["verify", "galerkin", "--spec", "r0_q2_5.json"], 2),
+        (["verify", "galerkin", "--spec", "beta_zero.json"], 2),
+        (["verify", "galerkin", "--spec", "rank_one.json", "--sizes", "8,16,32"], 0),
+        (["predict", "--spec", "t3.json"], 0),
+        (["predict", "--spec", "r0_q2_5.json"], 0),
+        (["sweep", "--config", "no_kernel.cfg"], 2),
+        (["sweep", "--config", "repeated.cfg"], 2),
+        (["sweep", "--config", "bad_sizes.cfg"], 2),
+        (["sweep", "--config", "not_a_case.cfg"], 2),
+    ]
+    for i, (argv, want) in enumerate(cases):
+        argv = [str(tmp_path / a) if a.endswith((".json", ".cfg")) else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--out", str(tmp_path / ("o%d" % i))])
+        assert code == want, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err, argv

@@ -2,21 +2,22 @@
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (_interpolation_trial, _LaguerreProducts,
-                                  _power_law_moments, _sign_directions, assemble,
-                                  carleman_spectrum_study, certificate,
+from hankelsigma.galerkin import (_compression_bound, _interpolation_trial, _LaguerreProducts,
+                                  _power_law_moments, _section_spectra, _sign_directions,
+                                  assemble, carleman_spectrum_study, certificate,
                                   section_inertia, stabilized_negcount)
 from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
-                               _pair_product, sigma_of_kernel, sigma_pair)
+                               _eig_inertia, _pair_product, sigma_of_kernel, sigma_pair)
 from hankelsigma.special import laguerre_image
 
 
@@ -197,6 +198,105 @@ def test_stabilized_max_eigs_are_section_tops():
     assert set(doc) == {"kind", "value", "history"}
     assert doc["history"] == [[n, *section_inertia(top.leading(n))[::-1]] for n in sizes]
     assert all(h[1] == 1 for h in doc["history"])
+
+
+def test_stabilized_rejects_repeated_sizes():
+    # three copies of one section would "agree" on a finite count, though
+    # N- of this kernel is infinite
+    kern = quasi_carleman(1.0, -0.5, 1.0, 0.0)
+    for sizes in ((64, 64, 64), (16, 32, 32)):
+        with pytest.raises(ValueError, match="distinct"):
+            stabilized_negcount(kern, sizes)
+    est = stabilized_negcount(kern, (16, 32, 32, 64))
+    assert [h[0] for h in est.history] == [16, 32, 64]
+    assert est.kind == "infinite-suspected"
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Records the shape of every matrix handed to ``np.linalg.eigvalsh``."""
+    shapes, real = [], np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+LARGE_SIZES = (128, 256, 512, 1024)
+
+
+@pytest.mark.parametrize("kern", [
+    carleman(),
+    carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0),
+    carleman() + finite_rank([1.0 + 0.5j, -0.3 + 0.2j], 1.0 + 0.7j),
+    quasi_carleman(1.0, -2.5, 1.0, 1.0),
+], ids=["carleman", "fractional", "carleman+pair", "qc(1,-2.5,1,1)"])
+def test_compressed_sections_match_dense(kern, eigvalsh_shapes):
+    est = stabilized_negcount(kern, LARGE_SIZES)
+    # every eigvalsh on a reduced matrix: no dense fallback
+    assert max(shape[0] for shape in eigvalsh_shapes) <= 64
+    top = assemble(kern, LARGE_SIZES[-1]).matrix
+    for (n, nneg, npos), mx, margin in zip(est.history, est.max_eigs, est.margins):
+        ev = np.linalg.eigvalsh(top[:n, :n])
+        assert _eig_inertia(ev)[1::-1] == (nneg, npos)
+        assert abs(mx - ev[-1]) <= 1e-13 * abs(ev[-1])
+        assert margin > 0
+
+
+def test_full_rank_matrix_falls_back_to_dense(eigvalsh_shapes):
+    a = np.random.default_rng(7).standard_normal((512, 512))
+    h = a + a.T
+    sizes = (128, 256, 512)
+    spectra, _ = _section_spectra(h, sizes)
+    assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
+    for s, ev in zip(sizes, spectra):
+        assert np.array_equal(ev, np.linalg.eigvalsh(h[:s, :s]))
+
+
+def _with_spectrum(n, eigenvalues):
+    """An n x n symmetric matrix with these nonzero eigenvalues."""
+    u = np.linalg.qr(np.random.default_rng(3).standard_normal((n, len(eigenvalues))))[0]
+    return (u * eigenvalues) @ u.T
+
+
+def test_eigenvalue_near_threshold_falls_back(eigvalsh_shapes):
+    # eigenvalues (-1/2)^k down to 2e-12 on either side of the threshold
+    # tau = 1e-10 (max|ev| = 1): compressed, with room to spare
+    decaying = [(-0.5) ** k for k in range(40)]
+    sizes = (128, 256, 512)
+    _, margins = _section_spectra(_with_spectrum(512, decaying), sizes)
+    assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and min(margins) > 0
+    # one more eigenvalue 1e-19 from tau, far inside the error of the compression
+    _, margins = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]), sizes)
+    assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
+    assert margins[-1] < 0
+
+
+def test_compression_bound_covers_both_sides():
+    # H - PHP = (I-P)H + PH(I-P).  For P = e1 e1^T and H = [[0, 1], [1, 1]]
+    # its norm (1 + sqrt 5)/2 exceeds ||(I-P)H||_F = sqrt 2: one side is not enough
+    h = np.array([[0.0, 1.0], [1.0, 1.0]])
+    q = np.array([[1.0], [0.0]])
+    for h, q in ((h, q), (_with_spectrum(300, np.linspace(-1, 1, 300)),
+                          np.linalg.qr(np.random.default_rng(5).standard_normal((300, 20)))[0])):
+        p = q @ q.T
+        assert _compression_bound(h, q)[0] >= np.linalg.norm(h - p @ h @ p, 2)
+
+
+def test_section_spectra_memory():
+    # the residual is summed over row blocks: no N x N temporary
+    n = LARGE_SIZES[-1]
+    h = _closed_form_carleman(n)
+    tracemalloc.start()
+    try:
+        _section_spectra(h, LARGE_SIZES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 def test_nested_counts_monotone():
