@@ -286,6 +286,7 @@ def cmd_certificate(args):
         "achieved": cert.achieved,
         "target": cert.target,
         "success": bool(cert.success),
+        "margin": cert.margin,
     }
     report["timings"]["runtime_sec"] = time.time() - start
     _write_report(report, args, "certificate.json")

@@ -39,6 +39,16 @@ interpolation trials the finite-rank part of the Gram matrix is, in closed
 form, the diagonal of the negative sign-matrix eigenvalues (the trials'
 jets at the exponents are the orthonormal eigenvectors); only the pairing
 with h0's density depends on eps.
+
+The gaussian and interpolation trials are sums of "ends", a polynomial times
+a gaussian in a log variable x (x = ln lam for the gaussian family, the
+exponential variable of the sign-matrices for the interpolation trials).
+On a power-law part c/Gamma(q) lam^{q-1} with alpha = 0 and r = 0, such as
+Carleman's, the pairing measure is c/Gamma(q) e^{kx} dx, so their Gram
+entries are sums of gaussian moments, exact up to rounding
+(``_gauss_moment``); the other parts go through adaptive quadrature.  A
+Certificate's ``margin`` bounds how far its count is from changing under
+the entries' error: their quadrature tolerance plus eps max|G| of rounding.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from .predict import predict_quasi_carleman
 from .sigma import (_INERTIA_RTOL, DecayError, RegularDensity, SigmaDistribution, _PowerLaw,
                     _SpecProduct, _eig_inertia, _pair_product, matrix_inertia, sigma_of_kernel,
                     sigma_pair, sign_matrix, sign_matrix_tilde)
-from .special import FExp, FLog, FPoly, FPow, FProd, FSum, fs_affine, fs_const, fs_var
+from .special import FExp, FLog, FPoly, FPow, FProd, FSum, Jet, fs_affine, fs_const, fs_var
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
 from .special import _jet_mul, _jet_recip
@@ -347,34 +357,117 @@ def _shift_poly(coeffs, shift):
     return out
 
 
-def _window(coef, center, power):
-    """exp(coef (z - center)^power) as a FunctionSpec."""
-    return FExp(FProd([fs_const(coef), FPow(fs_affine(1.0, -center), power)]))
+# -- gaussian ends -------------------------------------------------------------
+#
+# An end (c, Q, zeros, E) is the function Q(x - c) prod (x - rho)^m
+# exp(E(x - c)) of a real variable x, with Q a polynomial and E = (e0, e1, e2)
+# a quadratic, both in the local variable x - c, (rho, m) running over
+# ``zeros``, and Re e2 < 0.
+
+def _log_gaussian_part(part):
+    """Whether a sigma part pairs with ends in closed form: a RegularDensity
+    with alpha = 0 and r = 0."""
+    return isinstance(part, RegularDensity) and part.alpha == 0 and part.r == 0
 
 
-def _interpolation_trial(kind, ends, kappas, eps):
-    """One interpolation trial as a FunctionSpec, the sum over its ``ends``.
+def _end_poly(end, d):
+    """Coefficients of an end's polynomial in powers of x - (c + d)."""
+    c, q, zeros, _ = end
+    out = _shift_poly(q, d)
+    for rho, m in zeros:
+        out = np.convolve(out, _shift_poly([0.0] * m + [1.0], c + d - rho))
+    return out
 
-    An end (kappa, a) is Q(z - kappa) phi(z): phi is the product of
+
+def _gauss_moment(end1, end2, k):
+    """integral over the real line of conj(end1(x)) end2(x) e^{kx} dx.
+
+    With s = -(conj e1_2 + e2_2) the exponent is F(x0) - s (x-x0)^2 about its
+    stationary point x0, possibly complex.  Both polynomials are expanded in
+    u = x - x0, and the even coefficients r_2j of their product are summed
+    against integral u^{2j} e^{-s u^2} du = Gamma(j+1/2) s^{-j-1/2}; moving
+    the contour from the real line to x0 + R is exact, as the integrand is
+    entire and decays in the strip between them.
+    """
+    c1, q1, zeros1, e1 = end1
+    c2, e2 = end2[0], end2[3]
+    c1, e1 = np.conj(c1), np.conj(e1)  # conj end1(x) on real x is the mirrored end
+    mirror = (c1, np.conj(q1), [(np.conj(rho), m) for rho, m in zeros1], e1)
+    s = -(e1[2] + e2[2])
+    d1 = (e1[1] + e2[1] + 2.0 * e2[2] * (c1 - c2) + k) / (2.0 * s)
+    d2 = d1 + (c1 - c2)
+    f0 = e1[0] + (e1[1] + e1[2] * d1) * d1 + e2[0] + (e2[1] + e2[2] * d2) * d2 + k * (c1 + d1)
+    r = np.convolve(_end_poly(mirror, d1), _end_poly(end2, d2))[::2]
+    moments = np.sqrt(np.pi / s) * np.cumprod(np.r_[1.0, (np.arange(1, len(r)) - 0.5) / s])
+    return np.exp(f0) * (r @ moments)
+
+
+def _gauss_gram(trials, weights):
+    """Gram matrix of trials given as lists of ends against the weight
+    sum_p w_p e^{k_p x} dx, ``weights`` the (w_p, k_p)."""
+    return _hermitian_gram(lambda t1, t2: sum(w * _gauss_moment(e1, e2, k) for w, k in weights
+                                              for e1 in t1 for e2 in t2), trials)
+
+
+def _end_spec(ends):
+    """The sum of ``ends`` as a FunctionSpec of x.  An end with a real center
+    is narrow at c and c +- 4 w, w = (-e2)^{-1/2} its width."""
+    parts = []
+    for c, q, zeros, e in ends:
+        window = FExp(FPoly(e, c))
+        if np.imag(c) == 0:
+            w = (-e[2].real) ** -0.5
+            window.knots = (c.real - 4 * w, c.real, c.real + 4 * w)
+        parts.append(FProd([FPoly(q, c)] + [FPow(fs_affine(1.0, -rho), m) for rho, m in zeros]
+                           + [window]))
+    return parts[0] if len(parts) == 1 else FSum(parts)
+
+
+def _gaussian_end(center, eps):
+    """``gaussian_trial`` in x = ln lam, where (eps lam)^{-1/2} e^{-ln^2(lam/A)/eps^2}
+    = eps^{-1/2} exp(-ln A/2 - (x - ln A)/2 - (x - ln A)^2/eps^2)."""
+    c = math.log(center)
+    return (c, np.array([eps ** -0.5]), (), np.array([-0.5 * c, -0.5, -eps ** -2.0]))
+
+
+def _fit(coeffs, n):
+    """The first n of ``coeffs``, padded with zeros."""
+    out = np.zeros(n, dtype=complex)
+    out[:min(n, len(coeffs))] = coeffs[:n]
+    return out
+
+
+def _interpolation_ends(kind, ends, kappas, eps):
+    """The ends of one interpolation trial, one per (kappa, a) of ``ends``.
+
+    The end at kappa is Q(z - kappa) phi(z): phi is the product of
     (z - kappa_n)^{K_n + 1} over the other (kappa_n, K_n) of ``kappas`` and
     a window, exp(-(z-kappa)^2/eps^2) for a real group, exp(-i sg
     (z-kappa)/eps - (z - Re kappa)^2) for a pair (sg = sign Im kappa); Q is
     the Taylor polynomial at kappa of sum_l a_l (z-kappa)^l / l! over phi.
-    So the trial's l-th derivative at kappa is a_l, l <= K.
+    So the trial's l-th derivative at kappa is a_l, l <= K.  In the local
+    variable y = z - kappa the pair window's exponent is
+    -y^2 - (i sg/eps + 2 i b) y + b^2, b = Im kappa.
     """
-    parts = []
+    out = []
     for kap, a in ends:
-        factors = [FPow(fs_affine(1.0, -k), d + 1) for k, d in kappas if abs(k - kap) > 1e-14]
+        zeros = [(k, d + 1) for k, d in kappas if abs(k - kap) > 1e-14]
         if kind == "real":
-            factors.append(_window(-1.0 / eps ** 2, kap, 2))
+            e = np.array([0.0, 0.0, -eps ** -2.0], dtype=complex)
         else:
-            sg = 1.0 if kap.imag > 0 else -1.0
-            factors += [_window(-1j * sg / eps, kap, 1), _window(-1.0, kap.real, 2)]
-        phi = FProd(factors)
-        taylor = a / np.array([math.factorial(l) for l in range(len(a))])
-        q = _jet_mul(taylor, phi.jet(kap, len(a) - 1).reciprocal().coeffs)
-        parts.append(FProd([FPoly(_shift_poly(q, -kap)), phi]))
-    return parts[0] if len(parts) == 1 else FSum(parts)
+            sg, b = (1.0 if kap.imag > 0 else -1.0), kap.imag
+            e = np.array([b * b, -1j * sg / eps - 2j * b, -1.0])
+        n = len(a)
+        phi = _jet_mul(_fit(_end_poly((kap, [1.0], zeros, e), 0.0), n),
+                       Jet(kap, _fit(e, n)).exp().coeffs)
+        taylor = a / np.array([math.factorial(l) for l in range(n)])
+        out.append((kap, _jet_mul(taylor, _jet_recip(phi)), zeros, e))
+    return out
+
+
+def _interpolation_trial(kind, ends, kappas, eps):
+    """One interpolation trial as a FunctionSpec, from its ``_interpolation_ends``."""
+    return _end_spec(_interpolation_ends(kind, ends, kappas, eps))
 
 
 class CertificateInputError(ValueError):
@@ -389,10 +482,18 @@ class Certificate:
     gram: np.ndarray
     achieved: int
     target: int
+    gram_err: float = math.nan  # bound on ||gram - exact Gram||_2; nan if unknown
 
     @property
     def success(self):
         return self.achieved >= self.target
+
+    @property
+    def margin(self):
+        """``_margin`` of the Gram spectrum with error ``gram_err``: > 0 when
+        ``achieved`` holds for every matrix within that error, nan when the
+        error is unknown."""
+        return _margin(np.linalg.eigvalsh(0.5 * (self.gram + self.gram.conj().T)), self.gram_err)
 
 
 _ROUNDS = 12  # eps values each construction tries
@@ -415,6 +516,14 @@ def _neg_inertia(g):
     return matrix_inertia(gh)[1]
 
 
+def _gram_certificate(kind, eps, params, g, target, atol):
+    """Certificate of the Gram matrix ``g``.  Each entry is within ``atol``
+    (its quadrature tolerance, 0 in closed form) plus rounding, eps max|G|,
+    of the exact pairing, so by Weyl the spectrum is within m times that."""
+    err = len(g) * (atol + np.finfo(float).eps * np.max(np.abs(g)))
+    return Certificate(kind, eps, params, g, _neg_inertia(g), target, float(err))
+
+
 def _hermitian_gram(pair, trials):
     """G[i, j] = pair(trials[i], trials[j]) for j >= i, mirrored below."""
     m = len(trials)
@@ -429,13 +538,21 @@ def _hermitian_gram(pair, trials):
 # -- gaussian-family certificate --------------------------------------------
 
 def _certify_gaussian(sig, beta, target, eps0, delta0):
+    """Gram = closed-form block of the ``_log_gaussian_part`` parts + adaptive
+    pairings with the others.  In x = ln lam a part's measure c/Gamma(q)
+    lam^{q-1} dlam is c/Gamma(q) e^{qx} dx: k = q."""
+    weights = [(p.weight, p.q) for p in sig.parts if _log_gaussian_part(p)]
+    rest = SigmaDistribution(tuple(p for p in sig.parts if not _log_gaussian_part(p)))
+    atol = 1e-11 if rest.parts else 0.0
     delta, eps = delta0, min(eps0, delta0 / 6.0)
     for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
-        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11),
-                            [gaussian_trial(a, eps) for a in centers])
-        yield Certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
-                          g, _neg_inertia(g), target)
+        g = _gauss_gram([[_gaussian_end(a, eps)] for a in centers], weights)
+        if rest.parts:
+            g += _hermitian_gram(lambda u, v: sigma_pair(rest, u, v, atol=atol),
+                                 [gaussian_trial(a, eps) for a in centers])
+        yield _gram_certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
+                                g, target, atol)
         if rd % 2 == 0:
             delta *= 0.5
         eps = min(eps * 0.5, delta / 6.0)
@@ -448,8 +565,8 @@ def _certify_window(sig, beta, rho, n_sub, target, eps0):
     for _ in range(_ROUNDS):
         trials = window_trials(beta, rho, n_sub, target, eps)
         g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11), trials)
-        yield Certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
-                          g, _neg_inertia(g), target)
+        yield _gram_certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
+                                g, target, 1e-11)
         eps *= 0.5
 
 
@@ -481,7 +598,9 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     """Gram = sign block + s0 block.  Each trial's jets at the exponents are
     its sign-matrix eigenvector, so the finite-rank part of the form is
     a_i^H S a_j = diag of the negative eigenvalues, for every eps; only the
-    pairing with s0 (h0's density) depends on eps."""
+    pairing with s0 (h0's density) depends on eps.  The s0 block is closed
+    form on the ``_log_gaussian_part`` parts (s0 = c/Gamma(q) e^{(1-q) x},
+    so k = 1 - q) and ``_s0_pair_x`` on the others."""
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
@@ -490,18 +609,24 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     params = {"groups": len(groups)}
     s0_parts = h0_sigma.regular_parts
     if not s0_parts:
-        yield Certificate("interpolation", eps0, params, block, _neg_inertia(block), target)
+        yield _gram_certificate("interpolation", eps0, params, block, target, 0.0)
         return
+    weights = [(p.weight, 1.0 - p.q) for p in s0_parts if _log_gaussian_part(p)]
+    rest = [p for p in s0_parts if not _log_gaussian_part(p)]
+    atol = 1e-12 if rest else 0.0
     eps = eps0
     for _ in range(_ROUNDS):
-        trials = [_interpolation_trial(kind, ends, kappas, eps) for _, kind, ends in directions]
-        g = block + _hermitian_gram(lambda u, w: _s0_pair_x(s0_parts, u, w), trials)
-        yield Certificate("interpolation", eps, params, g, _neg_inertia(g), target)
+        ends = [_interpolation_ends(kind, e, kappas, eps) for _, kind, e in directions]
+        g = block + _gauss_gram(ends, weights)
+        if rest:
+            g += _hermitian_gram(lambda u, w: _s0_pair_x(rest, u, w), [_end_spec(e) for e in ends])
+        yield _gram_certificate("interpolation", eps, params, g, target, atol)
         eps *= 0.5
 
 
 def _s0_pair_x(s0_parts, u1, u2):
-    """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x})."""
+    """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x}), on
+    [-40, 40] with the tests' knots added to 25 fixed ones."""
     prod = _SpecProduct(u1, u2)
 
     def integrand(x):
@@ -512,7 +637,7 @@ def _s0_pair_x(s0_parts, u1, u2):
         return s0 * prod(x)
 
     return _quad.adaptive_gl(integrand, -40.0, 40.0,
-                             atol=1e-12, knots=list(np.linspace(-12, 12, 25)))
+                             atol=1e-12, knots=list(np.linspace(-12, 12, 25)) + list(prod.knots))
 
 
 # ---------------------------------------------------------------------------

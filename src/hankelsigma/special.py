@@ -318,14 +318,19 @@ def _as_spec(x):
 
 
 class FPoly(FunctionSpec):
-    def __init__(self, coeffs):
+    """sum_k coeffs[k] (z - center)^k."""
+
+    def __init__(self, coeffs, center=0.0):
         self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.center = center
         if len(self.coeffs) == 0:
             self.coeffs = np.zeros(1, complex)
 
     def __call__(self, z):
         # polyval's Horner steps (numpy takes a real z as z + 0j): bitwise equal
         z = np.asarray(z)
+        if self.center != 0:
+            z = z - self.center
         out = self.coeffs[-1] + z * 0
         for c in self.coeffs[-2::-1]:
             out = c + out * z
@@ -334,6 +339,8 @@ class FPoly(FunctionSpec):
     def jet(self, center, order):
         out = Jet(center, np.zeros(order + 1, complex))
         zj = _var_jet(center, order)
+        if self.center != 0:
+            zj = zj - self.center
         for c in self.coeffs[::-1]:
             out = out * zj + c
         return out
@@ -464,12 +471,14 @@ class FProd(FunctionSpec):
 
 
 class FSum(FunctionSpec):
-    """sum(parts), with nested sums flattened and polynomial parts merged."""
+    """sum(parts), with nested sums flattened and the polynomial parts in
+    powers of z merged."""
 
     def __init__(self, parts):
         flat = [q for p in map(_as_spec, parts) for q in (p.parts if isinstance(p, FSum) else [p])]
-        self.parts = [p for p in flat if not isinstance(p, FPoly)]
-        polys = [p.coeffs for p in flat if isinstance(p, FPoly)]
+        merge = [isinstance(p, FPoly) and p.center == 0 for p in flat]
+        self.parts = [p for p, m in zip(flat, merge) if not m]
+        polys = [p.coeffs for p, m in zip(flat, merge) if m]
         if polys:
             self.parts.append(FPoly(functools.reduce(np.polynomial.polynomial.polyadd, polys)))
         self.knots = sum((p.knots for p in self.parts), ())

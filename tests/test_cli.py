@@ -278,6 +278,8 @@ def test_certificate_command(tmp_path):
                  "--out", out]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert report["certificate"]["success"] is True
+    # the margin sits with the result, not with the timings
+    assert 0 < report["certificate"]["margin"] < 1
 
 
 UNPAIRED = {"schema": "1", "type": "finite_rank",

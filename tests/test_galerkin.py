@@ -1,7 +1,9 @@
 """Finite sections, stabilized counts, spectrum study, certificates."""
 
 import contextlib
+import importlib.util
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -9,10 +11,12 @@ import numpy as np
 import pytest
 
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (_compression_bound, _interpolation_trial, _LaguerreProducts,
-                                  _power_law_moments, _section_spectra, _sign_directions,
-                                  assemble, carleman_spectrum_study, certificate,
-                                  section_inertia, stabilized_negcount)
+from hankelsigma.galerkin import (_ROUNDS, _certify_gaussian, _certify_interpolation,
+                                  _compression_bound, _end_spec, _gauss_gram, _hermitian_gram,
+                                  _interpolation_ends, _interpolation_trial, _LaguerreProducts,
+                                  _power_law_moments, _s0_pair_x, _section_spectra,
+                                  _sign_directions, assemble, carleman_spectrum_study,
+                                  certificate, section_inertia, stabilized_negcount)
 from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
@@ -469,3 +473,116 @@ def test_certificate_soundness_on_finite_branches():
 def test_certificate_target_validation():
     with pytest.raises(ValueError):
         certificate(carleman(), finite_rank([-1.0], 1.0), 0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form certificate Gram matrices (gaussian moments)
+# ---------------------------------------------------------------------------
+
+def _eps_schedule(eps0):
+    return [eps0 * 0.5 ** r for r in range(_ROUNDS)]
+
+
+def test_gaussian_gram_matches_the_log_gaussian_formula():
+    # on c/Gamma(q) lam^{q-1}, <w_i, w_j> = c/Gamma(q) sqrt(pi/2)
+    # exp(-d^2/(2 eps^2) + (q-1) S/2 + (q-1)^2 eps^2/8), d and S the
+    # difference and sum of ln A_i, ln A_j: every entry, every round
+    parts = ((1.0, 1.0), (0.5, 0.5))
+    sig = sigma_of_kernel(carleman() + quasi_carleman(0.5, 0.5))
+    rounds = list(_certify_gaussian(sig, 1.0, 3, eps0=0.01, delta0=0.06))
+    assert len(rounds) == _ROUNDS
+    for cert in rounds:
+        x = np.log(cert.params["centers"])
+        d, s = x[:, None] - x[None, :], x[:, None] + x[None, :]
+        eps = cert.eps
+        exact = sum(c / math.gamma(q) * math.sqrt(math.pi / 2)
+                    * np.exp(-d ** 2 / (2 * eps ** 2) + (q - 1) * s / 2 + (q - 1) ** 2 * eps ** 2 / 8)
+                    for c, q in parts)
+        err = np.abs(cert.gram - exact)
+        # entries as small as exp(-100) keep 1e-13 of their own size
+        assert np.all(err <= 1e-12 * np.abs(exact)) and np.max(err) <= 2e-15 * np.max(exact)
+        assert cert.gram_err == pytest.approx(3 * np.finfo(float).eps * np.max(np.abs(cert.gram)))
+
+
+def test_degree_zero_interpolation_trial_in_closed_form():
+    # a real degree-0 trial is a exp(-(x-kappa)^2/eps^2); against
+    # s0 = w e^{(1-q) x} its square pairs to
+    # w a^2 e^{-(q-1) kappa} eps sqrt(pi/2) e^{(q-1)^2 eps^2/8}
+    v = finite_rank([-1.0], 0.6)
+    (lam, _, ((kappa, a),)), = _sign_directions(v.conjugate_groups())[1]
+    c, q = 0.7, 0.5
+    w = c / math.gamma(q)
+    rounds = list(_certify_interpolation(sigma_of_kernel(quasi_carleman(c, q)), v, 1, 0.2))
+    assert [cert.eps for cert in rounds] == _eps_schedule(0.2)
+    for cert in rounds:
+        eps = cert.eps
+        exact = (w * abs(a[0]) ** 2 * math.exp(-(q - 1) * kappa.real) * eps * math.sqrt(math.pi / 2)
+                 * math.exp((q - 1) ** 2 * eps ** 2 / 8))
+        s0 = _gauss_gram([_interpolation_ends("real", ((kappa, a),), [(kappa, 0)], eps)],
+                         [(w, 1.0 - q)])
+        assert abs(s0[0, 0] - exact) <= 1e-14 * exact
+        # the certificate adds the sign block -1/beta
+        assert cert.gram[0, 0] == lam + s0[0, 0] and lam == pytest.approx(-1 / 0.6)
+
+
+def test_s0_quadrature_sees_narrow_real_trials():
+    # alpha = 0.01 keeps the background on the quadrature path, with
+    # s0(x) = 1 below x = -ln 0.01.  A real degree-0 trial is
+    # a exp(-(x-kappa)^2/eps^2) and pairs to a^2 sqrt(pi/2) eps; its window's
+    # knots let the quadrature see it at every eps (without them it read
+    # 1.4e-174 at eps = 7.8e-4).  The rounding of the nodes' positions,
+    # ~1e-16 against a width of 1e-4, bounds the agreement near 1e-12.
+    sig0 = sigma_of_kernel(quasi_carleman(1.0, 1.0, 0.01, 0.0))
+    kappas, directions = _sign_directions(finite_rank([-1.0], 0.6).conjugate_groups())
+    (_, kind, ends), = directions
+    a = ends[0][1][0]
+    for eps in _eps_schedule(0.2):
+        u = _interpolation_trial(kind, ends, kappas, eps)
+        exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
+        assert abs(_s0_pair_x(sig0.parts, u, u) - exact) <= 1e-11 * exact, eps
+
+
+def _workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("background", ["carleman", "qc(0.7,0.5)", "qc(1.3,1.6)+carleman"])
+def test_interpolation_gram_matches_the_s0_quadrature(background):
+    # every finite-rank shape of the benchmark, closed form against the
+    # adaptive pairing of the same trials, at every eps of the schedule
+    h0 = {"carleman": carleman(), "qc(0.7,0.5)": quasi_carleman(0.7, 0.5),
+          "qc(1.3,1.6)+carleman": quasi_carleman(1.3, 1.6) + carleman()}[background]
+    parts = sigma_of_kernel(h0).parts
+    weights = [(p.weight, 1.0 - p.q) for p in parts]
+    wl = _workloads()
+    rng = np.random.default_rng(0)
+    for shape in wl.INTERP_SHAPES:
+        v = wl._fr_kernel(wl._draw_finite_rank(rng, shape))
+        kappas, directions = _sign_directions(v.conjugate_groups())
+        for eps in _eps_schedule(0.2):
+            ends = [_interpolation_ends(kind, e, kappas, eps) for _, kind, e in directions]
+            g = _gauss_gram(ends, weights)
+            ref = _hermitian_gram(lambda u, w: _s0_pair_x(parts, u, w), [_end_spec(e) for e in ends])
+            # the scale is the certificate's Gram, sign block included: the
+            # s0 block of a pair is ~exp(-2 |Im kappa|/eps), below the
+            # quadrature's tolerance from eps = 0.0125 on
+            scale = np.max(np.abs(np.diag([lam for lam, _, _ in directions]) + ref))
+            assert np.max(np.abs(g - ref)) <= 1e-12 * scale, (shape, eps)
+
+
+def test_certificate_margin():
+    # closed form: the error is m eps max|G|, so the margin is nearly the
+    # relative gap of the Gram spectrum to the threshold
+    cert = certificate(carleman(), finite_rank([0, 1.0, 0.5], 0.8), 1)
+    ev = np.linalg.eigvalsh(cert.gram)
+    assert cert.gram_err == pytest.approx(len(ev) * np.finfo(float).eps * np.max(np.abs(cert.gram)))
+    assert cert.margin == pytest.approx(np.min(np.abs(ev)) / np.max(np.abs(ev)), rel=1e-6)
+    assert cert.margin > 0
+    # quadrature entries add m atol
+    cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.0), 1)
+    assert cert.gram_err >= 1e-11 and 0 < cert.margin < 1

@@ -206,14 +206,23 @@ def _unfolded():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FProd, "__init__", _unfolded_init)
         mp.setattr(FSum, "__init__", _unfolded_init)
-        mp.setattr(FPoly, "__call__", lambda self, z: polyval(np.asarray(z, dtype=complex), self.coeffs))
+        mp.setattr(FPoly, "__call__",
+                   lambda self, z: polyval(np.asarray(z, dtype=complex) - self.center, self.coeffs))
         yield
 
 
-def _interpolation_trials():
+def _interpolation_directions():
     v = finite_rank([0, 1.0, 0.5], 0.8) + finite_rank([1.0, 0.5j], 1 + 1j)
-    kappas, directions = _sign_directions(v.conjugate_groups())
+    return _sign_directions(v.conjugate_groups())
+
+
+def _interpolation_trials():
+    kappas, directions = _interpolation_directions()
     return [_interpolation_trial(kind, ends, kappas, 0.2) for _, kind, ends in directions]
+
+
+def _interpolation_kinds():
+    return [kind for _, kind, _ in _interpolation_directions()[1]]
 
 
 _TREES = {
@@ -244,9 +253,12 @@ def test_folded_trees_match_unfolded_reference(name):
         for c, jet in zip(centers, jets):
             assert np.max(np.abs(w.jet(c, 12).coeffs - jet)) <= 1e-15 * np.max(np.abs(jet))
         assert _decay(w) == _decay(w_ref)
-        # flattening keeps every leaf's knots (the log windows carry them)
+        # flattening keeps every leaf's knots (the log windows and the
+        # windows of real interpolation ends carry them)
         assert sorted(w.knots) == sorted(k for n in _nodes(w_ref) for k in n.knots)
-        assert bool(w.knots) == (name in ("gaussian", "window"))
+    narrow = ([kind == "real" for kind in _interpolation_kinds()] if name == "interpolation"
+              else [name in ("gaussian", "window")] * len(ref))
+    assert [bool(w.knots) for w in build()] == narrow
 
 
 def _decay(spec):
@@ -274,3 +286,19 @@ def test_subtraction_and_negation_fold_their_sign():
     assert isinstance(-(-a), FProd) and (-(-a)).scale == 1
     z = np.array([0.4, 2.5])
     assert np.allclose((a - b)(z), a(z) - b(z), rtol=1e-15, atol=0)
+
+
+def test_centered_polynomial():
+    # 1 + 2 (z - c) - 3 (z - c)^2 with c = 0.5 - 0.2i: values and jets are
+    # those of the expanded polynomial, and a sum keeps it apart from the
+    # polynomials in powers of z
+    c = 0.5 - 0.2j
+    p = FPoly([1.0, 2.0, -3.0], c)
+    expanded = FPoly([1.0 - 2.0 * c - 3.0 * c * c, 2.0 + 6.0 * c, -3.0])
+    z = np.array([0.1, 0.5, 2.0])
+    assert np.allclose(p(z), expanded(z), rtol=1e-15, atol=0)
+    for center in (0.5 - 0.2j, 1.0):
+        assert np.allclose(p.jet(center, 4).coeffs, expanded.jet(center, 4).coeffs, rtol=1e-15, atol=1e-15)
+    assert p.decay() == expanded.decay()
+    total = p + fs_var() + 1.0
+    assert len(total.parts) == 2 and np.allclose(total(z), p(z) + z + 1.0, rtol=1e-15, atol=0)

@@ -49,20 +49,31 @@ def test_benchmark_tracer_installs_and_undoes():
             "sigma.delta", "special.jet"} <= seen
 
 
-def test_benchmark_tracer_sees_an_interpolation_certificate():
-    # the spans of the certificates workload's interpolation ops: the s0
-    # pairing and the per-round inertia, which reach matrix_inertia
+def _traced_names(call):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
-        cert = galerkin.certificate(carleman(), finite_rank([-1.0], 1.0), 1)
+        out = call()
     finally:
         undo()
+    return out, {tracing.NAMES[i] for i in tracer.name}
+
+
+def test_benchmark_tracer_sees_an_interpolation_certificate():
+    # the spans of an interpolation certificate on a background that takes
+    # quadrature (r = 1): the s0 pairing and the per-round inertia, which
+    # reach matrix_inertia
+    cert, seen = _traced_names(lambda: galerkin.certificate(quasi_carleman(1.0, 1.0, 0.0, 1.0),
+                                                            finite_rank([-1.0], 1.0), 1))
     assert cert.success
-    seen = {tracing.NAMES[i] for i in tracer.name}
     assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round",
             "galerkin.inertia"} <= seen
+    # a Carleman background pairs in closed form: no s0 quadrature
+    cert, seen = _traced_names(lambda: galerkin.certificate(carleman(), finite_rank([-1.0], 1.0), 1))
+    assert cert.success
+    assert "galerkin.s0_pair" not in seen
+    assert {"galerkin.certificate", "galerkin.round", "galerkin.inertia"} <= seen
 
 
 def test_benchmark_tracer_counts_adaptive_panel_evaluations():
