@@ -410,16 +410,10 @@ def _gauss_gram(trials, weights):
 
 
 def _end_spec(ends):
-    """The sum of ``ends`` as a FunctionSpec of x.  An end with a real center
-    is narrow at c and c +- 4 w, w = (-e2)^{-1/2} its width."""
-    parts = []
-    for c, q, zeros, e in ends:
-        window = FExp(FPoly(e, c))
-        if np.imag(c) == 0:
-            w = (-e[2].real) ** -0.5
-            window.knots = (c.real - 4 * w, c.real, c.real + 4 * w)
-        parts.append(FProd([FPoly(q, c)] + [FPow(fs_affine(1.0, -rho), m) for rho, m in zeros]
-                           + [window]))
+    """The sum of ``ends`` as a FunctionSpec of x.  The window of an end with
+    a real center is a real gaussian, so ``FExp`` gives it its knots."""
+    parts = [FProd([FPoly(q, c)] + [FPow(fs_affine(1.0, -rho), m) for rho, m in zeros]
+                   + [FExp(FPoly(e, c))]) for c, q, zeros, e in ends]
     return parts[0] if len(parts) == 1 else FSum(parts)
 
 
@@ -463,11 +457,6 @@ def _interpolation_ends(kind, ends, kappas, eps):
         taylor = a / np.array([math.factorial(l) for l in range(n)])
         out.append((kap, _jet_mul(taylor, _jet_recip(phi)), zeros, e))
     return out
-
-
-def _interpolation_trial(kind, ends, kappas, eps):
-    """One interpolation trial as a FunctionSpec, from its ``_interpolation_ends``."""
-    return _end_spec(_interpolation_ends(kind, ends, kappas, eps))
 
 
 class CertificateInputError(ValueError):
@@ -628,15 +617,8 @@ def _s0_pair_x(s0_parts, u1, u2):
     """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x}), on
     [-40, 40] with the tests' knots added to 25 fixed ones."""
     prod = _SpecProduct(u1, u2)
-
-    def integrand(x):
-        lam = np.exp(-x)
-        s0 = np.zeros_like(lam)
-        for p in s0_parts:
-            s0 = s0 + p.density(lam)
-        return s0 * prod(x)
-
-    return _quad.adaptive_gl(integrand, -40.0, 40.0,
+    s0 = SigmaDistribution(tuple(s0_parts))
+    return _quad.adaptive_gl(lambda x: s0.density(np.exp(-x)) * prod(x), -40.0, 40.0,
                              atol=1e-12, knots=list(np.linspace(-12, 12, 25)) + list(prod.knots))
 
 

@@ -345,14 +345,25 @@ class FPoly(FunctionSpec):
             out = out * zj + c
         return out
 
+    @property
+    def degree(self):
+        return max([k for k, c in enumerate(self.coeffs) if c != 0], default=0)
+
     def decay(self):
-        deg = max([k for k, c in enumerate(self.coeffs) if c != 0], default=0)
-        return (0.0, float(deg))
+        return (0.0, float(self.degree))
 
 
 class FExp(FunctionSpec):
+    """exp(child).  A real gaussian exp(c0 + c1 (z-a) + c2 (z-a)^2), c2 < 0,
+    is narrow at m and m +- 4 w: m = a - c1/(2 c2) its peak, w = (-c2)^{-1/2}."""
+
     def __init__(self, child):
-        self.child = _as_spec(child)
+        self.child = ch = _as_spec(child)
+        if (isinstance(ch, FPoly) and ch.degree == 2 and not np.any(ch.coeffs.imag)
+                and np.imag(ch.center) == 0 and ch.coeffs[2].real < 0):
+            c1, c2 = ch.coeffs[1].real, ch.coeffs[2].real
+            m, w = np.real(ch.center) - c1 / (2 * c2), (-c2) ** -0.5
+            self.knots = (m - 4 * w, m, m + 4 * w)
 
     def __call__(self, z):
         return np.exp(self.child(z))
@@ -363,7 +374,7 @@ class FExp(FunctionSpec):
     def decay(self):
         ch = self.child
         if isinstance(ch, FPoly):
-            deg = max([k for k, c in enumerate(ch.coeffs) if c != 0], default=0)
+            deg = ch.degree
             if deg <= 1:
                 slope = ch.coeffs[1] if len(ch.coeffs) > 1 else 0.0
                 return (-float(np.real(slope)), 0.0)

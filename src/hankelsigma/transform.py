@@ -10,7 +10,9 @@ This module implements that pipeline on uniform grids in x = ln t
 (equivalently x = -ln lam), its inverse (reconstruction of f from the
 exponential-variable test function u), the gaussian-mollifier sandwich
 operators T_n = Gamma* chihat_n (Gamma*)^{-1}, and generic sandwiched
-Fourier operators s(x) Phi* v(xi).
+Fourier operators s(x) Phi* v(xi).  On the xi grid, with
+lg = log Gamma(1/2 - i xi), T_n g = e^{lg} (chihat_n dx * (e^{-lg} g)): one
+gaussian convolution, truncated where its tail falls below 1e-17.
 
 Grid Fourier conventions are pinned here once: with x_j = x0 + j dx and
 fft-order frequencies xi_k = 2 pi k/(n dx),
@@ -29,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import FunctionSpec, gamma, log_gamma
 
@@ -286,15 +287,6 @@ def reconstruct(u):
 # Mollifier sandwich operators T_n = Gamma* chihat_n (Gamma*)^{-1}
 # ---------------------------------------------------------------------------
 
-def _mollifier_entries(n, grid, lg_i, lg_j, d):
-    """T_n kernel entries n dx / (2 sqrt(pi)) e^{lg_i - lg_j - n^2 d^2 / 4}.
-
-    ``lg`` is log Gamma(1/2 - i xi) (its real part for |K|) at rows i and
-    columns j, and d = xi_i - xi_j.
-    """
-    return n / (2 * np.sqrt(np.pi)) * np.exp(lg_i - lg_j - (n ** 2 / 4.0) * d ** 2) * grid.dx
-
-
 def mollifier_matrix(n, grid=MOLLIFIER_GRID):
     """Dense xi-grid matrix of T_n with the Gamma ratio folded in log-space.
 
@@ -304,18 +296,20 @@ def mollifier_matrix(n, grid=MOLLIFIER_GRID):
     """
     xi = grid.xs
     lg = log_gamma(0.5 - 1j * xi)
-    return _mollifier_entries(n, grid, lg[:, None], lg[None, :], xi[:, None] - xi[None, :])
+    d = xi[:, None] - xi[None, :]
+    log_ratio = lg[:, None] - lg[None, :] - (n ** 2 / 4.0) * d ** 2
+    return n / (2 * np.sqrt(np.pi)) * np.exp(log_ratio) * grid.dx
 
 
 def _band_width(n, grid):
-    """Half-width b of the band of |K| kept for T_n.
+    """Half-width b of the convolution kept for T_n: offsets |o| <= b.
 
     With a = Re log Gamma(1/2 - i xi) = log(pi / cosh(pi xi)) / 2, one has
-    a_i - a_j <= pi |d| / 2, so an entry at offset o is at most
+    a_i - a_j <= pi |d| / 2, so an entry of |K| at offset o is at most
     n dx / (2 sqrt(pi)) e^{pi |o dx| / 2 - n^2 (o dx)^2 / 4}.  b is the
     smallest width whose dropped tail, twice the sum of that envelope over
-    o > b, is <= 1e-17: every row and column outside the band then sums to
-    <= 1e-17 of the diagonal entry, and so of the norm.
+    o > b, is <= 1e-17: every row and column of the dropped entries then
+    sums to <= 1e-17 of the diagonal entry, and so of the norm.
     """
     s = grid.dx * np.arange(grid.count)
     env = np.exp(np.pi * s / 2 - n ** 2 * s ** 2 / 4)
@@ -323,63 +317,43 @@ def _band_width(n, grid):
     return int(np.argmax(2 * beyond <= 1e-17))
 
 
-def _mollifier_band(n, grid, a):
-    """Row i holds the entries (i, j), j = i-b..i+b, of a kernel with lg = a.
+def _mollifier_conv(n, grid):
+    """The convolution x -> chihat_n dx * x over |o| <= b, and lg on the grid.
 
-    Entries with j off the grid are 0.  With a = Re log Gamma(1/2 - i xi)
-    these are the band of |K|; with -a, the band of its transpose.
+    lg = log Gamma(1/2 - i xi), so T_n g = e^{lg} conv(e^{-lg} g).  The sum
+    is direct: e^{-lg} reaches ~1e27 at the edges of MOLLIFIER_GRID, and an
+    FFT would spread the rounding of those entries over every output.
     """
-    b = _band_width(n, grid)
-    xi = grid.xs
-    w = 2 * b + 1
-    on = sliding_window_view(np.pad(np.ones(grid.count), b), w)
-    xj = sliding_window_view(np.pad(xi, b), w)
-    aj = sliding_window_view(np.pad(a, b), w)
-    return on * _mollifier_entries(n, grid, a[:, None], aj, xi[:, None] - xj)
-
-
-def _band_apply(band, x):
-    """band @ x for each row of x, shape (m, N)."""
-    b = band.shape[1] // 2
-    win = sliding_window_view(np.pad(x, ((0, 0), (b, b))), 2 * b + 1, axis=1)
-    return np.einsum("ik,jik->ji", band, win)
-
-
-def _mollifier_phases(grid):
-    """a = Re lg and U = e^{i Im lg}, lg = log Gamma(1/2 - i xi): K = U |K| U^H."""
-    lg = log_gamma(0.5 - 1j * grid.xs)
-    return lg.real, np.exp(1j * lg.imag)
-
-
-def _check_index(n):
     if n < 1:
         raise ValueError("mollifier index must be >= 1")
+    b = _band_width(n, grid)
+    o = grid.dx * np.arange(-b, b + 1)
+    kernel = n * grid.dx / (2 * np.sqrt(np.pi)) * np.exp(-(n * o) ** 2 / 4)
+    return (lambda x: np.convolve(x, kernel)[b:b + grid.count]), log_gamma(0.5 - 1j * grid.xs)
 
 
 def mollifier_tn(n, g):
-    """Apply T_n to a GridFunction on the xi grid, as U (|K| (U^H g))."""
-    _check_index(n)
-    a, phase = _mollifier_phases(g.grid)
-    x = phase.conj() * g.values
-    y = _band_apply(_mollifier_band(n, g.grid, a), np.stack([x.real, x.imag]))
-    return GridFunction(g.grid, phase * (y[0] + 1j * y[1]))
+    """Apply T_n to a GridFunction on the xi grid, as e^{lg} (chihat_n dx * (e^{-lg} g))."""
+    conv, lg = _mollifier_conv(n, g.grid)
+    return GridFunction(g.grid, np.exp(lg) * conv(np.exp(-lg) * g.values))
 
 
 def mollifier_norm(n, grid=MOLLIFIER_GRID):
     """Grid operator-norm estimate of T_n by power iteration on T*T.
 
-    T*T = U |K|^T |K| U^H with U unitary and diagonal, so the iteration runs
-    on the real band of the entrywise positive |K|, from the vector with
-    every entry 1/sqrt(N).  Warns (RuntimeWarning) when _NORM_ITERS
-    iterations end before the relative change of ||T||^2 falls to _NORM_TOL.
+    T = U |K| U^H with U = e^{i Im lg} unitary and diagonal, and
+    |K| x = e^a conv(e^{-a} x) with a = Re lg, so the iteration runs in real
+    arithmetic on |K|^T |K| v = e^{-a} conv(e^{2a} conv(e^{-a} v)), from the
+    vector with every entry 1/sqrt(N).  Warns (RuntimeWarning) when
+    _NORM_ITERS iterations end before the relative change of ||T||^2 falls
+    to _NORM_TOL.
     """
-    _check_index(n)
-    a, _ = _mollifier_phases(grid)
-    band, band_t = _mollifier_band(n, grid, a), _mollifier_band(n, grid, -a)
-    v = np.full((1, grid.count), grid.count ** -0.5)
+    conv, lg = _mollifier_conv(n, grid)
+    down, up = np.exp(-lg.real), np.exp(2 * lg.real)
+    v = np.full(grid.count, grid.count ** -0.5)
     prev = 0.0
     for _ in range(_NORM_ITERS):
-        w = _band_apply(band_t, _band_apply(band, v))
+        w = down * conv(up * conv(down * v))
         s = np.linalg.norm(w)
         v = w / s
         step = abs(s - prev)

@@ -13,7 +13,7 @@ import pytest
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_ROUNDS, _certify_gaussian, _certify_interpolation,
                                   _compression_bound, _end_spec, _gauss_gram, _hermitian_gram,
-                                  _interpolation_ends, _interpolation_trial, _LaguerreProducts,
+                                  _interpolation_ends, _LaguerreProducts,
                                   _power_law_moments, _s0_pair_x, _section_spectra,
                                   _sign_directions, assemble, carleman_spectrum_study,
                                   certificate, section_inertia, stabilized_negcount)
@@ -417,7 +417,8 @@ def test_interpolation_trials_carry_the_sign_block():
     assert len(directions) == predict_finite_rank(v).n_minus.n
     lams = np.array([lam for lam, _, _ in directions])
     assert np.all(lams < 0)
-    trials = [_interpolation_trial(kind, ends, kappas, 0.2) for _, kind, ends in directions]
+    trials = [_end_spec(_interpolation_ends(kind, ends, kappas, 0.2))
+              for _, kind, ends in directions]
     for trial, (_, _, ends) in zip(trials, directions):
         own = [kap for kap, _ in ends]
         for kap, a in ends:
@@ -537,7 +538,7 @@ def test_s0_quadrature_sees_narrow_real_trials():
     (_, kind, ends), = directions
     a = ends[0][1][0]
     for eps in _eps_schedule(0.2):
-        u = _interpolation_trial(kind, ends, kappas, eps)
+        u = _end_spec(_interpolation_ends(kind, ends, kappas, eps))
         exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
         assert abs(_s0_pair_x(sig0.parts, u, u) - exact) <= 1e-11 * exact, eps
 

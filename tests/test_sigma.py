@@ -13,8 +13,8 @@ from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError,
                                RegularizedPower, _SpecProduct, matrix_inertia,
                                sigma_of_kernel, sigma_pair, sigma_pair_real,
                                sign_matrix, sign_matrix_tilde)
-from hankelsigma.special import (FLog, FPow, FProd, FunctionSpec, fs_const,
-                                 fs_var, laguerre_image)
+from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
+                                 fs_const, fs_var, laguerre_image)
 from hankelsigma.kernel import UndefinableKernelError
 
 
@@ -133,6 +133,17 @@ def test_narrow_gaussian_trial_pairs_through_its_own_knots(q, center, eps):
     want = (center ** (q - 1) * math.sqrt(math.pi / 2) * math.exp((q - 1) ** 2 * eps ** 2 / 8)
             / math.gamma(q))
     assert abs(sigma_pair(sig, w, w) - want) <= 1e-12 * want
+
+
+def test_gaussian_fexp_pairs_through_its_own_knots():
+    # exp(-(lam-20)^2/1e-4) declares no knots by hand: FExp finds its peak
+    # and width from the exponent.  |w|^2 against density 1 pairs to
+    # 0.01 sqrt(pi/2); without knots the quadrature never saw the bump.
+    w = FExp(FPoly([-400 / 1e-4, 40 / 1e-4, -1 / 1e-4]))
+    assert w.knots == pytest.approx((19.96, 20.0, 20.04), abs=1e-12)
+    want = 0.01 * math.sqrt(math.pi / 2)
+    got = sigma_pair(sigma_of_kernel(quasi_carleman(1, 1, 0, 0)), w, w)
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_pair_hermitian_symmetry():

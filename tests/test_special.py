@@ -9,7 +9,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
 from hankelsigma.form import ExpPoly
-from hankelsigma.galerkin import (_interpolation_trial, _sign_directions,
+from hankelsigma.galerkin import (_end_spec, _interpolation_ends, _sign_directions,
                                   gaussian_trial, window_trials)
 from hankelsigma.kernel import finite_rank
 from hankelsigma.special import (FExp, FIndicatorImage, FPoly, FPow,
@@ -218,7 +218,8 @@ def _interpolation_directions():
 
 def _interpolation_trials():
     kappas, directions = _interpolation_directions()
-    return [_interpolation_trial(kind, ends, kappas, 0.2) for _, kind, ends in directions]
+    return [_end_spec(_interpolation_ends(kind, ends, kappas, 0.2))
+            for _, kind, ends in directions]
 
 
 def _interpolation_kinds():

@@ -224,8 +224,12 @@ def _dense_power_norm(n, grid):
     return math.sqrt(s), True
 
 
-@pytest.mark.parametrize("grid", [MOLLIFIER_GRID, LogGrid(-20.0, 20.0, 256)],
-                         ids=["mollifier_grid", "coarse_grid"])
+# b = 15 at n = 1 on this grid: the convolution is wider than the grid
+_TINY_GRID = LogGrid(-2.0, 2.0, 16)
+
+
+@pytest.mark.parametrize("grid", [MOLLIFIER_GRID, LogGrid(-20.0, 20.0, 256), _TINY_GRID],
+                         ids=["mollifier_grid", "coarse_grid", "tiny_grid"])
 @pytest.mark.parametrize("n", [1, 2, 7, 32])
 def test_banded_norm_is_the_dense_power_iteration(n, grid):
     want, capped = _dense_power_norm(n, grid)
@@ -255,12 +259,12 @@ def test_mollifier_matrix_outside_its_band_is_within_the_tail_bound(n):
 
 @pytest.mark.parametrize("n", [1, 8, 32])
 def test_mollifier_tn_through_the_band_matches_the_dense_matrix(n):
-    grid = MOLLIFIER_GRID
-    xs = grid.xs
-    g = np.exp(-(xs - 1.0) ** 2 / 4) * (1 + 0.3j) + 0.2 * np.exp(-np.abs(xs + 3.0))
-    want = mollifier_matrix(n, grid) @ g
-    got = mollifier_tn(n, GridFunction(grid, g)).values
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for grid in (MOLLIFIER_GRID, _TINY_GRID):
+        xs = grid.xs
+        g = np.exp(-(xs - 1.0) ** 2 / 4) * (1 + 0.3j) + 0.2 * np.exp(-np.abs(xs + 3.0))
+        want = mollifier_matrix(n, grid) @ g
+        got = mollifier_tn(n, GridFunction(grid, g)).values
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), grid
 
 
 @pytest.mark.parametrize("n", [0, -3])
