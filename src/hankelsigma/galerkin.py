@@ -166,12 +166,12 @@ class FiniteSection:
         return FiniteSection(n, self.matrix[:n, :n], self.kernel)
 
 
-def assemble(kernel, n, atol=1e-12):
+def assemble(kernel, n):
     """N x N Laguerre finite section of the kernel's quadratic form.
 
     Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>, in
     closed form for power-law parts with r = 0 (``_power_law_moments``) and
-    from the batched pairing at ``atol`` for the others.  Subnormal entries
+    from the batched pairing at atol 1e-12 for the others.  Subnormal entries
     are flushed to 0.  Unbounded-positive kernels are allowed with a warning
     as long as every entry integral is finite; otherwise FormDomainError.
     """
@@ -184,7 +184,7 @@ def assemble(kernel, n, atol=1e-12):
     try:
         f = sum((_power_law_moments(p, 2 * n - 2) for p in closed), np.zeros(2 * n - 1))
         if rest.parts:
-            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), atol, max_depth=16)
+            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), 1e-12)
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     scale = max(np.max(np.abs(f)), 1e-300)
@@ -341,10 +341,10 @@ def window_trials(beta, rho, n_sub, ell, eps):
     """
     m = n_sub // 2 + 1
     rcoeffs = [(rho / 2.0) ** p / math.factorial(p) for p in range(n_sub + 1)]
-    rpoly = FPoly(_shift_poly(rcoeffs, -beta))
+    rpoly = FPoly(rcoeffs, beta)
     window = _log_window(beta, eps, m, [beta * math.exp(-2 * eps), beta * math.exp(2 * eps),
                                         beta + 1.0])
-    return [FProd([FPoly(_shift_poly([0.0] * i + [1.0], -beta)) if i else 1.0, rpoly, window])
+    return [FProd([FPoly([0.0] * i + [1.0], beta) if i else 1.0, rpoly, window])
             for i in range(ell)]
 
 
@@ -626,7 +626,7 @@ def _s0_pair_x(s0_parts, u1, u2):
 # Certificate driver
 # ---------------------------------------------------------------------------
 
-def certificate(h0, v, target, eps=None, kind="auto"):
+def certificate(h0, v, target, kind="auto"):
     """Certify N_minus(h0 + v) >= target by an explicit negative subspace.
 
     Picks the trial construction from the perturbation type unless ``kind``
@@ -655,12 +655,12 @@ def certificate(h0, v, target, eps=None, kind="auto"):
         if v.qc_terms or not all(isinstance(p, RegularDensity) for p in sig0.parts):
             raise CertificateInputError("an interpolation certificate needs a finite-rank v "
                                         "and an h0 whose sigma is a density (quasi-Carleman q > 0)")
-        return _first_success(_certify_interpolation(sig0, v, target, eps0=eps or 0.2))
+        return _first_success(_certify_interpolation(sig0, v, target, eps0=0.2))
     if kind not in ("gaussian", "window"):
         raise CertificateInputError("unknown certificate kind %r" % (kind,))
     term, sig = v.qc_terms[0], sigma_of_kernel(h0 + v)
     if kind == "gaussian":
         return _first_success(_certify_gaussian(sig, term.alpha, target,
-                                                eps0=eps or 0.01, delta0=0.06))
+                                                eps0=0.01, delta0=0.06))
     return _first_success(_certify_window(sig, term.alpha, term.r, int(math.floor(-term.q)),
-                                          target, eps0=eps or 0.25))
+                                          target, eps0=0.25))

@@ -243,7 +243,7 @@ def _splits(alpha, knots):
     return knots, far_start, d0
 
 
-def _density_pair_engine(part, psi, atol, splits, max_depth):
+def _density_pair_engine(part, psi, atol, splits):
     """integral_alpha^inf u^{q-1} psi(alpha+u) du * c/Gamma(q), q > 0.
 
     ``psi`` maps a lambda array to values with any leading batch shape and
@@ -265,7 +265,7 @@ def _density_pair_engine(part, psi, atol, splits, max_depth):
         return (lam - a) ** (q - 1) * psi(lam)
 
     mid = _quad.adaptive_gl(g, a + mid_lo, a + far_start, atol=atol,
-                            knots=[a + h for h in hs], max_depth=max_depth)
+                            knots=[a + h for h in hs])
     far = _quad.semi_infinite(g, a + far_start, atol=atol * 0.1)
     total = mid + far
     if near is not None:
@@ -328,9 +328,8 @@ def _delta_pair_engine(part, jets):
     return jets @ (np.asarray(part.coeffs) * (-1.0) ** j * fact)
 
 
-def _pair_product(sig, prod, atol, max_depth):
-    """<sigma, prod> for a test product (see above); ``max_depth`` caps the
-    adaptive quadrature of the density parts."""
+def _pair_product(sig, prod, atol):
+    """<sigma, prod> for a test product (see above)."""
     total = 0.0 + 0.0j
     for part in sig.parts:
         if isinstance(part, DeltaCombo):
@@ -345,7 +344,7 @@ def _pair_product(sig, prod, atol, max_depth):
             return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
 
         if isinstance(part, RegularDensity):
-            total = total + _density_pair_engine(part, psi, atol, splits, max_depth)
+            total = total + _density_pair_engine(part, psi, atol, splits)
         else:
             order = part.order + _SERIES_EXTRA
             damp = np.zeros(order + 1, complex)
@@ -386,7 +385,7 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
     of a q < 0 finite part (``_splits``): a feature within 0.5 of alpha that
     no knot marks goes unseen.
     """
-    return _pair_product(sig, _SpecProduct(w1, w2), atol, max_depth=11)
+    return _pair_product(sig, _SpecProduct(w1, w2), atol)
 
 
 def sigma_pair_real(sig, w):

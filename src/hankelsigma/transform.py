@@ -21,7 +21,12 @@ fft-order frequencies xi_k = 2 pi k/(n dx),
     (Phi* g)(x_j)  = (2 pi)^{1/2} / dx * IFFT(g e^{+i x0 xi})[j]
 
 which makes Phi* Phi = identity exactly and Parseval exact in the
-dx/dxi-weighted norms.
+dx/dxi-weighted norms.  The two pipelines run in fft order on the bare
+FFTs: J turns the first FFT into N IFFT, so with u = e^{x/2} f,
+L f = e^{-x/2} N IFFT(e^{2i x0 xi} conj Gamma(1/2 + i xi) IFFT(u)), and in
+the inverse the x0 phases of Phi and Phi* cancel, so
+f = e^{-x/2} IFFT(band FFT(u) / Gamma(1/2 + i xi)), the band being the
+xi-span of every bin where |FFT(u)| is at least 1e-12 of its peak.
 """
 
 from __future__ import annotations
@@ -165,13 +170,6 @@ def inv_fourier(gvals_shifted, grid):
     return GridFunction(grid, vals)
 
 
-def _reflect_fft_order(g):
-    out = np.empty_like(g)
-    out[0] = g[0]
-    out[1:] = g[:0:-1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Laplace transform
 # ---------------------------------------------------------------------------
@@ -210,7 +208,8 @@ def laplace_via_mellin(f):
     """Laplace transform of f (sampled at t = e^x) via the Mellin factorization.
 
     Returns the image sampled at lam = e^x on the same grid; e^{x/2} f(e^x)
-    must fall below 1e-8 of its peak at the grid edges.
+    must fall below 1e-8 of its peak at the grid edges.  J turns the FFT
+    of Phi into N IFFT, since FFT(u)[-k] = N IFFT(u)[k].
     """
     grid = f.grid
     u = np.exp(grid.xs / 2) * f.values
@@ -222,12 +221,9 @@ def laplace_via_mellin(f):
         raise InsufficientDecayError(
             "weighted samples at grid edges are %.2e of peak (need < 1e-8)" % (edge / peak)
         )
-    mf = np.fft.ifftshift(fourier(GridFunction(grid, u)))  # fft order
-    mf = _gamma_half(grid) * mf
-    mf = _reflect_fft_order(mf)
-    uw = inv_fourier(np.fft.fftshift(mf), grid)
-    w = np.exp(-grid.xs / 2) * uw.values
-    return GridFunction(grid, w)
+    m = np.exp(2j * grid.x_min * _xi_fft_order(grid)) * np.conj(_gamma_half(grid))
+    w = grid.count * np.fft.ifft(m * np.fft.ifft(u))
+    return GridFunction(grid, np.exp(-grid.xs / 2) * w)
 
 
 def sample_u(w_spec, grid=DEFAULT_GRID):
@@ -244,43 +240,32 @@ def u_of_laplace_image(f, grid=DEFAULT_GRID):
 def reconstruct(u):
     """Recover f (sampled at t = e^x) from u(x) = e^{-x/2} (L f)(e^{-x}).
 
-    Works through (M f)(xi) = Gamma(1/2 + i xi)^{-1} (Phi u)(xi).  The
-    spectrum of u is cut to the contiguous band around xi = 0 where it
-    still exceeds 1e-12 of its peak -- beyond the first crossing only
-    discretization junk survives, and dividing that by exponentially
-    small Gamma values would destroy everything.  The
-    precondition is that the quotient on the kept band has already turned
-    around and is decaying at the cut, to 5% of its peak or below: that is
-    the grid form of "Phi u decays faster than Gamma(1/2+i xi)".
+    Works through (M f)(xi) = Gamma(1/2 + i xi)^{-1} (Phi u)(xi); the x0
+    phases of Phi and Phi* cancel, so only the FFTs remain.  The spectrum of u is cut to the xi-span
+    [min, max] of every bin where it is at least 1e-12 of its peak, so a
+    zero at xi = 0 does not cut it; outside the span only discretization
+    junk survives, and dividing that by exponentially small Gamma values
+    would destroy everything.  The precondition is that the span ends
+    inside the grid and the quotient has turned around and is decaying at
+    both ends, to 5% of its peak or below: that is the grid form of
+    "Phi u decays faster than Gamma(1/2+i xi)".
     """
     grid = u.grid
-    phi_u = fourier(u)
-    peak = np.max(np.abs(phi_u))
+    fu = np.fft.fft(u.values)
+    absu = np.abs(fu)
+    peak = np.max(absu)
     if peak == 0:
         return GridFunction(grid, np.zeros(grid.count, complex))
-    n = grid.count
-    mid = n // 2  # index of xi = 0 on the shifted grid
-    absu = np.abs(phi_u)
-    floor = 1e-12 * peak
-    hi = mid
-    while hi < n and absu[hi] >= floor:
-        hi += 1
-    lo = mid
-    while lo >= 0 and absu[lo] >= floor:
-        lo -= 1
-    band = np.zeros(n, dtype=bool)
-    band[lo + 1: hi] = True
-    g = np.where(band, phi_u / np.fft.fftshift(_gamma_half(grid)), 0.0)
-    gmax = np.max(np.abs(g))
-    if gmax > 0:
-        edge = max(np.abs(g[hi - 1]), np.abs(g[lo + 1]))
-        if (hi >= n or lo < 0) or edge > 0.05 * gmax:
-            raise AmplificationError(
-                "Phi u does not decay faster than Gamma(1/2+i xi) on this grid"
-            )
-    uf = inv_fourier(g, grid)
-    fvals = np.exp(-grid.xs / 2) * uf.values
-    return GridFunction(grid, fvals)
+    xi = _xi_fft_order(grid)
+    kept = xi[absu >= 1e-12 * peak]
+    lo, hi = kept.min(), kept.max()
+    g = np.where((xi >= lo) & (xi <= hi), fu / _gamma_half(grid), 0.0)
+    ends = np.abs(g[(xi == lo) | (xi == hi)])
+    if lo == xi.min() or hi == xi.max() or ends.max() > 0.05 * np.max(np.abs(g)):
+        raise AmplificationError(
+            "Phi u does not decay faster than Gamma(1/2+i xi) on this grid"
+        )
+    return GridFunction(grid, np.exp(-grid.xs / 2) * np.fft.ifft(g))
 
 
 # ---------------------------------------------------------------------------

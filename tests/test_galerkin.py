@@ -82,7 +82,7 @@ def test_moment_recurrence_matches_batched_pairing(q, alpha):
     capped = (q, alpha) == (-3.5, 0.05)
     with pytest.warns(RuntimeWarning, match="max_depth") if capped else contextlib.nullcontext():
         ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
-                            1e-12, 16).real
+                            1e-12).real
     got = _power_law_moments(part, 2 * n - 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -136,7 +136,7 @@ def test_assemble_holds_no_subnormal_entry():
     # delta part alone, which decays geometrically below the normal range
     tiny = np.finfo(float).tiny
     fr = finite_rank([0.6, -1.0], 0.8)
-    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12, 16).real
+    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12).real
     assert np.any((deltas != 0) & (np.abs(deltas) < tiny))
     h = assemble(carleman() + fr, 1024).matrix
     assert not np.any((h != 0) & (np.abs(h) < tiny))

@@ -62,11 +62,16 @@ def test_laplace_point_divergence_error():
     assert abs(laplace_point(grower, 3.0) - 1.0) < 1e-9
 
 
+# not symmetric about x = 0, so the e^{2i x0 xi} phase of the pipeline is not 1
+_SHIFTED_GRID = LogGrid(-50.0, 70.0, 16384)
+
+
 def test_mellin_factorization_simple_targets():
-    t = DEFAULT_GRID.lambdas_pos
-    assert _mellin_residual(np.exp(-t), 1 / (1 + t)) < 1e-6
-    assert _mellin_residual(t * np.exp(-t), (1 + t) ** -2.0) < 1e-6
-    assert _mellin_residual(laguerre_e(3, t), laguerre_image(3)(t)) < 1e-6
+    for grid in (DEFAULT_GRID, _SHIFTED_GRID):
+        t = grid.lambdas_pos
+        assert _mellin_residual(np.exp(-t), 1 / (1 + t), grid) < 1e-6
+        assert _mellin_residual(t * np.exp(-t), (1 + t) ** -2.0, grid) < 1e-6
+        assert _mellin_residual(laguerre_e(3, t), laguerre_image(3)(t), grid) < 1e-6
 
 
 def test_mellin_factorization_benchmark_family():
@@ -104,15 +109,17 @@ def test_parseval_on_grid():
 
 
 def test_reconstruct_roundtrip_exppoly():
-    grid = DEFAULT_GRID
-    t = grid.lambdas_pos
-    for f, fvals in (
-        (ExpPoly(((1.0, 0, 1.0),)), np.exp(-t)),
-        (ExpPoly(((1.0, 1, 1.0),)), t * np.exp(-t)),
-        (ExpPoly(((0.7, 0, 0.5), (-0.2, 2, 1.5))), 0.7 * np.exp(-0.5 * t) - 0.2 * t ** 2 * np.exp(-1.5 * t)),
+    for grid, terms in (
+        (DEFAULT_GRID, ((1.0, 0, 1.0),)),
+        (DEFAULT_GRID, ((1.0, 1, 1.0),)),
+        (DEFAULT_GRID, ((0.7, 0, 0.5), (-0.2, 2, 1.5))),
+        # integral t^{-1/2} f dt = 0, so Phi u vanishes at xi = 0
+        (DEFAULT_GRID, ((1.0, 1, 1.0), (-0.5, 0, 1.0))),
+        (_SHIFTED_GRID, ((0.7, 0, 0.5), (-0.2, 2, 1.5))),
     ):
-        u = u_of_laplace_image(f, grid)
-        fr = reconstruct(u)
+        t = grid.lambdas_pos
+        fvals = sum(a * t ** m * np.exp(-c * t) for a, m, c in terms)
+        fr = reconstruct(u_of_laplace_image(ExpPoly(terms), grid))
         wgt = np.exp(grid.xs / 2)
         err = np.sqrt(grid.dx * np.sum(np.abs((fr.values - fvals) * wgt) ** 2))
         den = np.sqrt(grid.dx * np.sum(np.abs(fvals * wgt) ** 2))
