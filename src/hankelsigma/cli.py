@@ -27,6 +27,10 @@ kernels, failed theorem preconditions and diverging Laguerre sections;
 exit 3 covers numerical failures (a divergent integral, cancelling
 terms).  A sweep records either as the case's "error" and goes on.
 
+Reports with section counts (verify galerkin, sweep cases with
+"galerkin": true) carry a "diagnostics" block with each size's margin
+from the inertia threshold.  Only "timings" changes between reruns.
+
 Run as ``python -m hankelsigma <command> ...``.
 """
 
@@ -219,6 +223,12 @@ def _section_sizes(items):
     return sizes
 
 
+def _section_diagnostics(est):
+    """How sure the section counts are: each size's margin from the
+    inertia threshold, in ``history``'s order (> 0 when certified)."""
+    return {"margins": list(est.margins)}
+
+
 def cmd_verify(args):
     kern = load_kernel(args.spec)
     report = _report_skeleton("verify-" + args.mode, args)
@@ -234,6 +244,7 @@ def cmd_verify(args):
     elif args.mode == "galerkin":
         est = stabilized_negcount(kern, _section_sizes(args.sizes.split(",")))
         report["counts"] = est.to_json()
+        report["diagnostics"] = _section_diagnostics(est)
         try:
             report["prediction"] = predict_kernel(kern).to_json()
         except ValueError:
@@ -313,7 +324,9 @@ def _sweep_case(index, case, args):
         report["prediction"] = predict_kernel(kern).to_json()
         if case.get("galerkin"):
             sizes = _section_sizes(case.get("sizes", (16, 32, 64, 128)))
-            report["counts"] = stabilized_negcount(kern, sizes).to_json()
+            est = stabilized_negcount(kern, sizes)
+            report["counts"] = est.to_json()
+            report["diagnostics"] = _section_diagnostics(est)
     except ValueError as exc:
         report["error"] = str(exc)
         code = EXIT_VALIDATION

@@ -143,14 +143,17 @@ def laguerre_e(n, t):
 def _jet_mul(a, b):
     """Truncated product of Taylor coefficients, np.convolve(a, b)[:n].
 
-    ``b`` is one jet of length n; ``a`` is one jet or a batch of them along
-    leading axes, shape (..., n).
+    Either argument is one jet of length n or a batch of them along leading
+    axes, shape (..., n).  ``b`` enters as its lower-triangular Toeplitz
+    matrices, shape (..., n, n), through numpy's matmul broadcasting: a batch
+    ``a`` of shape (k, n) times one jet gives the k products, times a batch
+    ``b`` of shape (m, n) all m k of them, shape (m, k, n).
     """
-    n = len(b)
-    if np.ndim(a) == 1:
+    n = np.shape(b)[-1]
+    if np.ndim(a) == 1 and np.ndim(b) == 1:
         return np.convolve(a, b)[:n]
     k = np.arange(n)
-    return a @ np.tril(b[k[:, None] - k[None, :]]).T
+    return a @ np.swapaxes(np.tril(np.asarray(b)[..., k[:, None] - k[None, :]]), -1, -2)
 
 
 def _jet_recip(a):

@@ -237,6 +237,9 @@ def u_of_laplace_image(f, grid=DEFAULT_GRID):
     return sample_u(f.laplace_image(), grid)
 
 
+_EDGE_RTOL = 1e-10  # of max|u|, at the grid edges of ``reconstruct``
+
+
 def reconstruct(u):
     """Recover f (sampled at t = e^x) from u(x) = e^{-x/2} (L f)(e^{-x}).
 
@@ -248,7 +251,10 @@ def reconstruct(u):
     would destroy everything.  The precondition is that the span ends
     inside the grid and the quotient has turned around and is decaying at
     both ends, to 5% of its peak or below: that is the grid form of
-    "Phi u decays faster than Gamma(1/2+i xi)".
+    "Phi u decays faster than Gamma(1/2+i xi)".  u itself must have decayed
+    to _EDGE_RTOL of max|u| at both grid edges: the jump of its periodic
+    extension leaks into every frequency, and at ~3e-10 of max|u| the leak
+    of an 8192-point grid reaches the band floor and reads as slow decay.
     """
     grid = u.grid
     fu = np.fft.fft(u.values)
@@ -256,6 +262,11 @@ def reconstruct(u):
     peak = np.max(absu)
     if peak == 0:
         return GridFunction(grid, np.zeros(grid.count, complex))
+    edge = max(abs(u.values[0]), abs(u.values[-1])) / np.max(np.abs(u.values))
+    if edge > _EDGE_RTOL:
+        raise AmplificationError(
+            "u at the grid edges is %.2e of its peak (need <= %.0e)" % (edge, _EDGE_RTOL)
+        )
     xi = _xi_fft_order(grid)
     kept = xi[absu >= 1e-12 * peak]
     lo, hi = kept.min(), kept.max()

@@ -413,6 +413,30 @@ def test_reports_reproducible_modulo_timestamp(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_section_reports_carry_margins_and_rerun_byte_identical(tmp_path):
+    # the diagnostics block is deterministic: only timings differ between reruns
+    spec = _write(tmp_path, "k.json", FDH_SUM)
+    cfg = _write(tmp_path, "sweep.json", {"cases": [
+        {"name": "a", "kernel": FDH_SUM, "galerkin": True, "sizes": [128, 256, 512]}]})
+    texts = []
+    for sub in ("o1", "o2"):
+        out = tmp_path / sub
+        assert main(["verify", "galerkin", "--spec", spec, "--out", str(out),
+                     "--sizes", "128,256,512", "--seed", "7"]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out / "sweep"),
+                     "--seed", "7"]) == EXIT_OK
+        reports = [json.loads((out / "verify_galerkin.json").read_text()),
+                   json.loads((out / "sweep" / "a" / "report.json").read_text())]
+        for report in reports:
+            assert set(report.pop("timings")) <= {"timestamp", "runtime_sec"}
+            margins = report["diagnostics"]["margins"]
+            assert len(margins) == len(report["counts"]["history"]) == 3
+            assert min(margins) > 0  # every count certified
+        texts.append(json.dumps(reports, indent=2, sort_keys=True)
+                     + (out / "galerkin.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_edge_inputs_exit_cleanly(tmp_path, capsys):
     # malformed and edge inputs end in an exit code, never in a traceback
     specs = {"qc_half": QC_HALF, "carleman": CARLEMAN, "t3": DIVERGENT,

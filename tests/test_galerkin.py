@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hankelsigma import galerkin
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_ROUNDS, _certify_gaussian, _certify_interpolation,
                                   _compression_bound, _end_spec, _gauss_gram, _hermitian_gram,
@@ -22,7 +23,7 @@ from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
                                _eig_inertia, _pair_product, sigma_of_kernel, sigma_pair)
-from hankelsigma.special import laguerre_image
+from hankelsigma.special import _jet_mul, _jet_recip, laguerre_image
 
 
 def _closed_form_carleman(n):
@@ -68,6 +69,68 @@ def test_laguerre_products_match_loop_reference():
         got = _LaguerreProducts(smax)(lams)
         assert got.shape == (smax + 1, len(lams))
         assert np.array_equal(got, products_ref(smax, lams))
+
+
+def _products_jet_loop(smax, center, order):
+    # the step loop the blocked powers replaced, kept as the reference
+    num = np.zeros(order + 1, dtype=complex)
+    num[:2] = center, 1.0
+    den = num.copy()
+    num[0] -= 0.5
+    den[0] += 0.5
+    mu = _jet_mul(num, _jet_recip(den))
+    cur = _jet_mul(_jet_recip(den), _jet_recip(den))
+    out = np.empty((smax + 1, order + 1), dtype=complex)
+    for s in range(smax + 1):
+        out[s] = cur
+        cur = _jet_mul(cur, mu)
+    return out
+
+
+@pytest.mark.parametrize("center", [0.05, 0.3, 0.5, 1.0, 2.0, 1.4 + 0.6j])  # mu(0.5) = 0
+@pytest.mark.parametrize("order", [1, 4, 33])
+def test_laguerre_product_jets_match_step_loop(center, order):
+    for smax in (0, 1, 3, 15, 2046):
+        ref = _products_jet_loop(smax, center, order)
+        got = _LaguerreProducts(smax).jet(center, order)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("center, order", [(0.3, 33), (2.0, 4), (1.4 + 0.6j, 33)])
+def test_laguerre_product_jets_match_mpmath(center, order):
+    # (lam+1/2)^{-2} mu^s in 40-digit series arithmetic, mu^s by squaring
+    mp = pytest.importorskip("mpmath")
+    got = _LaguerreProducts(2046).jet(center, order)
+    top = np.max(np.abs(got))
+
+    def mul(a, b):
+        return [mp.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]
+
+    with mp.workdps(40):
+        d = mp.mpc(center) + 0.5
+        rden = [(-1) ** k / d ** (k + 1) for k in range(order + 1)]
+        for s in (0, 1, 45, 46, 1000, 2046):
+            want, e = mul(rden, rden), s
+            sq = [1 - rden[0]] + [-c for c in rden[1:]]  # mu = 1 - 1/(lam+1/2)
+            while e:
+                if e & 1:
+                    want = mul(want, sq)
+                sq, e = mul(sq, sq), e >> 1
+            assert np.max(np.abs(got[s] - np.array([complex(c) for c in want]))) <= 1e-14 * top
+
+
+def test_laguerre_jets_take_blocked_powers(monkeypatch):
+    # the saving is fewer jet products: ~2 sqrt(2N) at N = 1024, not 2N - 1
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return _jet_mul(a, b)
+
+    monkeypatch.setattr(galerkin, "_jet_mul", counting)
+    assemble(carleman() + finite_rank([1.0, -0.4], 0.9), 1024)
+    assert 0 < len(calls) <= 3 * math.ceil(math.sqrt(2047))
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 0.3, -0.5, -1.5, -3.5])

@@ -1,5 +1,6 @@
 """Laplace/Mellin pipeline, reconstruction, mollifiers, sandwiched operators."""
 
+import itertools
 import math
 import warnings
 
@@ -161,6 +162,29 @@ def test_cached_gamma_leaves_the_pipeline_bitwise_unchanged(monkeypatch):
                         lambda g: gamma(0.5 + 1j * _xi_fft_order(g)))
     assert np.array_equal(laplace_via_mellin(f).values, cached[0])
     assert np.array_equal(reconstruct(u).values, cached[1])
+
+
+@pytest.mark.parametrize("m1", range(4))
+def test_reconstruct_takes_every_mellin_style_input(m1):
+    # the corners of the benchmark's round-trip family: two terms a t^m e^{-ct},
+    # m <= 3, c in [0.5, 2]; their u reach at most 6.1e-13 of max|u| at the edges
+    grid = DEFAULT_GRID
+    t, wgt = grid.lambdas_pos, np.exp(grid.xs / 2)
+    for c1, c2, a2 in itertools.product((0.5, 2.0), (0.5, 2.0), (1.0, -1.0)):
+        terms = ((1.0, m1, c1), (a2, (m1 + 2) % 4, c2))
+        fr = reconstruct(u_of_laplace_image(ExpPoly(terms), grid))
+        want = sum(a * t ** m * np.exp(-c * t) for a, m, c in terms)
+        assert np.linalg.norm((fr.values - want) * wgt) < 1e-4 * np.linalg.norm(want * wgt)
+
+
+def test_reconstruct_flags_u_cut_off_at_the_grid_edge():
+    # u = e^{-x/2} L f(e^{-x}) is ~e^{-22.65}, 2.9e-10 of its peak, at x = -45.3:
+    # the jump leaks above the band floor.  _SHIFTED_GRID's 2.1e-11 still passes
+    # test_reconstruct_roundtrip_exppoly
+    grid = LogGrid(-45.3, 58.1, 8192)
+    u = u_of_laplace_image(ExpPoly(((0.7, 0, 0.5), (-0.2, 2, 1.5))), grid)
+    with pytest.raises(AmplificationError, match="grid edges"):
+        reconstruct(u)
 
 
 def test_reconstruct_amplification_error():
