@@ -16,7 +16,7 @@ roundoff stop of QUADPACK (Piessens et al., 1983): bisection never chases
 rounding noise.
 
 Two ``RuntimeWarning``s say when a rule returns short of its tolerance:
-``adaptive_gl`` when it accepts panels at ``max_depth`` above both budget
+``adaptive_gl`` when it accepts panels at ``_MAX_DEPTH`` above both budget
 and floor, and ``tanh_sinh_left`` when its halvings end unconverged.
 """
 
@@ -52,6 +52,7 @@ def _gl_pair():
 
 # relative size of the rounding noise in a panel's value (QUADPACK's 50 eps)
 _NOISE = 50 * np.finfo(float).eps
+_MAX_DEPTH = 11  # bisections of an adaptive panel
 
 
 def _panel(f, a, b, n):
@@ -61,7 +62,7 @@ def _panel(f, a, b, n):
     return 0.5 * (b - a) * (vals @ w)
 
 
-def adaptive_gl(f, a, b, atol=1e-12, knots=None, max_depth=11):
+def adaptive_gl(f, a, b, atol=1e-12, knots=None):
     """Integrate f over [a, b] by bisection-adaptive Gauss-Legendre.
 
     ``knots`` seeds extra breakpoints (e.g. at sharp bump locations) so the
@@ -70,7 +71,7 @@ def adaptive_gl(f, a, b, atol=1e-12, knots=None, max_depth=11):
     about ``atol``.  A panel is accepted once |G48 - G24| is within its
     budget or within the rounding floor 50 eps times the 48-point rule of
     |f| on the panel, per batch element.  Panels still above both at
-    ``max_depth`` are accepted too, and a call that accepts any raises one
+    depth ``_MAX_DEPTH`` are accepted too, and a call that accepts any raises one
     ``RuntimeWarning`` with their number and worst error/budget ratio.
     """
     if b <= a:
@@ -82,17 +83,17 @@ def adaptive_gl(f, a, b, atol=1e-12, knots=None, max_depth=11):
     total = None
     capped, worst = 0, 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        part, n, ratio = _adaptive_segment(f, lo, hi, atol / max(1, len(pts) - 1), max_depth)
+        part, n, ratio = _adaptive_segment(f, lo, hi, atol / max(1, len(pts) - 1))
         total = part if total is None else total + part
         capped, worst = capped + n, max(worst, ratio)
     if capped:
         warnings.warn("adaptive_gl on [%g, %g]: %d panel(s) accepted at max_depth=%d "
-                      "with error up to %.3g x budget" % (a, b, capped, max_depth, worst),
+                      "with error up to %.3g x budget" % (a, b, capped, _MAX_DEPTH, worst),
                       RuntimeWarning, stacklevel=2)
     return total
 
 
-def _adaptive_segment(f, a, b, atol, max_depth):
+def _adaptive_segment(f, a, b, atol):
     """Value of one segment, with the number of panels accepted at the depth
     cap above budget and floor, and their worst error/budget ratio."""
     x, w24, w48 = _gl_pair()
@@ -107,7 +108,7 @@ def _adaptive_segment(f, a, b, atol, max_depth):
         fine = half * (vals[..., 24:] @ w48)
         err = np.abs(fine - coarse)
         miss = err > np.maximum(budget, _NOISE * half * (np.abs(vals[..., 24:]) @ w48))
-        if not miss.any() or depth >= max_depth:
+        if not miss.any() or depth >= _MAX_DEPTH:
             total = fine if total is None else total + fine
             if miss.any():
                 capped += 1

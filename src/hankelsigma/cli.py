@@ -19,17 +19,19 @@ one quasi-Carleman term -> parity of [|q|] (HKL); background + one term
 with k = -q < 0 -> critical coupling (HKC), with non-integer k > 0 ->
 parity table (FDH); background + finite rank -> sign-matrix inertia (FDH1).
 Other shapes get no prediction: predict exits 2, verify galerkin and sweep
-write "prediction": null.  A sum is checked for self-adjointness as a whole.
-Exit 2 also covers malformed specs, sweep cases without a name or a
-kernel, section sizes (--sizes or a sweep case's "sizes") that are fewer
-than 3, repeat or are not positive integers, non-self-adjoint or empty
-kernels, failed theorem preconditions and diverging Laguerre sections;
-exit 3 covers numerical failures (a divergent integral, cancelling
-terms).  A sweep records either as the case's "error" and goes on.
+write "prediction": null; a failed theorem precondition exits 2.  A sum is
+checked for self-adjointness as a whole.  ``_exit_code`` maps failures
+for commands and sweep cases alike: any ValueError or a missing file exits
+2 (malformed specs, sweep cases without a name or a kernel, fewer than 3,
+repeated or non-positive section sizes, non-self-adjoint or empty kernels,
+failed preconditions, diverging sections), any ArithmeticError exits 3
+(a divergent integral, cancelling terms, an unconverged series split).
+A sweep records either as the case's "error" and goes on.
 
 Reports with section counts (verify galerkin, sweep cases with
-"galerkin": true) carry a "diagnostics" block with each size's margin
-from the inertia threshold.  Only "timings" changes between reruns.
+"galerkin": true; sizes default to ``galerkin.DEFAULT_SIZES``) carry a
+"diagnostics" block with each size's margin from the inertia threshold.
+Only "timings" changes between reruns.
 
 Run as ``python -m hankelsigma <command> ...``.
 """
@@ -48,12 +50,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .form import (ExpPoly, FormDomainError, identity_residual, min_monomial_order,
-                   spectral_witnesses)
-from .galerkin import CertificateInputError, certificate, stabilized_negcount
-from .kernel import (Classification, FiniteRankTerm, Kernel, NonSelfAdjointError,
-                     QuasiCarlemanTerm, UndefinableKernelError, classify)
-from .predict import predict_kernel
+from .form import ExpPoly, identity_residual, min_monomial_order, spectral_witnesses
+from .galerkin import DEFAULT_SIZES, certificate, stabilized_negcount
+from .kernel import Classification, FiniteRankTerm, Kernel, QuasiCarlemanTerm, classify
+from .predict import NoTheoremError, predict_kernel
 from .sigma import RegularizedPower, DeltaCombo, sigma_of_kernel
 from .special import laguerre_e, laguerre_image
 from .transform import DEFAULT_GRID, GridFunction, laplace_via_mellin
@@ -69,6 +69,17 @@ SCHEMA = "1"
 
 class SpecError(ValueError):
     pass
+
+
+# the failures a command or a sweep case reports; any other exception is a
+# fault of the program and propagates
+_FAILURES = (ValueError, FileNotFoundError, ArithmeticError)
+
+
+def _exit_code(exc):
+    """The exit code of one of ``_FAILURES``: 2 for a refused input
+    (ValueError, FileNotFoundError), 3 for a numerical failure."""
+    return EXIT_TOLERANCE if isinstance(exc, ArithmeticError) else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +192,7 @@ def cmd_sigma(args):
 def cmd_predict(args):
     kern = load_kernel(args.spec)
     report = _report_skeleton("predict", args)
-    try:
-        pred = predict_kernel(kern)
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_VALIDATION
-    report["prediction"] = pred.to_json()
+    report["prediction"] = predict_kernel(kern).to_json()
     _write_report(report, args, "predict.json")
     return EXIT_OK
 
@@ -223,10 +229,21 @@ def _section_sizes(items):
     return sizes
 
 
-def _section_diagnostics(est):
-    """How sure the section counts are: each size's margin from the
-    inertia threshold, in ``history``'s order (> 0 when certified)."""
-    return {"margins": list(est.margins)}
+def _section_report(report, kern, sizes):
+    """Write ``kern``'s prediction (null for a shape with no theorem; a failed
+    precondition raises first) and, unless ``sizes`` (``_section_sizes``
+    items) is None, its section counts with each size's margin from the
+    inertia threshold (> 0 when certified); returns the estimate."""
+    try:
+        report["prediction"] = predict_kernel(kern).to_json()
+    except NoTheoremError:
+        report["prediction"] = None
+    if sizes is None:
+        return None
+    est = stabilized_negcount(kern, _section_sizes(sizes))
+    report["counts"] = est.to_json()
+    report["diagnostics"] = {"margins": list(est.margins)}
+    return est
 
 
 def cmd_verify(args):
@@ -242,13 +259,7 @@ def cmd_verify(args):
         if report["max_residual"] > args.tol:
             code = EXIT_TOLERANCE
     elif args.mode == "galerkin":
-        est = stabilized_negcount(kern, _section_sizes(args.sizes.split(",")))
-        report["counts"] = est.to_json()
-        report["diagnostics"] = _section_diagnostics(est)
-        try:
-            report["prediction"] = predict_kernel(kern).to_json()
-        except ValueError:
-            report["prediction"] = None
+        est = _section_report(report, kern, args.sizes.split(","))
         report["max_eig"] = est.max_eigs[-1]
         rows = [[n, nneg, npos, "%.12g" % ev]
                 for (n, nneg, npos), ev in zip(est.history, est.max_eigs)]
@@ -277,9 +288,6 @@ def cmd_verify(args):
         report["zero_in_spectrum"] = spectral_witnesses(kern, "zero_in_spectrum")
         if cls is not Classification.BOUNDED:
             report["unbounded"] = spectral_witnesses(kern, "unbounded")
-    else:
-        log.error("unknown verify mode %r", args.mode)
-        return EXIT_VALIDATION
     report["timings"]["runtime_sec"] = time.time() - start
     _write_report(report, args, "verify_%s.json" % args.mode)
     return code
@@ -305,9 +313,8 @@ def cmd_certificate(args):
 
 
 def _sweep_case(index, case, args):
-    """One case's report; a case without a name or a kernel, a refused
-    kernel, shape or section (exit 2), and a numerical failure such as a
-    ``DivergentIntegralError`` (exit 3), is its ``error``.  A case without a
+    """One case's report; a case without a name or a kernel, and any
+    failure that ``_exit_code`` maps, is its ``error``.  A case without a
     name reports to ``case-<index>``."""
     name = case.get("name") if isinstance(case, dict) else None
     if not isinstance(name, str) or not name:
@@ -320,19 +327,11 @@ def _sweep_case(index, case, args):
     try:
         if name is None or "kernel" not in case:
             raise SpecError("sweep case %d needs a \"name\" string and a \"kernel\"" % index)
-        kern = parse_kernel(case["kernel"])
-        report["prediction"] = predict_kernel(kern).to_json()
-        if case.get("galerkin"):
-            sizes = _section_sizes(case.get("sizes", (16, 32, 64, 128)))
-            est = stabilized_negcount(kern, sizes)
-            report["counts"] = est.to_json()
-            report["diagnostics"] = _section_diagnostics(est)
-    except ValueError as exc:
+        _section_report(report, parse_kernel(case["kernel"]),
+                        case.get("sizes", DEFAULT_SIZES) if case.get("galerkin") else None)
+    except _FAILURES as exc:
+        code = _exit_code(exc)
         report["error"] = str(exc)
-        code = EXIT_VALIDATION
-    except ArithmeticError as exc:
-        report["error"] = str(exc)
-        code = EXIT_TOLERANCE
     _write_report(report, sub, "report.json")
     return code
 
@@ -377,7 +376,7 @@ def build_parser():
     p = sub.add_parser("verify", help="numerical verification")
     p.add_argument("mode", choices=("identity", "galerkin", "factorization", "witness"))
     p.add_argument("--spec", required=True)
-    p.add_argument("--sizes", default="16,32,64,128")
+    p.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)))
     p.add_argument("--count", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -403,13 +402,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, UndefinableKernelError, NonSelfAdjointError, CertificateInputError,
-            FormDomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except _FAILURES as exc:
         log.error("%s", exc)
-        return EXIT_VALIDATION
-    except ArithmeticError as exc:  # numerical failure, e.g. DivergentIntegralError
-        log.error("%s", exc)
-        return EXIT_TOLERANCE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -44,12 +44,13 @@ jets at the exponents are the orthonormal eigenvectors); only the pairing
 with h0's density depends on eps.
 
 The gaussian and interpolation trials are sums of "ends", a polynomial times
-a gaussian in a log variable x (x = ln lam for the gaussian family, the
-exponential variable of the sign-matrices for the interpolation trials).
-On a power-law part c/Gamma(q) lam^{q-1} with alpha = 0 and r = 0, such as
-Carleman's, the pairing measure is c/Gamma(q) e^{kx} dx, so their Gram
-entries are sums of gaussian moments, exact up to rounding
-(``_gauss_moment``); the other parts go through adaptive quadrature.  A
+a gaussian in z = -ln lam, the exponential variable of the sign-matrices (a
+gaussian trial is lam^{-1/2} times its end), and a density sigma pairs two
+of them as the integral of sigma(e^{-z}) conj(u1) u2 dz.  On a power-law
+part c/Gamma(q) lam^{q-1} with alpha = 0 and r = 0, such as Carleman's, that
+measure is c/Gamma(q) e^{(1-q) z} dz, so their Gram entries are sums of
+gaussian moments, exact up to rounding (``_gauss_moment``); the other parts
+go through adaptive quadrature (``_closed_form_split``).  A
 Certificate's ``margin`` bounds how far its count is from changing under
 the entries' error: their quadrature tolerance plus eps max|G| of rounding.
 """
@@ -66,10 +67,11 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
-from .sigma import (_INERTIA_RTOL, DecayError, RegularDensity, SigmaDistribution, _PowerLaw,
-                    _SpecProduct, _eig_inertia, _pair_product, matrix_inertia, sigma_of_kernel,
-                    sigma_pair, sign_matrix, sign_matrix_tilde)
-from .special import FExp, FLog, FPoly, FPow, FProd, FSum, Jet, fs_affine, fs_const, fs_var
+from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
+                    _eig_inertia, _margin, _pair_product, sigma_of_kernel, sigma_pair,
+                    sign_matrix, sign_matrix_tilde)
+from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
+                      fs_var)
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
 from .special import _jet_mul, _jet_recip
@@ -121,16 +123,9 @@ class _LaguerreProducts:
 
     def jet(self, center, order):
         n = order + 1
-        lam = np.zeros(n, dtype=complex)
-        lam[0] = center
-        if n > 1:
-            lam[1] = 1.0
-        num = lam.copy()
-        num[0] -= 0.5
-        den = lam.copy()
-        den[0] += 0.5
-        rden = _jet_recip(den)
-        mu = _jet_mul(num, rden)
+        lam = _var_jet(center, order)
+        rden = _jet_recip((lam + 0.5).coeffs)
+        mu = _jet_mul((lam - 0.5).coeffs, rden)
         b = math.isqrt(self.smax) + 1  # ceil(sqrt(smax+1))
         m = -(-(self.smax + 1) // b)
         base = np.zeros((b + 1, n), dtype=complex)
@@ -235,17 +230,6 @@ def _compression_bound(h, q):
     return 2.0 * math.sqrt(sq), hq
 
 
-def _margin(ev, err):
-    """(distance of the nearest of ``ev`` from +-tau, minus ``err``) / max|ev|,
-    tau = _INERTIA_RTOL max|ev| the threshold of ``sigma._eig_inertia``.  When
-    every eigenvalue of a matrix lies within ``err`` of ``ev``, a positive
-    margin means their inertias agree: tau itself then moves by at most
-    _INERTIA_RTOL err."""
-    top = max(np.max(np.abs(ev)), 1e-300)
-    gap = np.min(np.abs(np.abs(ev) - _INERTIA_RTOL * top))
-    return float((gap - (1.0 + _INERTIA_RTOL) * err) / top)
-
-
 def _section_spectra(h, sizes):
     """(spectra, margins) of the leading blocks h[:s, :s], s in ``sizes``
     (ascending, the last one len(h)).
@@ -303,7 +287,10 @@ class NegCountEstimate:
                 "history": [list(h) for h in self.history]}
 
 
-def stabilized_negcount(kernel, sizes=(16, 32, 64, 128)):
+DEFAULT_SIZES = (16, 32, 64, 128)  # of ``stabilized_negcount``, ``--sizes`` and sweep cases
+
+
+def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
     """Estimate N_minus from a nested family of finite sections.
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
@@ -391,10 +378,13 @@ def _shift_poly(coeffs, shift):
 # a quadratic, both in the local variable x - c, (rho, m) running over
 # ``zeros``, and Re e2 < 0.
 
-def _log_gaussian_part(part):
-    """Whether a sigma part pairs with ends in closed form: a RegularDensity
-    with alpha = 0 and r = 0."""
-    return isinstance(part, RegularDensity) and part.alpha == 0 and part.r == 0
+def _closed_form_split(parts):
+    """(weights, rest) of sigma ``parts`` against ends in z = -ln lam: the
+    (c/Gamma(q), 1 - q) of ``_gauss_gram`` for each RegularDensity with
+    alpha = 0 and r = 0, whose measure is c/Gamma(q) e^{(1-q) z} dz, and the
+    other parts, which go through quadrature."""
+    closed = [p for p in parts if isinstance(p, RegularDensity) and p.alpha == 0 and p.r == 0]
+    return [(p.weight, 1.0 - p.q) for p in closed], tuple(p for p in parts if p not in closed)
 
 
 def _end_poly(end, d):
@@ -445,10 +435,9 @@ def _end_spec(ends):
 
 
 def _gaussian_end(center, eps):
-    """``gaussian_trial`` in x = ln lam, where (eps lam)^{-1/2} e^{-ln^2(lam/A)/eps^2}
-    = eps^{-1/2} exp(-ln A/2 - (x - ln A)/2 - (x - ln A)^2/eps^2)."""
-    c = math.log(center)
-    return (c, np.array([eps ** -0.5]), (), np.array([-0.5 * c, -0.5, -eps ** -2.0]))
+    """The end of ``gaussian_trial``, lam^{1/2} (eps lam)^{-1/2} e^{-ln^2(lam/A)/eps^2}
+    = eps^{-1/2} exp(-(z + ln A)^2/eps^2) in z = -ln lam."""
+    return (-math.log(center), np.array([eps ** -0.5]), (), np.array([0.0, 0.0, -eps ** -2.0]))
 
 
 def _fit(coeffs, n):
@@ -499,17 +488,11 @@ class Certificate:
     achieved: int
     target: int
     gram_err: float = math.nan  # bound on ||gram - exact Gram||_2; nan if unknown
+    margin: float = math.nan  # ``_margin`` at gram_err: > 0 when ``achieved`` is certified
 
     @property
     def success(self):
         return self.achieved >= self.target
-
-    @property
-    def margin(self):
-        """``_margin`` of the Gram spectrum with error ``gram_err``: > 0 when
-        ``achieved`` holds for every matrix within that error, nan when the
-        error is unknown."""
-        return _margin(np.linalg.eigvalsh(0.5 * (self.gram + self.gram.conj().T)), self.gram_err)
 
 
 _ROUNDS = 12  # eps values each construction tries
@@ -527,17 +510,20 @@ def _first_success(certs):
     return best
 
 
-def _neg_inertia(g):
-    gh = 0.5 * (g + g.conj().T)
-    return matrix_inertia(gh)[1]
+def _neg_inertia(g, err):
+    """(n_minus, margin) of the hermitian part of ``g``, from one spectrum,
+    with ``err`` the error of that spectrum for the margin."""
+    ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    return _eig_inertia(ev)[1], _margin(ev, err)
 
 
 def _gram_certificate(kind, eps, params, g, target, atol):
     """Certificate of the Gram matrix ``g``.  Each entry is within ``atol``
     (its quadrature tolerance, 0 in closed form) plus rounding, eps max|G|,
     of the exact pairing, so by Weyl the spectrum is within m times that."""
-    err = len(g) * (atol + np.finfo(float).eps * np.max(np.abs(g)))
-    return Certificate(kind, eps, params, g, _neg_inertia(g), target, float(err))
+    err = float(len(g) * (atol + np.finfo(float).eps * np.max(np.abs(g))))
+    achieved, margin = _neg_inertia(g, err)
+    return Certificate(kind, eps, params, g, achieved, target, err, margin)
 
 
 def _hermitian_gram(pair, trials):
@@ -554,11 +540,10 @@ def _hermitian_gram(pair, trials):
 # -- gaussian-family certificate --------------------------------------------
 
 def _certify_gaussian(sig, beta, target, eps0, delta0):
-    """Gram = closed-form block of the ``_log_gaussian_part`` parts + adaptive
-    pairings with the others.  In x = ln lam a part's measure c/Gamma(q)
-    lam^{q-1} dlam is c/Gamma(q) e^{qx} dx: k = q."""
-    weights = [(p.weight, p.q) for p in sig.parts if _log_gaussian_part(p)]
-    rest = SigmaDistribution(tuple(p for p in sig.parts if not _log_gaussian_part(p)))
+    """Gram = closed-form block of the ends (``_closed_form_split``) +
+    adaptive pairings of the trials with the other parts."""
+    weights, rest = _closed_form_split(sig.parts)
+    rest = SigmaDistribution(rest)
     atol = 1e-11 if rest.parts else 0.0
     delta, eps = delta0, min(eps0, delta0 / 6.0)
     for rd in range(_ROUNDS):
@@ -615,8 +600,8 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     its sign-matrix eigenvector, so the finite-rank part of the form is
     a_i^H S a_j = diag of the negative eigenvalues, for every eps; only the
     pairing with s0 (h0's density) depends on eps.  The s0 block is closed
-    form on the ``_log_gaussian_part`` parts (s0 = c/Gamma(q) e^{(1-q) x},
-    so k = 1 - q) and ``_s0_pair_x`` on the others."""
+    form on the parts that ``_closed_form_split`` allows and ``_s0_pair_x``
+    on the others."""
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
@@ -627,8 +612,7 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     if not s0_parts:
         yield _gram_certificate("interpolation", eps0, params, block, target, 0.0)
         return
-    weights = [(p.weight, 1.0 - p.q) for p in s0_parts if _log_gaussian_part(p)]
-    rest = [p for p in s0_parts if not _log_gaussian_part(p)]
+    weights, rest = _closed_form_split(s0_parts)
     atol = 1e-12 if rest else 0.0
     eps = eps0
     for _ in range(_ROUNDS):

@@ -15,7 +15,7 @@ one more term v0 (t+rho)^k e^{-beta t} (q = -k) or the finite-rank part:
   inertia of the sign-matrices, summed over real exponents and conjugate
   pairs.
 
-Other shapes raise ValueError.
+Other shapes raise NoTheoremError.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "Prediction",
     "AssumptionViolation",
     "IntegerExponentError",
+    "NoTheoremError",
     "predict_kernel",
     "predict_quasi_carleman",
     "critical_coupling",
@@ -53,6 +54,10 @@ class AssumptionViolation(ValueError):
 
 class IntegerExponentError(ValueError):
     """Integer |q|: the kernel is finite rank; use predict_finite_rank."""
+
+
+class NoTheoremError(ValueError):
+    """The kernel's shape is outside the theorem table of ``predict_kernel``."""
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def predict_perturbed(h0, v):
 
 def predict_kernel(kernel):
     """Closed-form counts of ``kernel``, by the shape table of this module;
-    other shapes raise ValueError, as do the theorems' preconditions."""
+    other shapes raise NoTheoremError, failed preconditions other ValueErrors."""
     qc, fr = kernel.qc_terms, kernel.fr_terms
     if not qc:
         return predict_finite_rank(kernel)
@@ -223,7 +228,7 @@ def predict_kernel(kernel):
     if len(qc) + bool(fr) == 2:
         base, *rest = sorted(qc, key=lambda t: t.q, reverse=True)
         return predict_perturbed(Kernel((base,)), rest[0] if rest else Kernel(tuple(fr)))
-    raise ValueError("no closed-form count for %d quasi-Carleman terms%s"
+    raise NoTheoremError("no closed-form count for %d quasi-Carleman terms%s"
                      % (len(qc), " plus finite rank" if fr else ""))
 
 

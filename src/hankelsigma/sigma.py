@@ -234,13 +234,15 @@ def _check_density_decay(q, r, prod):
 
 
 def _splits(alpha, knots):
-    """(knots, far_start, d0) of the power-law engines, offsets from alpha:
-    the knots above alpha, the start of the tail (1, or twice the farthest
+    """(knots, near_end, far_start, d0) of the power-law engines, offsets from
+    alpha: the knots above alpha, the end of a density's singular-end piece
+    min(1, nearest knot), the start of the tail (1, or twice the farthest
     knot) and the finite part's series radius min(0.5, nearest knot / 4)."""
     knots = sorted(h - alpha for h in knots if h > alpha)
+    near_end = min([1.0] + knots[:1])
     far_start = max([1.0] + [2.0 * h for h in knots])
     d0 = min([0.5] + [0.25 * h for h in knots[:1]])
-    return knots, far_start, d0
+    return knots, near_end, far_start, d0
 
 
 def _density_pair_engine(part, psi, atol, splits):
@@ -248,29 +250,21 @@ def _density_pair_engine(part, psi, atol, splits):
 
     ``psi`` maps a lambda array to values with any leading batch shape and
     must already contain the e^{-r(lam-alpha)} factor; ``splits``: _splits.
+    A non-integer q takes tanh-sinh on its singular end, up to near_end.
     """
     a, q = part.alpha, part.q
-    hs, far_start, _ = splits
-
-    if q < 1.0:
-        def g_near(u):
-            return u ** (q - 1) * psi(a + u)
-        near = _quad.tanh_sinh_left(g_near, 0.0, 1.0, atol=atol)  # far_start >= 1
-        mid_lo = 1.0
-    else:
-        near = None
-        mid_lo = 0.0
+    hs, near_end, far_start, _ = splits
 
     def g(lam):
         return (lam - a) ** (q - 1) * psi(lam)
 
-    mid = _quad.adaptive_gl(g, a + mid_lo, a + far_start, atol=atol,
-                            knots=[a + h for h in hs])
+    if float(q).is_integer():  # no singular end: Gauss-Legendre from alpha
+        near, near_end = 0.0, 0.0
+    else:
+        near = _quad.tanh_sinh_left(lambda u: u ** (q - 1) * psi(a + u), 0.0, near_end, atol=atol)
+    mid = _quad.adaptive_gl(g, a + near_end, a + far_start, atol=atol, knots=[a + h for h in hs])
     far = _quad.semi_infinite(g, a + far_start, atol=atol * 0.1)
-    total = mid + far
-    if near is not None:
-        total = total + near
-    return part.weight * total
+    return part.weight * (mid + far + near)
 
 
 def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
@@ -287,7 +281,7 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
     if extra < 8:
         raise ValueError("need at least 8 spare jet orders")
 
-    hs, far_start, d0 = splits
+    hs, _, far_start, d0 = splits
     ps_hi = np.arange(n + 1, n + extra + 1)
     for _ in range(60):
         terms = jets[..., n + 1:] * (d0 ** (q + ps_hi) / (q + ps_hi))
@@ -300,7 +294,7 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
             break
         d0 *= 0.5
         if d0 < 1e-9:
-            raise ValueError("series split for the finite part did not converge")
+            raise ArithmeticError("series split for the finite part did not converge")
     near = np.sum(terms, axis=-1)
 
     ps_lo = np.arange(n + 1)
@@ -417,6 +411,17 @@ def _eig_inertia(ev):
     those beyond _INERTIA_RTOL max|ev|, the rest counted as zero."""
     t = _INERTIA_RTOL * max(np.max(np.abs(ev)), 1e-300)
     return (int(np.sum(ev > t)), int(np.sum(ev < -t)), int(np.sum(np.abs(ev) <= t)))
+
+
+def _margin(ev, err):
+    """(distance of the nearest of ``ev`` from +-tau, minus ``err``) / max|ev|,
+    tau = _INERTIA_RTOL max|ev| the threshold of ``_eig_inertia``.  When
+    every eigenvalue of a matrix lies within ``err`` of ``ev``, a positive
+    margin means their inertias agree: tau itself then moves by at most
+    _INERTIA_RTOL err."""
+    top = max(np.max(np.abs(ev)), 1e-300)
+    gap = np.min(np.abs(np.abs(ev) - _INERTIA_RTOL * top))
+    return float((gap - (1.0 + _INERTIA_RTOL) * err) / top)
 
 
 def matrix_inertia(a):

@@ -144,6 +144,54 @@ def test_verify_galerkin_without_a_theorem_writes_null(tmp_path):
     assert report["counts"]["value"] == 3
 
 
+THREE_QC = {"schema": "1", "type": "sum", "parts": [
+    CARLEMAN, {"type": "quasi_carleman", "v0": 0.5, "q": 0.5},
+    {"type": "quasi_carleman", "v0": 0.2, "q": 1.5, "alpha": 1.0, "r": 1.0}]}
+# a background with v0 < 0 violates the regularity assumption of FDH
+BAD_BACKGROUND = {"schema": "1", "type": "sum", "parts": [dict(CARLEMAN, v0=-1.0),
+                                                         FDH_SUM["parts"][1]]}
+
+
+def test_sweep_case_without_a_theorem_writes_null_and_counts(tmp_path):
+    # the rule of verify galerkin; the case used to be an error with no counts
+    cfg = _write(tmp_path, "sweep.json", {"cases": [
+        {"name": "a", "kernel": THREE_QC, "galerkin": True, "sizes": [8, 16, 32]}]})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="unbounded positive form"):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "a" / "report.json").read_text())
+    assert report["prediction"] is None and "error" not in report
+    assert [h[0] for h in report["counts"]["history"]] == [8, 16, 32]
+
+
+def test_verify_galerkin_failed_precondition_exits_2(tmp_path, monkeypatch):
+    # a failed precondition is not a shape without a theorem: no null
+    # prediction, and no section is assembled
+    monkeypatch.setattr(cli, "stabilized_negcount", None)
+    spec = _write(tmp_path, "k.json", BAD_BACKGROUND)
+    out = tmp_path / "out"
+    assert main(["verify", "galerkin", "--spec", spec, "--out", str(out),
+                 "--sizes", "8,16,32"]) == EXIT_VALIDATION
+    assert not (out / "verify_galerkin.json").exists()
+
+
+def test_default_section_sizes_are_one_constant(tmp_path, monkeypatch):
+    seen = []
+
+    def negcount(kern, sizes):
+        seen.append(sizes)
+        return galerkin.stabilized_negcount(kern, sizes)
+
+    monkeypatch.setattr(cli, "stabilized_negcount", negcount)
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    cfg = _write(tmp_path, "sweep.json", {"cases": [{"name": "a", "kernel": CARLEMAN,
+                                                     "galerkin": True}]})
+    assert main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert seen == [galerkin.DEFAULT_SIZES] * 2
+    assert galerkin.stabilized_negcount.__defaults__ == (galerkin.DEFAULT_SIZES,)
+
+
 def test_sum_spec_may_split_a_conjugate_pair(tmp_path):
     half = [{"type": "finite_rank", "terms": [{"coeffs": [[1.0, s * 0.5]], "beta": [1.0, s]}]}
             for s in (1.0, -1.0)]
@@ -269,6 +317,18 @@ def test_verify_witness_command(tmp_path):
     assert main(["verify", "witness", "--spec", spec, "--out", out]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "verify_witness.json").read_text())
     assert report["unbounded"][-1] >= 10 * report["unbounded"][0]
+
+
+def test_verify_witness_unconverged_series_split_exits_3(tmp_path, caplog):
+    # alpha = 1e-12: the finite part's series split never converges, a
+    # numerical failure; it used to end in a ValueError traceback
+    spec = _write(tmp_path, "k.json", dict(QC_HALF, q=-1.5, alpha=1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the jets at alpha overflow
+        code = main(["verify", "witness", "--spec", spec, "--out", str(tmp_path / "o")])
+    assert code == EXIT_TOLERANCE
+    assert [r.getMessage() for r in caplog.records] == [
+        "series split for the finite part did not converge"]
 
 
 def test_certificate_command(tmp_path):

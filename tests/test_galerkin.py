@@ -404,6 +404,14 @@ def test_assemble_unbounded_warns():
         assemble(quasi_carleman(1.0, 0.5, 0.0, 0.0), 8)
 
 
+def test_assemble_non_integer_q_above_1_takes_the_singular_end_rule():
+    # q = 1.5, r = 1: Gauss-Legendre from alpha capped a panel at 6e4 x budget
+    # and was 9.8e-13 off; tanh-sinh on the singular end is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assemble(carleman() + quasi_carleman(0.2, 1.5, 1.0, 1.0), 8)
+
+
 def test_assemble_form_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -426,6 +434,15 @@ def test_gaussian_certificate_infinite_branch():
     for a_j, g_jj in zip(cert.params["centers"], np.diag(cert.gram).real):
         limit = -1.0 / rgamma(-1.5) * sqrt(pi / 2) * (a_j - 1.0) ** -2.5
         assert g_jj < 0 and abs(g_jj - limit) < 0.25 * abs(limit) + 2.0
+
+
+@pytest.mark.filterwarnings("ignore:adaptive_gl:RuntimeWarning")
+def test_gaussian_certificate_sees_a_positive_density_at_beta():
+    # sigma is positive near beta = 1, so no trial there pairs negatively; with
+    # the near piece blind to the trials' knots this certified 3
+    cert = certificate(quasi_carleman(1.0, 0.5, 1.0, 0.0), quasi_carleman(-0.01, 1.0, 1.0, 0.0), 3)
+    assert cert.achieved == 0 and not cert.success
+    assert np.all(np.diag(cert.gram).real > 0)
 
 
 def test_gaussian_certificate_shallow_well():

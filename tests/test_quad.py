@@ -75,8 +75,8 @@ def test_gaussian_certificate_entry_stops_at_the_noise_floor(monkeypatch):
 
 def test_depth_cap_warns_with_count_and_ratio():
     # a jump at 1/3 never meets its budget; no knot marks it
-    with pytest.warns(RuntimeWarning, match=r"1 panel\(s\) accepted at max_depth=4 .* x budget"):
-        val = adaptive_gl(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, atol=1e-12, max_depth=4)
+    with pytest.warns(RuntimeWarning, match=r"1 panel\(s\) accepted at max_depth=11 .* x budget"):
+        val = adaptive_gl(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, atol=1e-12)
     assert abs(val - 1.0 / 3.0) < 1e-2
 
 

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from hankelsigma.form import ExpPoly, form_direct
 from hankelsigma.galerkin import gaussian_trial
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
-from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError,
-                               RegularizedPower, _SpecProduct, matrix_inertia,
-                               sigma_of_kernel, sigma_pair, sigma_pair_real,
+from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError, RegularDensity,
+                               RegularizedPower, SigmaDistribution, _SpecProduct,
+                               matrix_inertia, sigma_of_kernel, sigma_pair, sigma_pair_real,
                                sign_matrix, sign_matrix_tilde)
 from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
                                  fs_const, fs_var, laguerre_image)
@@ -133,6 +133,23 @@ def test_narrow_gaussian_trial_pairs_through_its_own_knots(q, center, eps):
     want = (center ** (q - 1) * math.sqrt(math.pi / 2) * math.exp((q - 1) ** 2 * eps ** 2 / 8)
             / math.gamma(q))
     assert abs(sigma_pair(sig, w, w) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 1.5])
+@pytest.mark.parametrize("center, eps", [(1.06, 1e-3), (1.3, 2e-4)])
+def test_narrow_gaussian_pairs_near_the_edge_of_a_power_law(q, center, eps):
+    # the singular-end piece of a non-integer q stops at the trial's first
+    # knot; run over [alpha, alpha + 1] it stepped over the bump and
+    # returned ~1e-78 (q = 0.5, center 1.06) or 0
+    mp = pytest.importorskip("mpmath")
+    w = gaussian_trial(center, eps)
+    val = sigma_pair(SigmaDistribution((RegularDensity(1.0, q, 1.0, 0.0),)), w, w)
+    with mp.workdps(30):
+        ref = float(mp.quad(lambda lam: (lam - 1) ** (q - 1) / mp.gamma(q) / (eps * lam)
+                            * mp.exp(-2 * mp.log(lam / center) ** 2 / eps ** 2),
+                            [1, center * mp.exp(-8 * eps), center, center * mp.exp(8 * eps), 3,
+                             mp.inf]))
+    assert abs(val - ref) <= 1e-12 * ref
 
 
 def test_gaussian_fexp_pairs_through_its_own_knots():
