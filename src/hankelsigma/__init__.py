@@ -24,10 +24,8 @@ from .predict import (NegCount, Prediction, assumption_hfree,
                       critical_coupling, predict_finite_rank, predict_kernel,
                       predict_perturbed, predict_quasi_carleman)
 from .galerkin import (Certificate, FiniteSection, assemble, certificate,
-                       carleman_spectrum_study, section_inertia,
-                       stabilized_negcount)
-from .transform import (GridFunction, LogGrid, laplace_point,
-                        laplace_via_mellin, mollifier_tn, reconstruct,
-                        sandwiched_apply)
+                       section_inertia, stabilized_negcount)
+from .transform import (GridFunction, LogGrid, laplace_via_mellin,
+                        mollifier_tn, reconstruct, sandwiched_apply)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

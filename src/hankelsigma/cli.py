@@ -25,7 +25,8 @@ for commands and sweep cases alike: any ValueError or a missing file exits
 2 (malformed specs, sweep cases without a name or a kernel, fewer than 3,
 repeated or non-positive section sizes, non-self-adjoint or empty kernels,
 failed preconditions, diverging sections), any ArithmeticError exits 3
-(a divergent integral, cancelling terms, an unconverged series split).
+(a divergent integral, cancelling terms, overflowing Taylor coefficients,
+an unconverged series split).
 A sweep records either as the case's "error" and goes on.
 
 Reports with section counts (verify galerkin, sweep cases with

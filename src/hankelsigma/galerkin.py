@@ -65,7 +65,7 @@ import numpy as np
 
 from . import _quad
 from .form import FormDomainError
-from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
+from .kernel import Classification, Kernel, classify
 from .predict import predict_quasi_carleman
 from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
                     _eig_inertia, _margin, _pair_product, sigma_of_kernel, sigma_pair,
@@ -85,7 +85,6 @@ __all__ = [
     "section_inertia",
     "stabilized_negcount",
     "certificate",
-    "carleman_spectrum_study",
     "gaussian_trial",
     "window_trials",
 ]
@@ -315,17 +314,6 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
     else:
         kind, value = "undecided", None
     return NegCountEstimate(kind, value, history, max_eigs, tuple(margins))
-
-
-def carleman_spectrum_study(n, q=1.0):
-    """(min_eig, max_eig) of the section of h(t) = t^{-q}.  Dense
-    ``eigvalsh`` at every size: the compression of ``_section_spectra``
-    resolves only the eigenvalues of largest modulus, not the smallest one."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    sec = assemble(Kernel((QuasiCarlemanTerm(1.0, q, 0.0, 0.0),)), n)
-    ev = np.linalg.eigvalsh(sec.matrix)
-    return float(ev[0]), float(ev[-1])
 
 
 # ---------------------------------------------------------------------------

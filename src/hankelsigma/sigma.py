@@ -280,6 +280,9 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
     extra = jets.shape[-1] - (n + 1)
     if extra < 8:
         raise ValueError("need at least 8 spare jet orders")
+    if not np.all(np.isfinite(jets)):
+        raise ArithmeticError("Taylor coefficients of the test product at alpha overflow; "
+                              "the finite part has no series split")
 
     hs, _, far_start, d0 = splits
     ps_hi = np.arange(n + 1, n + extra + 1)
@@ -380,14 +383,6 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
     no knot marks goes unseen.
     """
     return _pair_product(sig, _SpecProduct(w1, w2), atol)
-
-
-def sigma_pair_real(sig, w):
-    """Diagonal pairing <sigma, w* w> for a self-adjoint sigma; returns float."""
-    val = sigma_pair(sig, w, w)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise NonHermitianError("diagonal pairing came out complex: %r" % val)
-    return float(val.real)
 
 
 # ---------------------------------------------------------------------------

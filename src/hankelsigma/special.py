@@ -20,13 +20,11 @@ __all__ = [
     "laguerre",
     "laguerre_e",
     "Jet",
-    "jet_eval",
     "FunctionSpec",
     "FPoly",
     "FExp",
     "FLog",
     "FPow",
-    "FRecip",
     "FProd",
     "FSum",
     "FIndicatorImage",
@@ -274,7 +272,7 @@ def _var_jet(center, order):
 
 # ---------------------------------------------------------------------------
 # FunctionSpec: a closed expression-tree language so jets are exact.
-# Nodes: polynomial, exp, log, power, reciprocal, product, sum, plus the
+# Nodes: polynomial, exp, log, power, product, sum, plus the
 # stable interval-indicator Laplace image.
 # ---------------------------------------------------------------------------
 
@@ -430,23 +428,6 @@ class FPow(FunctionSpec):
         return (0.0, power * e)
 
 
-class FRecip(FunctionSpec):
-    def __init__(self, child):
-        self.child = _as_spec(child)
-
-    def __call__(self, z):
-        return 1.0 / self.child(z)
-
-    def jet(self, center, order):
-        return self.child.jet(center, order).reciprocal()
-
-    def decay(self):
-        rate, power = self.child.decay()
-        if rate != 0.0:
-            raise ValueError("reciprocal of an exponentially varying factor")
-        return (0.0, -power)
-
-
 class FProd(FunctionSpec):
     """scale * prod(parts), with nested products and constant factors folded."""
 
@@ -563,11 +544,4 @@ def fs_affine(slope, offset):
 
 def laguerre_image(n):
     """Laplace image of e_n: (lam - 1/2)^n / (lam + 1/2)^{n+1}."""
-    if n == 0:
-        return FRecip(fs_affine(1.0, 0.5))
     return FProd([FPow(fs_affine(1.0, -0.5), n), FPow(fs_affine(1.0, 0.5), -(n + 1))])
-
-
-def jet_eval(fspec, center, order):
-    """Exact truncated Taylor expansion of a FunctionSpec at ``center``."""
-    return fspec.jet(complex(center), int(order))

@@ -14,19 +14,23 @@ Fourier operators s(x) Phi* v(xi).  On the xi grid, with
 lg = log Gamma(1/2 - i xi), T_n g = e^{lg} (chihat_n dx * (e^{-lg} g)): one
 gaussian convolution, truncated where its tail falls below 1e-17.
 
-Grid Fourier conventions are pinned here once: with x_j = x0 + j dx and
+Every grid transform works in fft order.  On an x-grid x_j = x0 + j dx with
 fft-order frequencies xi_k = 2 pi k/(n dx),
 
     (Phi u)(xi_k)  = (2 pi)^{-1/2} dx e^{-i x0 xi_k} FFT(u)[k]
     (Phi* g)(x_j)  = (2 pi)^{1/2} / dx * IFFT(g e^{+i x0 xi})[j]
 
-which makes Phi* Phi = identity exactly and Parseval exact in the
-dx/dxi-weighted norms.  The two pipelines run in fft order on the bare
-FFTs: J turns the first FFT into N IFFT, so with u = e^{x/2} f,
+so Phi* Phi = identity exactly and Parseval is exact in the dx/dxi-weighted
+norms.  The two pipelines run on the bare FFTs: J turns the first FFT into
+N IFFT, so with u = e^{x/2} f,
 L f = e^{-x/2} N IFFT(e^{2i x0 xi} conj Gamma(1/2 + i xi) IFFT(u)), and in
 the inverse the x0 phases of Phi and Phi* cancel, so
 f = e^{-x/2} IFFT(band FFT(u) / Gamma(1/2 + i xi)), the band being the
 xi-span of every bin where |FFT(u)| is at least 1e-12 of its peak.
+``sandwiched_apply`` maps a frequency grid to its dual x-grid: one IFFT
+with the phase of the input grid's start, then the package's only
+reordering from fft order to ascending order, because its output is a
+GridFunction on a LogGrid, whose points ascend, and s(x) is sampled there.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import FunctionSpec, gamma, log_gamma
+from .special import gamma, log_gamma
 
 __all__ = [
     "LogGrid",
@@ -47,11 +51,6 @@ __all__ = [
     "InsufficientDecayError",
     "AmplificationError",
     "GrowthWarning",
-    "xi_grid_of",
-    "dual_grid",
-    "fourier",
-    "inv_fourier",
-    "laplace_point",
     "laplace_via_mellin",
     "reconstruct",
     "u_of_laplace_image",
@@ -100,11 +99,6 @@ class LogGrid:
         """lam = e^{+x}: the t-side / Mellin convention."""
         return np.exp(self.xs)
 
-    @property
-    def lambdas_neg(self):
-        """lam = e^{-x}: the sigma-side convention."""
-        return np.exp(-self.xs)
-
 
 DEFAULT_GRID = LogGrid(-60.0, 60.0, 16384)
 MOLLIFIER_GRID = LogGrid(-40.0, 40.0, 1024)
@@ -122,22 +116,6 @@ class GridFunction:
             raise ValueError("values must match the grid")
         object.__setattr__(self, "values", v)
 
-    def norm(self):
-        """L2 norm with the dx weight."""
-        return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
-
-
-def xi_grid_of(grid):
-    """Ascending dual frequencies of an x-grid."""
-    return 2 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.count, d=grid.dx))
-
-
-def dual_grid(grid):
-    """The LogGrid whose points are xi_grid_of(grid)."""
-    n = grid.count
-    d = 2 * np.pi / (n * grid.dx)
-    return LogGrid(-d * (n // 2), d * (n - n // 2), n)
-
 
 def _xi_fft_order(grid):
     return 2 * np.pi * np.fft.fftfreq(grid.count, d=grid.dx)
@@ -154,55 +132,9 @@ def _gamma_half(grid):
     return g
 
 
-def fourier(gf):
-    """Phi applied to a GridFunction; returns values on the ascending xi grid."""
-    grid = gf.grid
-    xi = _xi_fft_order(grid)
-    vals = (2 * np.pi) ** -0.5 * grid.dx * np.exp(-1j * grid.x_min * xi) * np.fft.fft(gf.values)
-    return np.fft.fftshift(vals)
-
-
-def inv_fourier(gvals_shifted, grid):
-    """Phi* applied to values on the ascending xi grid of ``grid``."""
-    g = np.fft.ifftshift(np.asarray(gvals_shifted, dtype=complex))
-    xi = _xi_fft_order(grid)
-    vals = (2 * np.pi) ** 0.5 / grid.dx * np.fft.ifft(g * np.exp(1j * grid.x_min * xi))
-    return GridFunction(grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # Laplace transform
 # ---------------------------------------------------------------------------
-
-def laplace_point(f, lam):
-    """(L f)(lam) = integral_0^inf e^{-t lam} f(t) dt.
-
-    ``f`` may carry a closed-form image (``laplace_image()``), be a t-side
-    FunctionSpec (quadrature), or a GridFunction sampled at t = e^x
-    (trapezoid in x).
-    """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if hasattr(f, "laplace_image"):
-        img = f.laplace_image()
-        out = np.asarray(img(lam_arr), dtype=complex)
-    elif isinstance(f, GridFunction):
-        t = f.grid.lambdas_pos
-        weights = f.grid.dx * t  # dt = t dx on the log grid
-        out = np.array([np.sum(np.exp(-t * lv) * f.values * weights) for lv in lam_arr])
-    elif isinstance(f, FunctionSpec):
-        from . import _quad
-
-        rate, _ = f.decay()
-        out = np.empty(len(lam_arr), dtype=complex)
-        for i, lv in enumerate(lam_arr):
-            if rate + lv <= 0:
-                raise _quad.DivergentIntegralError("e^{-t lam} f(t) does not decay")
-            out[i] = _quad.adaptive_gl(lambda t: np.exp(-t * lv) * f(t), 0.0, 1.0, atol=1e-12) \
-                + _quad.semi_infinite(lambda t: np.exp(-t * lv) * f(t), 1.0, atol=1e-13)
-    else:
-        raise TypeError("unsupported operand for laplace_point: %r" % (f,))
-    return out[0] if np.ndim(lam) == 0 else out
-
 
 def laplace_via_mellin(f):
     """Laplace transform of f (sampled at t = e^x) via the Mellin factorization.
@@ -370,20 +302,23 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID):
 def sandwiched_apply(s, v, f):
     """Compute s(x) Phi*(v(xi) f(xi)).
 
-    ``f`` lives on its own (frequency) grid; the result lives on the dual
-    x-grid.  ``s`` and ``v`` are callables (FunctionSpecs work).  A
+    ``f`` lives on its own (frequency) grid xi_j = xi0 + j dxi; the result
+    lives on the dual x-grid, whose fft-order points x_k = 2 pi k/(n dxi)
+    give Phi* g = (2 pi)^{-1/2} dxi e^{i xi0 x} N IFFT(g), shifted to
+    ascending order.  ``s`` and ``v`` are callables (FunctionSpecs work).  A
     GrowthWarning is emitted when s grows faster than |x|^12 toward the
     grid edges (the operator theory assumes a polynomial envelope on s).
     """
-    xi = f.grid.xs
-    vf = np.asarray(v(xi), dtype=complex) * f.values
-    # Phi* g = conj(Phi conj(g)); fourier() maps a grid to its dual points
-    out_vals = np.conj(fourier(GridFunction(f.grid, np.conj(vf))))
-    out = dual_grid(f.grid)
+    grid, n = f.grid, f.grid.count
+    vf = np.asarray(v(grid.xs), dtype=complex) * f.values
+    phase = np.exp(1j * grid.x_min * _xi_fft_order(grid))
+    vals = (2 * np.pi) ** -0.5 * grid.dx * phase * (n * np.fft.ifft(vf))
+    d = 2 * np.pi / (n * grid.dx)
+    out = LogGrid(-d * (n // 2), d * (n - n // 2), n)
     x = out.xs
     sx = np.asarray(s(x), dtype=complex)
     _check_polynomial_growth(x, sx)
-    return GridFunction(out, sx * out_vals)
+    return GridFunction(out, sx * np.fft.fftshift(vals))
 
 
 def _check_polynomial_growth(x, sx):

@@ -320,15 +320,17 @@ def test_verify_witness_command(tmp_path):
 
 
 def test_verify_witness_unconverged_series_split_exits_3(tmp_path, caplog):
-    # alpha = 1e-12: the finite part's series split never converges, a
-    # numerical failure; it used to end in a ValueError traceback
+    # alpha = 1e-12: the Taylor coefficients at alpha overflow (the largest
+    # finite one is ~4e283), a numerical failure named as such before the
+    # series split starts halving its radius
     spec = _write(tmp_path, "k.json", dict(QC_HALF, q=-1.5, alpha=1e-12))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the jets at alpha overflow
         code = main(["verify", "witness", "--spec", spec, "--out", str(tmp_path / "o")])
     assert code == EXIT_TOLERANCE
     assert [r.getMessage() for r in caplog.records] == [
-        "series split for the finite part did not converge"]
+        "Taylor coefficients of the test product at alpha overflow; "
+        "the finite part has no series split"]
 
 
 def test_certificate_command(tmp_path):

@@ -16,7 +16,7 @@ from hankelsigma.galerkin import (_ROUNDS, _certify_gaussian, _certify_interpola
                                   _compression_bound, _end_spec, _gauss_gram, _hermitian_gram,
                                   _interpolation_ends, _LaguerreProducts,
                                   _power_law_moments, _s0_pair_x, _section_spectra,
-                                  _sign_directions, assemble, carleman_spectrum_study,
+                                  _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
 from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
@@ -378,23 +378,30 @@ def test_nested_counts_monotone():
         prev_neg, prev_max = nneg, mx
 
 
+def _spectrum_ends(n, q=1.0):
+    """(min_eig, max_eig) of the section of t^{-q}, by the dense eigvalsh: the
+    compression of ``_section_spectra`` does not resolve the smallest one."""
+    ev = np.linalg.eigvalsh(assemble(quasi_carleman(1.0, q), n).matrix)
+    return float(ev[0]), float(ev[-1])
+
+
 def test_carleman_spectrum_study():
-    mn, mx = carleman_spectrum_study(1)
+    mn, mx = _spectrum_ends(1)
     assert mx == pytest.approx(2.0, abs=1e-10)
     prev = 0.0
     for n in (64, 128, 256):
-        mn, mx = carleman_spectrum_study(n)
+        mn, mx = _spectrum_ends(n)
         assert mn > -1e-12
         assert prev < mx < math.pi
         prev = mx
     # eigenvalue oracle pins the floor at N = 64
-    assert carleman_spectrum_study(64)[1] > 2.65
+    assert _spectrum_ends(64)[1] > 2.65
 
 
 def test_homogeneous_non_carleman_sections_grow():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tops = [carleman_spectrum_study(n, q=0.5)[1] for n in (16, 64, 256)]
+        tops = [_spectrum_ends(n, q=0.5)[1] for n in (16, 64, 256)]
     assert tops[0] < tops[1] < tops[2]
     assert tops[2] > 10  # no visible bound, unlike the q = 1 case
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hankelsigma import _quad
-from hankelsigma._quad import adaptive_gl, tanh_sinh_left
+from hankelsigma._quad import DivergentIntegralError, adaptive_gl, semi_infinite, tanh_sinh_left
 from hankelsigma.galerkin import gaussian_trial
 from hankelsigma.kernel import carleman, quasi_carleman
 from hankelsigma.sigma import sigma_of_kernel, sigma_pair
@@ -85,6 +85,14 @@ def test_converged_rules_do_not_warn():
         warnings.simplefilter("error")
         assert abs(adaptive_gl(np.exp, 0.0, 1.0) - (math.e - 1.0)) < 1e-13
         assert abs(tanh_sinh_left(lambda u: u ** -0.5, 0.0, 1.0) - 2.0) < 1e-12
+
+
+def test_semi_infinite_raises_on_a_growing_tail():
+    with np.errstate(over="ignore"), pytest.raises(DivergentIntegralError):
+        semi_infinite(np.exp, 1.0)  # the panels overflow to inf
+    with pytest.raises(DivergentIntegralError, match="not decaying"):
+        semi_infinite(lambda t: t, 1.0)
+    assert abs(semi_infinite(lambda t: np.exp(-t), 1.0) - math.exp(-1.0)) < 1e-15
 
 
 def test_tanh_sinh_warns_when_unconverged():

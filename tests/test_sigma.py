@@ -11,7 +11,7 @@ from hankelsigma.galerkin import gaussian_trial
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
 from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError, RegularDensity,
                                RegularizedPower, SigmaDistribution, _SpecProduct,
-                               matrix_inertia, sigma_of_kernel, sigma_pair, sigma_pair_real,
+                               matrix_inertia, sigma_of_kernel, sigma_pair,
                                sign_matrix, sign_matrix_tilde)
 from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
                                  fs_const, fs_var, laguerre_image)
@@ -82,7 +82,7 @@ def test_pair_constant_density_with_ground_laguerre():
     # oracle: int_0^inf (lam + 1/2)^{-2} dlam = 2 by quadrature
     oracle, _ = quad(lambda lam: (lam + 0.5) ** -2, 0, np.inf)
     sig = sigma_of_kernel(carleman())
-    val = sigma_pair_real(sig, laguerre_image(0))
+    val = sigma_pair(sig, laguerre_image(0), laguerre_image(0)).real
     assert abs(oracle - 2.0) < 1e-12
     assert abs(val - 2.0) < 1e-9
 
@@ -90,7 +90,7 @@ def test_pair_constant_density_with_ground_laguerre():
 def test_pair_delta_is_point_evaluation():
     sig = sigma_of_kernel(finite_rank([1.0], 2.0))
     w = laguerre_image(1)
-    assert sigma_pair_real(sig, w) == pytest.approx(w(2.0) ** 2, rel=1e-13)
+    assert sigma_pair(sig, w, w).real == pytest.approx(w(2.0) ** 2, rel=1e-13)
 
 
 def test_pair_regularized_matches_direct_oracle():
@@ -98,7 +98,7 @@ def test_pair_regularized_matches_direct_oracle():
     # t e^{-t/2}, so the oracle is the plain integral of t^{3/2} e^{-3t/2}
     oracle, _ = quad(lambda t: t ** 1.5 * np.exp(-1.5 * t), 0, np.inf)
     sig = sigma_of_kernel(quasi_carleman(1.0, -0.5, 1.0, 0.0))
-    val = sigma_pair_real(sig, laguerre_image(0))
+    val = sigma_pair(sig, laguerre_image(0), laguerre_image(0)).real
     assert abs(val - oracle) < 1e-9
 
 
@@ -187,7 +187,8 @@ def test_pairing_consistency_with_direct_form():
             f = ExpPoly(((rng.normal(), int(rng.integers(0, 3)),
                           float(rng.choice([0.5, 0.8, 1.3]))),))
             direct = form_direct(kern, f)
-            viasigma = sigma_pair_real(sig, f.laplace_image())
+            w = f.laplace_image()
+            viasigma = sigma_pair(sig, w, w).real
             assert abs(direct - viasigma) < 1e-8 * max(1.0, abs(direct))
 
 

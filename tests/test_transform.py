@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hankelsigma.form import ExpPoly, Indicator, form_sigma
+from hankelsigma.form import ExpPoly, Indicator, form_sigma, laguerre_test
 from hankelsigma.kernel import quasi_carleman
 from hankelsigma import transform
 from hankelsigma.special import gamma, laguerre_e, laguerre_image, log_gamma
 from hankelsigma.transform import (DEFAULT_GRID, MOLLIFIER_GRID,
                                    AmplificationError, GridFunction,
                                    GrowthWarning, InsufficientDecayError,
-                                   LogGrid, dual_grid, fourier, inv_fourier,
-                                   laplace_point, laplace_via_mellin,
+                                   LogGrid, laplace_via_mellin,
                                    mollifier_matrix, mollifier_norm,
                                    mollifier_tn, reconstruct,
-                                   sandwiched_apply, u_of_laplace_image,
-                                   xi_grid_of)
+                                   sandwiched_apply, u_of_laplace_image)
 from hankelsigma.transform import _band_width, _gamma_half, _xi_fft_order
 
 
@@ -33,34 +31,17 @@ def _mellin_residual(fvals, wtrue, grid=DEFAULT_GRID):
 
 
 def test_laplace_point_examples():
-    assert laplace_point(ExpPoly(((1.0, 0, 1.0),)), 1.0) == pytest.approx(0.5)
+    assert ExpPoly(((1.0, 0, 1.0),)).laplace_image()(1.0) == pytest.approx(0.5)
     ind = Indicator(1.0, 2.0)
-    assert laplace_point(ind, 1.0) == pytest.approx(math.exp(-1) - math.exp(-2))
+    assert ind.laplace_image()(1.0) == pytest.approx(math.exp(-1) - math.exp(-2))
     for n in (0, 2, 6):
         img = laguerre_image(n)
-        from hankelsigma.form import laguerre_test
         f = laguerre_test([0.0] * n + [1.0])
         for lam in (0.3, 1.0, 4.0):
             oracle, _ = quad(lambda t: math.exp(-lam * t) * laguerre_e(n, t), 0, 80,
                              limit=300)
-            assert abs(laplace_point(f, lam) - oracle) < 1e-9
+            assert abs(f.laplace_image()(lam) - oracle) < 1e-9
             assert abs(img(lam) - oracle) < 1e-9
-
-
-def test_laplace_point_grid_function():
-    grid = DEFAULT_GRID
-    f = GridFunction(grid, np.exp(-grid.lambdas_pos))
-    assert abs(laplace_point(f, 1.0) - 0.5) < 1e-8
-
-
-def test_laplace_point_divergence_error():
-    from hankelsigma._quad import DivergentIntegralError
-    from hankelsigma.special import FExp, FPoly
-    grower = FExp(FPoly([0.0, 2.0]))  # e^{2t}: integral diverges for lam <= 2
-    with pytest.raises(DivergentIntegralError):
-        laplace_point(grower, 1.0)
-    # and converges with enough damping
-    assert abs(laplace_point(grower, 3.0) - 1.0) < 1e-9
 
 
 # not symmetric about x = 0, so the e^{2i x0 xi} phase of the pipeline is not 1
@@ -96,17 +77,6 @@ def test_insufficient_decay_error():
     f = GridFunction(grid, grid.lambdas_pos ** -0.5)  # u(x) = const
     with pytest.raises(InsufficientDecayError):
         laplace_via_mellin(f)
-
-
-def test_parseval_on_grid():
-    grid = DEFAULT_GRID
-    u = GridFunction(grid, np.exp(-(grid.xs - 1) ** 2) * np.sin(grid.xs))
-    phi = fourier(u)
-    dxi = xi_grid_of(grid)[1] - xi_grid_of(grid)[0]
-    n_phi = math.sqrt(dxi * float(np.sum(np.abs(phi) ** 2)))
-    assert abs(n_phi - u.norm()) < 1e-10 * u.norm()
-    back = inv_fourier(phi, grid)
-    assert np.max(np.abs(back.values - u.values)) < 1e-12
 
 
 def test_reconstruct_roundtrip_exppoly():
@@ -147,7 +117,6 @@ def test_gamma_half_is_one_read_only_array_per_grid():
     g = _gamma_half(grid)
     assert _gamma_half(grid) is g
     assert np.array_equal(g, gamma(0.5 + 1j * _xi_fft_order(grid)))
-    assert np.array_equal(np.fft.fftshift(g), gamma(0.5 + 1j * xi_grid_of(grid)))
     with pytest.raises(ValueError):
         g[0] = 0.0
 
@@ -366,6 +335,11 @@ def test_sandwiched_identity_weights_is_plain_inverse_fourier():
     out = sandwiched_apply(lambda x: np.ones_like(x), lambda s: np.ones_like(s), f)
     x = out.grid.xs
     assert np.max(np.abs(out.values - np.exp(-x ** 2 / 2))) < 1e-13
+    # Phi* is unitary: it keeps the dx-weighted norm
+    g = GridFunction(grid, np.exp(-(grid.xs - 1) ** 2) * np.sin(grid.xs) * (1 + 0.5j))
+    norm = lambda h: math.sqrt(h.grid.dx * np.sum(np.abs(h.values) ** 2))
+    out = sandwiched_apply(lambda x: np.ones_like(x), lambda s: np.ones_like(s), g)
+    assert abs(norm(out) - norm(g)) < 1e-12 * norm(g)
 
 
 def test_sandwiched_against_quadrature_oracle():
@@ -388,16 +362,20 @@ def test_sandwiched_gamma_weight_reproduces_sigma_form():
     f = ExpPoly(((1.0, 1, 1.0),))
     grid = DEFAULT_GRID
     t = grid.lambdas_pos
-    fvals = t * np.exp(-t)
-    mf = fourier(GridFunction(grid, np.exp(grid.xs / 2) * fvals))
+    # Phi(e^{x/2} f) on the ascending dual grid: the x-grid's bins in fft order
+    # are xi_k = 2 pi k / (n dx), each with the phase e^{-i x0 xi_k}
+    n, xi = grid.count, _xi_fft_order(grid)
+    phi = (2 * np.pi) ** -0.5 * grid.dx * np.exp(-1j * grid.x_min * xi) \
+        * np.fft.fft(np.exp(grid.xs / 2) * t * np.exp(-t))
+    d = 2 * np.pi / (n * grid.dx)
+    mf = GridFunction(LogGrid(-d * (n // 2), d * (n - n // 2), n), np.fft.fftshift(phi))
     u = u_of_laplace_image(f, grid)
 
     def s_of_x(x):
         lam = np.exp(-x)
         return np.where(lam > 1.0, (lam - 1.0) * np.exp(-(lam - 1.0)), 0.0)
 
-    out = sandwiched_apply(s_of_x, lambda xi: gamma(0.5 + 1j * xi),
-                           GridFunction(dual_grid(grid), mf))
+    out = sandwiched_apply(s_of_x, lambda xi: gamma(0.5 + 1j * xi), mf)
     lhs = grid.dx * np.sum(out.values * np.conj(u.values))
     rhs = form_sigma(kern, f)
     assert abs(lhs.real - rhs) <= 1e-5 * (1 + abs(rhs))
@@ -435,4 +413,3 @@ def test_grid_validation():
         LogGrid(0.0, 1.0, 100)  # not a power of two
     g = LogGrid(-2.0, 2.0, 16)
     assert len(g.xs) == 16 and g.dx == 0.25
-    assert np.allclose(g.lambdas_neg, np.exp(-g.xs))
