@@ -15,8 +15,8 @@ from .kernel import (Classification, FiniteRankTerm, Kernel,
                      QuasiCarlemanTerm, carleman, carleman_condition,
                      classify, finite_rank, kernel_eval, quasi_carleman)
 from .sigma import (DeltaCombo, RegularDensity, RegularizedPower,
-                    SigmaDistribution, matrix_inertia, sigma_of_kernel,
-                    sigma_pair, sign_matrix, sign_matrix_tilde)
+                    SigmaDistribution, group_sign_matrix, matrix_inertia,
+                    sigma_of_kernel, sigma_pair, sign_matrix)
 from .form import (ExpPoly, Indicator, LaplaceImage, dilation_check,
                    form_direct, form_sigma, identity_residual,
                    laguerre_test, laplace_convolution, spectral_witnesses)

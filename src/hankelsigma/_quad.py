@@ -34,13 +34,9 @@ class DivergentIntegralError(ArithmeticError):
     """Tail contributions failed to decay; the integral looks divergent."""
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @functools.cache
@@ -169,10 +165,10 @@ def tanh_sinh_left(f, a, b, atol=1e-12):
 def semi_infinite(f, a, atol=1e-13):
     """Integrate f over [a, inf) by up to 90 GL panels doubling from length 1.
 
-    Divergence is reported when per-panel contributions grow persistently,
-    or when they are still essentially flat once the panels span far beyond
-    any decay scale in this package (tails flatter than ~x^{-1.1} count as
-    divergent).
+    Divergence is reported at the first panel whose value is not finite,
+    when per-panel contributions grow persistently, or when they are still
+    essentially flat once the panels span far beyond any decay scale in
+    this package (tails flatter than ~x^{-1.1} count as divergent).
     """
     total = None
     lo = a
@@ -186,10 +182,9 @@ def semi_infinite(f, a, atol=1e-13):
         scale = max(1.0, float(np.max(np.abs(total))))
         if mag < atol * scale and len(history) >= 3:
             return total
-        if len(history) >= 45 and history[-1] > 0.9 ** 10 * history[-11] and mag > atol * scale:
-            raise DivergentIntegralError(
-                "tail contributions are not decaying on [%g, inf)" % a
-            )
+        if not np.isfinite(mag) or (len(history) >= 45 and history[-1] > 0.9 ** 10 * history[-11]
+                                    and mag > atol * scale):
+            raise DivergentIntegralError("tail contributions are not decaying on [%g, inf)" % a)
         lo += length
         length *= 2.0
     raise DivergentIntegralError("tail did not converge within panel budget")

@@ -65,11 +65,10 @@ import numpy as np
 
 from . import _quad
 from .form import FormDomainError
-from .kernel import Classification, Kernel, classify
+from .kernel import Classification, classify
 from .predict import predict_quasi_carleman
 from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
-                    _eig_inertia, _margin, _pair_product, sigma_of_kernel, sigma_pair,
-                    sign_matrix, sign_matrix_tilde)
+                    _inertia, _pair_product, group_sign_matrix, sigma_of_kernel, sigma_pair)
 from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
                       fs_var)
 # Imported by name and called through this module's globals: the benchmark's
@@ -174,10 +173,9 @@ def _power_law_moments(part, smax):
 class FiniteSection:
     size: int
     matrix: np.ndarray
-    kernel: Kernel
 
     def leading(self, n):
-        return FiniteSection(n, self.matrix[:n, :n], self.kernel)
+        return FiniteSection(n, self.matrix[:n, :n])
 
 
 def assemble(kernel, n):
@@ -207,7 +205,7 @@ def assemble(kernel, n):
     fr = f.real
     fr[np.abs(fr) < np.finfo(float).tiny] = 0.0  # subnormals slow down LAPACK
     h = np.lib.stride_tricks.sliding_window_view(fr, n).copy()
-    return FiniteSection(n, h, kernel)
+    return FiniteSection(n, h)
 
 
 _RANK = 64  # columns of the range finder of ``_section_spectra``
@@ -230,8 +228,9 @@ def _compression_bound(h, q):
 
 
 def _section_spectra(h, sizes):
-    """(spectra, margins) of the leading blocks h[:s, :s], s in ``sizes``
-    (ascending, the last one len(h)).
+    """(spectra, counts) of the leading blocks h[:s, :s], s in ``sizes``
+    (ascending, the last one len(h)), each count the ``_inertia`` of its
+    spectrum at that spectrum's error.
 
     Up to 4 _RANK rows every block gets a dense ``eigvalsh``.  Larger
     sections are compressed once: Q = qr(H Omega) with a seeded Gaussian
@@ -242,9 +241,9 @@ def _section_spectra(h, sizes):
     each eigenvalue of the block lies within ||E_s^T (H - PHP) E_s|| <=
     ||H - PHP|| <= delta (``_compression_bound``) of the compressed one, and
     len(h) eps max|theta| more covers rounding.  A size is decided when its
-    ``_margin`` with that error is positive; if any size is undecided,
-    every block gets the dense ``eigvalsh``.  There the margins use the
-    error s eps max|ev|, and may be negative.
+    margin with that error is positive; if any size is undecided, every
+    block gets the dense ``eigvalsh``.  There the margins use the error
+    s eps max|ev|, and may be negative.
     """
     n, eps = len(h), np.finfo(float).eps
     if n > 4 * _RANK:
@@ -260,17 +259,16 @@ def _section_spectra(h, sizes):
             else:
                 theta = np.linalg.eigvalsh(m)
             spectra.append(np.sort(np.concatenate([theta, np.zeros(s - len(theta))])))
-        margins = [_margin(ev, delta + n * eps * np.max(np.abs(ev))) for ev in spectra]
-        if min(margins) > 0:
-            return spectra, margins
+        counts = [_inertia(ev, delta + n * eps * np.max(np.abs(ev))) for ev in spectra]
+        if min(c[3] for c in counts) > 0:
+            return spectra, counts
     spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
-    return spectra, [_margin(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
+    return spectra, [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
 
 
 def section_inertia(section):
-    """(n_plus, n_minus) of the section, by the rule of ``sigma.matrix_inertia``
-    on the spectrum of ``_section_spectra``."""
-    return _eig_inertia(_section_spectra(section.matrix, [section.size])[0][0])[:2]
+    """(n_plus, n_minus) of the section, from the counts of ``_section_spectra``."""
+    return _section_spectra(section.matrix, [section.size])[1][0][:2]
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,7 @@ class NegCountEstimate:
     value: int | None
     history: tuple  # (size, n_minus, n_plus) triples
     max_eigs: tuple  # largest eigenvalue of each section in ``history``
-    margins: tuple  # each section's ``_margin``: > 0 when its count is certified
+    margins: tuple  # each section's ``_inertia`` margin: > 0 when its count is certified
 
     def to_json(self):
         return {"kind": self.kind, "value": self.value,
@@ -303,8 +301,8 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
     if len(sizes) < 3:
         raise ValueError("need at least 3 distinct section sizes")
     top = assemble(kernel, sizes[-1])
-    spectra, margins = _section_spectra(top.matrix, sizes)
-    history = tuple((n,) + _eig_inertia(ev)[1::-1] for n, ev in zip(sizes, spectra))
+    spectra, counts = _section_spectra(top.matrix, sizes)
+    history = tuple((n, c[1], c[0]) for n, c in zip(sizes, counts))
     max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
     if negs[-1] == negs[-2] == negs[-3]:
@@ -313,7 +311,7 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
         kind, value = "infinite-suspected", None
     else:
         kind, value = "undecided", None
-    return NegCountEstimate(kind, value, history, max_eigs, tuple(margins))
+    return NegCountEstimate(kind, value, history, max_eigs, tuple(c[3] for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +474,7 @@ class Certificate:
     achieved: int
     target: int
     gram_err: float = math.nan  # bound on ||gram - exact Gram||_2; nan if unknown
-    margin: float = math.nan  # ``_margin`` at gram_err: > 0 when ``achieved`` is certified
+    margin: float = math.nan  # ``_inertia`` margin at gram_err: > 0 when ``achieved`` is certified
 
     @property
     def success(self):
@@ -501,8 +499,8 @@ def _first_success(certs):
 def _neg_inertia(g, err):
     """(n_minus, margin) of the hermitian part of ``g``, from one spectrum,
     with ``err`` the error of that spectrum for the margin."""
-    ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-    return _eig_inertia(ev)[1], _margin(ev, err)
+    _, n_minus, _, margin = _inertia(np.linalg.eigvalsh(0.5 * (g + g.conj().T)), err)
+    return n_minus, margin
 
 
 def _gram_certificate(kind, eps, params, g, target, atol):
@@ -564,17 +562,11 @@ def _certify_window(sig, beta, rho, n_sub, target, eps0):
 def _sign_directions(groups):
     """(kappas, directions) of ``Kernel.conjugate_groups()``: (kappa, K) per
     exponent kappa = -ln beta of degree K, and (eigenvalue, kind, ends) per
-    negative eigenpair of a group's sign-matrix (block matrix for a pair),
-    the eigenvector split into one (kappa, a) end per exponent."""
+    negative eigenpair of a group's ``group_sign_matrix``, the eigenvector
+    split into one (kappa, a) end per exponent."""
     kappas, directions = [], []
     for kind, t in groups:
-        kap = -np.log(t.beta)
-        if kind == "real":
-            ends = (kap,)
-            s = sign_matrix(np.real(np.asarray(t.coeffs)), t.beta.real).entries.real
-        else:
-            ends = (kap, -np.log(np.conj(t.beta)))
-            s = sign_matrix_tilde(np.asarray(t.coeffs), t.beta).entries
+        ends, s = group_sign_matrix(kind, t)
         kappas += [(e, t.degree) for e in ends]
         lams, vecs = np.linalg.eigh(s)
         for lam, a in zip(lams, vecs.T):

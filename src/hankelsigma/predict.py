@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernel import (Classification, Kernel, QuasiCarlemanTerm,
                      UndefinableKernelError, classify)
-from .sigma import RegularDensity, sigma_of_kernel, sign_matrix
+from .sigma import RegularDensity, group_sign_matrix, matrix_inertia, sigma_of_kernel
 from .special import gamma
 
 __all__ = [
@@ -260,17 +260,13 @@ def predict_finite_rank(v):
 
 
 def finite_rank_inertia_check(v):
-    """Sum of sign-matrix inertias; positive+negative must equal the rank.
-    Raises NonSelfAdjointError like ``predict_finite_rank``."""
+    """Sum of the inertias of the ``group_sign_matrix`` of every conjugate
+    group, a pair's block matrix included; positive+negative must equal the
+    rank.  Raises NonSelfAdjointError like ``predict_finite_rank``."""
     n_plus = n_minus = 0
     for kind, t in v.conjugate_groups():
-        if kind == "real":
-            sm = sign_matrix(np.real(np.asarray(t.coeffs)), t.beta.real)
-            p, m, z = sm.inertia
-            n_plus += p
-            n_minus += m
-            assert z == 0
-        else:
-            n_plus += t.degree + 1
-            n_minus += t.degree + 1
+        p, m, z = matrix_inertia(group_sign_matrix(kind, t)[1])
+        n_plus += p
+        n_minus += m
+        assert z == 0
     return n_plus, n_minus

@@ -18,7 +18,9 @@ arithmetic at beta.
 
 Sign-matrices of finite-rank kernels are assembled from the exponential-
 variable representation beta^{-1-j} (1-d)...(j-d) delta(x-kappa) of the
-same distribution, with kappa = -ln beta.
+same distribution, with kappa = -ln beta, one matrix per real exponent or
+conjugate pair (``group_sign_matrix``).  Every count (sections, certificate
+Gram matrices, sign-matrices) comes from one rule, ``_inertia``.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ __all__ = [
     "RegularizedPower",
     "DeltaCombo",
     "SigmaDistribution",
-    "SignMatrix",
     "sigma_of_kernel",
     "sigma_pair",
     "sign_matrix",
-    "sign_matrix_tilde",
+    "group_sign_matrix",
     "matrix_inertia",
     "NonHermitianError",
     "DecayError",
@@ -135,11 +136,6 @@ class DeltaCombo:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    @property
-    def kappa(self):
-        """-ln beta, the support point in the exponential variable."""
-        return -np.log(self.beta)
 
     def diffop(self):
         """x-variable representation: sum_p d_p (d/dx)^p delta(x - kappa)."""
@@ -346,7 +342,8 @@ def _pair_product(sig, prod, atol):
             order = part.order + _SERIES_EXTRA
             damp = np.zeros(order + 1, complex)
             damp[1] = -part.r
-            jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
+            with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
+                jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
             total = total + _regularized_pair_engine(part, psi, jets, atol, splits)
     return total
 
@@ -389,34 +386,20 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
 # Sign-matrices and inertia
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignMatrix:
-    entries: np.ndarray
-    inertia: tuple | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-
-
 _INERTIA_RTOL = 1e-10  # eigenvalues within this times max|ev| count as zero
 
 
-def _eig_inertia(ev):
-    """(n_plus, n_minus, n_zero) of the eigenvalues ``ev``: the signs of
-    those beyond _INERTIA_RTOL max|ev|, the rest counted as zero."""
-    t = _INERTIA_RTOL * max(np.max(np.abs(ev)), 1e-300)
-    return (int(np.sum(ev > t)), int(np.sum(ev < -t)), int(np.sum(np.abs(ev) <= t)))
-
-
-def _margin(ev, err):
-    """(distance of the nearest of ``ev`` from +-tau, minus ``err``) / max|ev|,
-    tau = _INERTIA_RTOL max|ev| the threshold of ``_eig_inertia``.  When
-    every eigenvalue of a matrix lies within ``err`` of ``ev``, a positive
-    margin means their inertias agree: tau itself then moves by at most
-    _INERTIA_RTOL err."""
+def _inertia(ev, err=0.0):
+    """(n_plus, n_minus, n_zero, margin) of the eigenvalues ``ev``: the signs
+    of those beyond tau = _INERTIA_RTOL max|ev|, the rest counted as zero, and
+    (distance of the nearest of ``ev`` from +-tau, minus ``err``) / max|ev|.
+    When every eigenvalue of a matrix lies within ``err`` of ``ev``, a positive
+    margin means their inertias agree: tau itself moves by at most _INERTIA_RTOL err."""
     top = max(np.max(np.abs(ev)), 1e-300)
-    gap = np.min(np.abs(np.abs(ev) - _INERTIA_RTOL * top))
-    return float((gap - (1.0 + _INERTIA_RTOL) * err) / top)
+    tau = _INERTIA_RTOL * top
+    gap = np.min(np.abs(np.abs(ev) - tau))
+    return (int(np.sum(ev > tau)), int(np.sum(ev < -tau)), int(np.sum(np.abs(ev) <= tau)),
+            float((gap - (1.0 + _INERTIA_RTOL) * err) / top))
 
 
 def matrix_inertia(a):
@@ -425,7 +408,7 @@ def matrix_inertia(a):
     scale = max(np.max(np.abs(a)), 1e-300)
     if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
         raise NonHermitianError("matrix is not hermitian within 1e-12")
-    return _eig_inertia(np.linalg.eigvalsh(a))
+    return _inertia(np.linalg.eigvalsh(a))[:3]
 
 
 def sign_matrix(pcoeffs, beta):
@@ -436,21 +419,19 @@ def sign_matrix(pcoeffs, beta):
     binom(K, a) beta^{-1-K} times the leading coefficient of P; the matrix
     of the conjugated data is the adjoint.
     """
-    S = DeltaCombo(beta, tuple(pcoeffs)).sign_entries()
-    try:
-        return SignMatrix(S, matrix_inertia(S))
-    except NonHermitianError:
-        return SignMatrix(S, None)
+    return DeltaCombo(beta, tuple(pcoeffs)).sign_entries()
 
 
-def sign_matrix_tilde(pcoeffs, beta):
-    """Block sign-matrix [[0, S*], [S, 0]] for a conjugate pair, Im beta != 0."""
-    beta = complex(beta)
-    if beta.imag == 0:
-        raise ValueError("sign_matrix_tilde needs Im beta != 0")
-    S = sign_matrix(pcoeffs, beta).entries
-    K1 = S.shape[0]
-    T = np.zeros((2 * K1, 2 * K1), dtype=complex)
-    T[:K1, K1:] = S.conj().T
-    T[K1:, :K1] = S
-    return SignMatrix(T, matrix_inertia(T))
+def group_sign_matrix(kind, term):
+    """(kappas, S) of one ``Kernel.conjugate_groups()`` entry, kappa = -ln beta.
+
+    A real group has the one exponent of ``term`` and the real part of
+    S(P, beta); a pair has the exponents at beta and conj beta and the
+    hermitian block matrix [[0, S*], [S, 0]] on their jet data.
+    """
+    kap = -np.log(term.beta)
+    if kind == "real":
+        return (kap,), sign_matrix(np.real(np.asarray(term.coeffs)), term.beta.real).real
+    s = sign_matrix(term.coeffs, term.beta)
+    zero = np.zeros_like(s)
+    return (kap, -np.log(np.conj(term.beta))), np.block([[zero, s.conj().T], [s, zero]])

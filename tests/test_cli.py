@@ -325,7 +325,7 @@ def test_verify_witness_unconverged_series_split_exits_3(tmp_path, caplog):
     # series split starts halving its radius
     spec = _write(tmp_path, "k.json", dict(QC_HALF, q=-1.5, alpha=1e-12))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the jets at alpha overflow
+        warnings.simplefilter("error", RuntimeWarning)  # the overflow is named, not warned
         code = main(["verify", "witness", "--spec", spec, "--out", str(tmp_path / "o")])
     assert code == EXIT_TOLERANCE
     assert [r.getMessage() for r in caplog.records] == [

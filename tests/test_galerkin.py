@@ -22,7 +22,7 @@ from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
-                               _eig_inertia, _pair_product, sigma_of_kernel, sigma_pair)
+                               _inertia, _pair_product, sigma_of_kernel, sigma_pair)
 from hankelsigma.special import _jet_mul, _jet_recip, laguerre_image
 
 
@@ -308,7 +308,7 @@ def test_compressed_sections_match_dense(kern, eigvalsh_shapes):
     top = assemble(kern, LARGE_SIZES[-1]).matrix
     for (n, nneg, npos), mx, margin in zip(est.history, est.max_eigs, est.margins):
         ev = np.linalg.eigvalsh(top[:n, :n])
-        assert _eig_inertia(ev)[1::-1] == (nneg, npos)
+        assert _inertia(ev)[1::-1] == (nneg, npos)
         assert abs(mx - ev[-1]) <= 1e-13 * abs(ev[-1])
         assert margin > 0
 
@@ -334,12 +334,12 @@ def test_eigenvalue_near_threshold_falls_back(eigvalsh_shapes):
     # tau = 1e-10 (max|ev| = 1): compressed, with room to spare
     decaying = [(-0.5) ** k for k in range(40)]
     sizes = (128, 256, 512)
-    _, margins = _section_spectra(_with_spectrum(512, decaying), sizes)
-    assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and min(margins) > 0
+    _, counts = _section_spectra(_with_spectrum(512, decaying), sizes)
+    assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and min(c[3] for c in counts) > 0
     # one more eigenvalue 1e-19 from tau, far inside the error of the compression
-    _, margins = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]), sizes)
+    _, counts = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]), sizes)
     assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
-    assert margins[-1] < 0
+    assert counts[-1][3] < 0
 
 
 def test_compression_bound_covers_both_sides():
@@ -527,6 +527,24 @@ def test_interpolation_trials_carry_the_sign_block():
     cert = certificate(Kernel(()), v, len(directions))
     assert cert.success and cert.eps == 0.2
     assert np.array_equal(cert.gram, np.diag(lams).astype(complex))
+
+
+def test_interpolation_certificate_decomposes_each_matrix_once(monkeypatch, eigvalsh_shapes):
+    # one eigh per conjugate group's sign-matrix (a real exponent, then the
+    # 4 x 4 block of a pair) and one eigvalsh per round: no sign-matrix
+    # inertia is computed on the side
+    eigh_shapes, real = [], np.linalg.eigh
+
+    def recording(a):
+        eigh_shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    v = finite_rank([0, 1.0, 0.5], 0.8) + finite_rank([1.0, 0.5j], 1 + 1j)
+    cert = certificate(Kernel(()), v, 1)
+    assert cert.success
+    assert eigh_shapes == [(3, 3), (4, 4)]
+    assert eigvalsh_shapes == [(len(cert.gram),) * 2]
 
 
 def test_interpolation_certificate_rejects_what_it_cannot_pair():

@@ -88,8 +88,16 @@ def test_converged_rules_do_not_warn():
 
 
 def test_semi_infinite_raises_on_a_growing_tail():
-    with np.errstate(over="ignore"), pytest.raises(DivergentIntegralError):
-        semi_infinite(np.exp, 1.0)  # the panels overflow to inf
+    calls = []
+
+    def growing(t):
+        calls.append(t)
+        return np.exp(t)
+
+    # the 10th panel, [512, 1024], overflows to inf: no further panel runs
+    with np.errstate(over="ignore"), pytest.raises(DivergentIntegralError, match="not decaying"):
+        semi_infinite(growing, 1.0)
+    assert len(calls) <= 10
     with pytest.raises(DivergentIntegralError, match="not decaying"):
         semi_infinite(lambda t: t, 1.0)
     assert abs(semi_infinite(lambda t: np.exp(-t), 1.0) - math.exp(-1.0)) < 1e-15

@@ -11,8 +11,8 @@ from hankelsigma.galerkin import gaussian_trial
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
 from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError, RegularDensity,
                                RegularizedPower, SigmaDistribution, _SpecProduct,
-                               matrix_inertia, sigma_of_kernel, sigma_pair,
-                               sign_matrix, sign_matrix_tilde)
+                               group_sign_matrix, matrix_inertia, sigma_of_kernel,
+                               sigma_pair, sign_matrix)
 from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
                                  fs_const, fs_var, laguerre_image)
 from hankelsigma.kernel import UndefinableKernelError
@@ -35,7 +35,6 @@ def test_pure_exponential_gives_delta():
     assert part.beta == 2.0 and part.coeffs == (1.0,)
     # exponential-variable representation: beta^{-1} delta(x - kappa)
     assert np.allclose(part.diffop(), [0.5])
-    assert part.kappa == pytest.approx(-math.log(2.0))
 
 
 def test_fractional_negative_exponent_is_regularized():
@@ -198,13 +197,13 @@ def test_pairing_consistency_with_direct_form():
 
 def test_sign_matrix_rank_one():
     sm = sign_matrix([1.0], 2.0)
-    assert np.allclose(sm.entries, [[0.5]])
-    assert sm.inertia == (1, 0, 0)
+    assert np.allclose(sm, [[0.5]])
+    assert matrix_inertia(sm) == (1, 0, 0)
 
 
 def test_sign_matrix_antidiagonal_binomials():
     sm = sign_matrix([0, 0, 1.0], 1.0)
-    anti = [sm.entries[0, 2], sm.entries[1, 1], sm.entries[2, 0]]
+    anti = [sm[0, 2], sm[1, 1], sm[2, 0]]
     assert np.allclose(anti, [1.0, 2.0, 1.0])
 
 
@@ -230,7 +229,7 @@ def test_sign_matrix_full_entries_against_pairing_oracle():
             oracle[a, b] = val.real / (math.factorial(a) * math.factorial(b))
     expected = np.array([[2.0, 3.0, 1.0], [3.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
     assert np.allclose(oracle, expected, atol=1e-10)
-    assert np.allclose(sign_matrix([0, 0, 1.0], beta).entries.real, expected)
+    assert np.allclose(sign_matrix([0, 0, 1.0], beta).real, expected)
 
 
 def test_sign_matrix_skew_triangular_random():
@@ -243,7 +242,7 @@ def test_sign_matrix_skew_triangular_random():
         for a in range(K + 1):
             for b in range(K + 1):
                 if a + b > K:
-                    assert abs(sm.entries[a, b]) < 1e-12
+                    assert abs(sm[a, b]) < 1e-12
 
 
 def test_sign_matrix_inertia_parity_table():
@@ -253,7 +252,7 @@ def test_sign_matrix_inertia_parity_table():
         coeffs = rng.uniform(-3, 3, K + 1)
         coeffs[-1] = coeffs[-1] if abs(coeffs[-1]) > 0.2 else -1.0
         sm = sign_matrix(coeffs, float(rng.uniform(0.3, 2.5)))
-        npos, nneg, nzero = sm.inertia
+        npos, nneg, nzero = matrix_inertia(sm)
         assert nzero == 0
         lead = coeffs[-1] * math.factorial(K)
         if K % 2 == 1:
@@ -272,31 +271,42 @@ def test_sign_matrix_conjugation_symmetry():
         if abs(coeffs[-1]) < 0.2:
             coeffs[-1] = 1.0
         beta = complex(rng.uniform(0.4, 2.0), rng.uniform(-1.5, 1.5))
-        a = sign_matrix(coeffs, beta).entries
-        b = sign_matrix(np.conj(coeffs), np.conj(beta)).entries
+        a = sign_matrix(coeffs, beta)
+        b = sign_matrix(np.conj(coeffs), np.conj(beta))
         assert np.max(np.abs(b - a.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
-def test_sign_matrix_tilde():
-    st = sign_matrix_tilde([1.0], 1 + 1j)
-    assert st.entries.shape == (2, 2)
-    assert st.entries[1, 0] == pytest.approx(1.0 / (1 + 1j))
-    assert st.inertia == (1, 1, 0)
-    st2 = sign_matrix_tilde([0.3, -1.0, 2.0], 2 + 1j)
-    assert st2.inertia == (3, 3, 0)
-    with pytest.raises(ValueError):
-        sign_matrix_tilde([1.0], 2.0)
+def _group(coeffs, beta):
+    (group,) = finite_rank(coeffs, beta).conjugate_groups()
+    return group_sign_matrix(*group)
+
+
+def test_group_sign_matrix():
+    kappas, st = _group([1.0], 1 + 1j)
+    assert kappas == pytest.approx((-np.log(1 + 1j), -np.log(1 - 1j)))
+    assert st.shape == (2, 2)
+    assert st[1, 0] == pytest.approx(1.0 / (1 + 1j))
+    assert matrix_inertia(st) == (1, 1, 0)
+    _, st2 = _group([0.3, -1.0, 2.0], 2 + 1j)
+    assert matrix_inertia(st2) == (3, 3, 0)
     # blocks match the base matrix and its adjoint
-    s = sign_matrix([0.3, -1.0, 2.0], 2 + 1j).entries
-    assert np.allclose(st2.entries[3:, :3], s)
-    assert np.allclose(st2.entries[:3, 3:], s.conj().T)
+    s = sign_matrix([0.3, -1.0, 2.0], 2 + 1j)
+    assert np.allclose(st2[3:, :3], s)
+    assert np.allclose(st2[:3, 3:], s.conj().T)
+    # a real group: its one exponent and the real sign-matrix
+    kappas, sr = _group([0, 0, 1.0], 0.5)
+    assert kappas == pytest.approx((math.log(2.0),))
+    assert sr.dtype == float
+    assert np.array_equal(sr, sign_matrix([0, 0, 1.0], 0.5).real)
+    assert matrix_inertia(sr) == (2, 1, 0)
 
 
 def test_matrix_inertia():
     assert matrix_inertia(np.diag([1.0, -2.0, 0.0])) == (1, 1, 1)
-    assert sign_matrix([0, 0, 1.0], 1.0).inertia == (2, 1, 0)
-    assert sign_matrix([0, -1.0], 1.0).inertia == (1, 1, 0)
-    assert sign_matrix([0.3, -1.0, 2.0], 2 + 1j).inertia is None  # not Hermitian
+    assert matrix_inertia(sign_matrix([0, 0, 1.0], 1.0)) == (2, 1, 0)
+    assert matrix_inertia(sign_matrix([0, -1.0], 1.0)) == (1, 1, 0)
+    with pytest.raises(NonHermitianError):
+        matrix_inertia(sign_matrix([0.3, -1.0, 2.0], 2 + 1j))
     with pytest.raises(NonHermitianError):
         matrix_inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

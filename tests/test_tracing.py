@@ -62,18 +62,16 @@ def _traced_names(call):
 
 def test_benchmark_tracer_sees_an_interpolation_certificate():
     # the spans of an interpolation certificate on a background that takes
-    # quadrature (r = 1): the s0 pairing and the per-round inertia, which
-    # reach matrix_inertia
+    # quadrature (r = 1): the s0 pairing and the per-round inertia
     cert, seen = _traced_names(lambda: galerkin.certificate(quasi_carleman(1.0, 1.0, 0.0, 1.0),
                                                             finite_rank([-1.0], 1.0), 1))
     assert cert.success
-    assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round",
-            "galerkin.inertia"} <= seen
+    assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round"} <= seen
     # a Carleman background pairs in closed form: no s0 quadrature
     cert, seen = _traced_names(lambda: galerkin.certificate(carleman(), finite_rank([-1.0], 1.0), 1))
     assert cert.success
     assert "galerkin.s0_pair" not in seen
-    assert {"galerkin.certificate", "galerkin.round", "galerkin.inertia"} <= seen
+    assert {"galerkin.certificate", "galerkin.round"} <= seen
 
 
 def test_benchmark_tracer_counts_adaptive_panel_evaluations():
