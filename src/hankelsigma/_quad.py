@@ -40,6 +40,12 @@ def _gl(n):
 
 
 @functools.cache
+def _gh(n):
+    """Nodes and weights of the n-point Gauss-Hermite rule, weight e^{-x^2}."""
+    return np.polynomial.hermite.hermgauss(n)
+
+
+@functools.cache
 def _gl_pair():
     """The 72 nodes of the 24- and 48-point rules, with the weights of each."""
     (x24, w24), (x48, w48) = _gl(24), _gl(48)

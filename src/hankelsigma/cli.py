@@ -31,8 +31,10 @@ A sweep records either as the case's "error" and goes on.
 
 Reports with section counts (verify galerkin, sweep cases with
 "galerkin": true; sizes default to ``galerkin.DEFAULT_SIZES``) carry a
-"diagnostics" block with each size's margin from the inertia threshold.
-Only "timings" changes between reruns.
+"diagnostics" block with each size's margin from the inertia threshold;
+a certificate report's "diagnostics" hold the Gram matrix's error bound
+``gram_err`` and the certified count's ``margin``.  Only "timings" changes
+between reruns.
 
 Run as ``python -m hankelsigma <command> ...``.
 """
@@ -306,8 +308,8 @@ def cmd_certificate(args):
         "achieved": cert.achieved,
         "target": cert.target,
         "success": bool(cert.success),
-        "margin": cert.margin,
     }
+    report["diagnostics"] = {"gram_err": cert.gram_err, "margin": cert.margin}
     report["timings"]["runtime_sec"] = time.time() - start
     _write_report(report, args, "certificate.json")
     return EXIT_OK if cert.success else EXIT_TOLERANCE

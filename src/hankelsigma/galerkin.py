@@ -49,14 +49,20 @@ gaussian trial is lam^{-1/2} times its end), and a density sigma pairs two
 of them as the integral of sigma(e^{-z}) conj(u1) u2 dz.  On a power-law
 part c/Gamma(q) lam^{q-1} with alpha = 0 and r = 0, such as Carleman's, that
 measure is c/Gamma(q) e^{(1-q) z} dz, so their Gram entries are sums of
-gaussian moments, exact up to rounding (``_gauss_moment``); the other parts
-go through adaptive quadrature (``_closed_form_split``).  A
-Certificate's ``margin`` bounds how far its count is from changing under
-the entries' error: their quadrature tolerance plus eps max|G| of rounding.
+gaussian moments, exact up to rounding (``_gauss_moment``).  On the other
+power-law parts the product of two real ends is one gaussian times a
+density analytic near it, so a Gauss-Hermite rule in z gives the entry
+(``_gh_moment``) when the branch point z_alpha = -ln alpha is far enough
+away; the entries it does not reach, delta parts, conjugate-pair ends and
+the window trials go through the adaptive pairing.  A Certificate's
+``margin`` bounds how far its count is from changing under the entries'
+error: node doubling for Gauss-Hermite entries, the tolerance for
+quadrature ones, plus eps max|G| of rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -368,7 +374,7 @@ def _closed_form_split(parts):
     """(weights, rest) of sigma ``parts`` against ends in z = -ln lam: the
     (c/Gamma(q), 1 - q) of ``_gauss_gram`` for each RegularDensity with
     alpha = 0 and r = 0, whose measure is c/Gamma(q) e^{(1-q) z} dz, and the
-    other parts, which go through quadrature."""
+    other parts, which go to ``_rest_gram``."""
     closed = [p for p in parts if isinstance(p, RegularDensity) and p.alpha == 0 and p.r == 0]
     return [(p.weight, 1.0 - p.q) for p in closed], tuple(p for p in parts if p not in closed)
 
@@ -382,16 +388,11 @@ def _end_poly(end, d):
     return out
 
 
-def _gauss_moment(end1, end2, k):
-    """integral over the real line of conj(end1(x)) end2(x) e^{kx} dx.
-
-    With s = -(conj e1_2 + e2_2) the exponent is F(x0) - s (x-x0)^2 about its
-    stationary point x0, possibly complex.  Both polynomials are expanded in
-    u = x - x0, and the even coefficients r_2j of their product are summed
-    against integral u^{2j} e^{-s u^2} du = Gamma(j+1/2) s^{-j-1/2}; moving
-    the contour from the real line to x0 + R is exact, as the integrand is
-    entire and decays in the strip between them.
-    """
+def _end_product(end1, end2, k):
+    """(f0, x0, s, r) with conj(end1(x)) end2(x) e^{kx} = e^{f0 - s u^2} r(u),
+    u = x - x0: s = -(conj e1_2 + e2_2), x0 the stationary point of the
+    exponent, possibly complex, and r the coefficients of the product of
+    both polynomials in powers of u."""
     c1, q1, zeros1, e1 = end1
     c2, e2 = end2[0], end2[3]
     c1, e1 = np.conj(c1), np.conj(e1)  # conj end1(x) on real x is the mirrored end
@@ -400,9 +401,68 @@ def _gauss_moment(end1, end2, k):
     d1 = (e1[1] + e2[1] + 2.0 * e2[2] * (c1 - c2) + k) / (2.0 * s)
     d2 = d1 + (c1 - c2)
     f0 = e1[0] + (e1[1] + e1[2] * d1) * d1 + e2[0] + (e2[1] + e2[2] * d2) * d2 + k * (c1 + d1)
-    r = np.convolve(_end_poly(mirror, d1), _end_poly(end2, d2))[::2]
+    return f0, c1 + d1, s, np.convolve(_end_poly(mirror, d1), _end_poly(end2, d2))
+
+
+def _gauss_moment(end1, end2, k):
+    """integral over the real line of conj(end1(x)) end2(x) e^{kx} dx.
+
+    The even coefficients r_2j of ``_end_product`` are summed against
+    integral u^{2j} e^{-s u^2} du = Gamma(j+1/2) s^{-j-1/2}; moving the
+    contour from the real line to x0 + R is exact, as the integrand is
+    entire and decays in the strip between them.
+    """
+    f0, _, s, r = _end_product(end1, end2, k)
+    r = r[::2]
     moments = np.sqrt(np.pi / s) * np.cumprod(np.r_[1.0, (np.arange(1, len(r)) - 0.5) / s])
     return np.exp(f0) * (r @ moments)
+
+
+_GH_NODES = 20  # n of the Gauss-Hermite entries, whose error is |G_n - G_2n|
+_GH_CLEAR = 0.1  # K: widths from z_alpha to the nearest node of the 2n-point rule
+
+
+def _gh_moment(part, end1, end2):
+    """(value, error) of integral sigma_part(e^{-x}) conj(end1(x)) end2(x) dx
+    by Gauss-Hermite, or None where the rule does not apply.
+
+    The product of the ends is r(u) e^{f0 - s u^2} about its centre x0
+    (``_end_product``), so with width w = s^{-1/2} the rule integrates
+    r(w t) sigma(e^{-x0 - w t}) against e^{-t^2}; the value is the 2n-point
+    rule's and the error its distance from the n-point one.  The rule
+    applies to a power-law part when both ends are real (real centres and
+    exponents, so x0 and s are real; a conjugate pair's ends oscillate at
+    1/eps) and every node of the 2n-point rule lies on x0's side of the branch
+    point z_alpha = -ln alpha, at least _GH_CLEAR widths from it.  Its
+    outermost node is at 8.10 widths, so z_alpha is then at least 8.2 widths
+    from x0: the density is analytic on the disk of that radius, and the
+    n-point error is of the order of Gamma(n + 1/2) 8.2^{-2n} ~ 1e-19
+    relative.  The gaussian family's schedule eps <= delta/6 keeps its
+    nearest centre ln(1 + delta) >= 5.8 eps = 8.24 widths from z_alpha.  On
+    the side where the density vanishes, every node reads 0: the entry is 0,
+    short by the density's mass under a tail below e^{-67} of the peak.
+    """
+    if not isinstance(part, _PowerLaw) or any(np.imag(e[0]) or np.any(np.imag(e[3]))
+                                              for e in (end1, end2)):
+        return None
+    f0, x0, s, r = _end_product(end1, end2, 0.0)
+    x0, w = float(np.real(x0)), float(np.real(s)) ** -0.5
+    (t1, w1), (t2, w2) = _quad._gh(_GH_NODES), _quad._gh(2 * _GH_NODES)
+    u = np.concatenate([t1, t2]) * w  # the nodes' offsets from x0
+    if part.alpha > 0:
+        d = -math.log(part.alpha) - x0
+        if abs(d) < (t2[-1] + _GH_CLEAR) * w:
+            return None
+        if d < 0:
+            return 0.0, 0.0
+        lam_a = part.alpha * np.expm1(d - u)  # lam - alpha, no cancellation
+    else:
+        lam_a = np.exp(-x0 - u)
+    vals = (part.weight * lam_a ** (part.q - 1.0) * np.exp(-part.r * lam_a)
+            * np.polynomial.polynomial.polyval(u, r))
+    scale = np.exp(f0) * w
+    coarse, fine = scale * (vals[:_GH_NODES] @ w1), scale * (vals[_GH_NODES:] @ w2)
+    return fine, float(abs(fine - coarse))
 
 
 def _gauss_gram(trials, weights):
@@ -503,11 +563,12 @@ def _neg_inertia(g, err):
     return n_minus, margin
 
 
-def _gram_certificate(kind, eps, params, g, target, atol):
-    """Certificate of the Gram matrix ``g``.  Each entry is within ``atol``
-    (its quadrature tolerance, 0 in closed form) plus rounding, eps max|G|,
-    of the exact pairing, so by Weyl the spectrum is within m times that."""
-    err = float(len(g) * (atol + np.finfo(float).eps * np.max(np.abs(g))))
+def _gram_certificate(kind, eps, params, g, target, entry_err):
+    """Certificate of the Gram matrix ``g``.  Each entry is within
+    ``entry_err`` (quadrature tolerance or Gauss-Hermite node doubling, 0 in
+    closed form) plus rounding, eps max|G|, of the exact pairing, so by Weyl
+    the spectrum is within m times that."""
+    err = float(len(g) * (entry_err + np.finfo(float).eps * np.max(np.abs(g))))
     achieved, margin = _neg_inertia(g, err)
     return Certificate(kind, eps, params, g, achieved, target, err, margin)
 
@@ -523,23 +584,52 @@ def _hermitian_gram(pair, trials):
     return g
 
 
+def _rest_gram(trials, parts, spec, pair, atol):
+    """(G, err) of ``trials``, lists of ends, against the sigma ``parts``
+    that have no closed form (``_closed_form_split``); err bounds the error
+    of every entry.  Each trial pair and part takes one route: the sum of
+    ``_gh_moment`` over the pair's ends where the rule applies to all of
+    them, else ``pair(left, spec(i), spec(j))`` at ``atol`` on the parts
+    left, with ``spec(i)`` trial i as a FunctionSpec."""
+    spec = functools.cache(spec)
+    worst = 0.0
+
+    def entry(i, j):
+        nonlocal worst
+        total, err, left = 0.0, 0.0, []
+        for part in parts:
+            moments = [_gh_moment(part, e1, e2) for e1 in trials[i] for e2 in trials[j]]
+            if any(mo is None for mo in moments):
+                left.append(part)
+                continue
+            for value, e in moments:
+                total, err = total + value, err + e
+        if left:
+            total, err = total + pair(tuple(left), spec(i), spec(j)), err + atol
+        worst = max(worst, err)
+        return total
+
+    g = _hermitian_gram(entry, range(len(trials)))
+    return g, worst
+
+
 # -- gaussian-family certificate --------------------------------------------
 
 def _certify_gaussian(sig, beta, target, eps0, delta0):
-    """Gram = closed-form block of the ends (``_closed_form_split``) +
-    adaptive pairings of the trials with the other parts."""
+    """Gram = closed-form block of the ends (``_closed_form_split``) + the
+    other parts by ``_rest_gram``, with ``sigma_pair`` on the trials where
+    Gauss-Hermite does not apply."""
     weights, rest = _closed_form_split(sig.parts)
-    rest = SigmaDistribution(rest)
-    atol = 1e-11 if rest.parts else 0.0
     delta, eps = delta0, min(eps0, delta0 / 6.0)
     for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
-        g = _gauss_gram([[_gaussian_end(a, eps)] for a in centers], weights)
-        if rest.parts:
-            g += _hermitian_gram(lambda u, v: sigma_pair(rest, u, v, atol=atol),
-                                 [gaussian_trial(a, eps) for a in centers])
+        ends = [[_gaussian_end(a, eps)] for a in centers]
+        g, err = _rest_gram(ends, rest, lambda i: gaussian_trial(centers[i], eps),
+                            lambda ps, u, v: sigma_pair(SigmaDistribution(ps), u, v, atol=1e-11),
+                            1e-11)
+        g += _gauss_gram(ends, weights)
         yield _gram_certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
-                                g, target, atol)
+                                g, target, err)
         if rd % 2 == 0:
             delta *= 0.5
         eps = min(eps * 0.5, delta / 6.0)
@@ -580,8 +670,8 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     its sign-matrix eigenvector, so the finite-rank part of the form is
     a_i^H S a_j = diag of the negative eigenvalues, for every eps; only the
     pairing with s0 (h0's density) depends on eps.  The s0 block is closed
-    form on the parts that ``_closed_form_split`` allows and ``_s0_pair_x``
-    on the others."""
+    form on the parts that ``_closed_form_split`` allows and ``_rest_gram``
+    on the others, with ``_s0_pair_x`` where Gauss-Hermite does not apply."""
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
@@ -593,14 +683,12 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
         yield _gram_certificate("interpolation", eps0, params, block, target, 0.0)
         return
     weights, rest = _closed_form_split(s0_parts)
-    atol = 1e-12 if rest else 0.0
     eps = eps0
     for _ in range(_ROUNDS):
         ends = [_interpolation_ends(kind, e, kappas, eps) for _, kind, e in directions]
-        g = block + _gauss_gram(ends, weights)
-        if rest:
-            g += _hermitian_gram(lambda u, w: _s0_pair_x(rest, u, w), [_end_spec(e) for e in ends])
-        yield _gram_certificate("interpolation", eps, params, g, target, atol)
+        g, err = _rest_gram(ends, rest, lambda i: _end_spec(ends[i]), _s0_pair_x, 1e-12)
+        g += block + _gauss_gram(ends, weights)
+        yield _gram_certificate("interpolation", eps, params, g, target, err)
         eps *= 0.5
 
 

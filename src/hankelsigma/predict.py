@@ -262,11 +262,19 @@ def predict_finite_rank(v):
 def finite_rank_inertia_check(v):
     """Sum of the inertias of the ``group_sign_matrix`` of every conjugate
     group, a pair's block matrix included; positive+negative must equal the
-    rank.  Raises NonSelfAdjointError like ``predict_finite_rank``."""
+    rank.  Raises NonSelfAdjointError like ``predict_finite_rank``, and
+    ArithmeticError when a sign-matrix eigenvalue falls within the inertia
+    threshold, so that the sum would miss the rank."""
     n_plus = n_minus = 0
     for kind, t in v.conjugate_groups():
-        p, m, z = matrix_inertia(group_sign_matrix(kind, t)[1])
+        s = group_sign_matrix(kind, t)[1]
+        p, m, z = matrix_inertia(s)
+        if z:
+            ev = np.abs(np.linalg.eigvalsh(s))
+            raise ArithmeticError(
+                "sign-matrix of the %s group at beta = %s has %d eigenvalue(s) within the "
+                "inertia threshold: smallest/largest |eigenvalue| = %.3g"
+                % (kind, t.beta.real if kind == "real" else t.beta, z, ev.min() / ev.max()))
         n_plus += p
         n_minus += m
-        assert z == 0
     return n_plus, n_minus

@@ -340,8 +340,11 @@ def test_certificate_command(tmp_path):
                  "--out", out]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert report["certificate"]["success"] is True
-    # the margin sits with the result, not with the timings
-    assert 0 < report["certificate"]["margin"] < 1
+    # gram_err and margin sit in the diagnostics block, not with the timings;
+    # the rank-one Gram matrix is closed form, so its error is rounding
+    diag = report["diagnostics"]
+    assert set(diag) == {"gram_err", "margin"} and "margin" not in report["certificate"]
+    assert 0 < diag["gram_err"] < 1e-14 and 0 < diag["margin"] < 1
 
 
 UNPAIRED = {"schema": "1", "type": "finite_rank",

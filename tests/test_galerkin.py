@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hankelsigma import galerkin
+from hankelsigma import _quad, galerkin
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (_ROUNDS, _certify_gaussian, _certify_interpolation,
-                                  _compression_bound, _end_spec, _gauss_gram, _hermitian_gram,
+from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _ROUNDS, _certify_gaussian,
+                                  _certify_interpolation, _compression_bound, _end_spec,
+                                  _gauss_gram, _gaussian_end, _gh_moment, _hermitian_gram,
                                   _interpolation_ends, _LaguerreProducts,
                                   _power_law_moments, _s0_pair_x, _section_spectra,
                                   _sign_directions, assemble,
@@ -443,13 +444,26 @@ def test_gaussian_certificate_infinite_branch():
         assert g_jj < 0 and abs(g_jj - limit) < 0.25 * abs(limit) + 2.0
 
 
-@pytest.mark.filterwarnings("ignore:adaptive_gl:RuntimeWarning")
-def test_gaussian_certificate_sees_a_positive_density_at_beta():
+def test_gaussian_certificate_sees_a_positive_density_at_beta(monkeypatch):
     # sigma is positive near beta = 1, so no trial there pairs negatively; with
-    # the near piece blind to the trials' knots this certified 3
-    cert = certificate(quasi_carleman(1.0, 0.5, 1.0, 0.0), quasi_carleman(-0.01, 1.0, 1.0, 0.0), 3)
+    # the near piece blind to the trials' knots this certified 3.  Every
+    # entry of all 12 rounds is Gauss-Hermite in z: through the adaptive
+    # pairing in lam the windows' rounding, ~1e-16/eps, capped 17 panels
+    calls = []
+    adaptive_gl = _quad.adaptive_gl
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return adaptive_gl(*args, **kwargs)
+
+    monkeypatch.setattr(_quad, "adaptive_gl", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certificate(quasi_carleman(1.0, 0.5, 1.0, 0.0),
+                           quasi_carleman(-0.01, 1.0, 1.0, 0.0), 3)
     assert cert.achieved == 0 and not cert.success
     assert np.all(np.diag(cert.gram).real > 0)
+    assert calls == []
 
 
 def test_gaussian_certificate_shallow_well():
@@ -646,6 +660,113 @@ def test_s0_quadrature_sees_narrow_real_trials():
         u = _end_spec(_interpolation_ends(kind, ends, kappas, eps))
         exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
         assert abs(_s0_pair_x(sig0.parts, u, u) - exact) <= 1e-11 * exact, eps
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite certificate entries
+# ---------------------------------------------------------------------------
+
+def _mp_gaussian_entry(mp, part, c1, c2, eps):
+    """integral sigma_part(e^{-z}) conj(end1) end2 dz of two gaussian ends in
+    mpmath, in t = (z - m)/w about their centre m, w = eps/sqrt(2), over
+    t in [-9, 9] in steps of 1/2.  For q < 0 the range stops 1 width short
+    of z_alpha: beyond, the finite part adds less than e^{-49} of the peak."""
+    c1, c2, eps, a = mp.mpf(c1), mp.mpf(c2), mp.mpf(eps), mp.mpf(part.alpha)
+    m, w = (c1 + c2) / 2, eps / mp.sqrt(2)
+    top = min(9, (-mp.log(a) - m) / w - (1 if part.q < 0 else 0))
+    weight = mp.mpf(part.c) / mp.gamma(part.q)
+
+    def f(t):
+        z = m + w * t
+        u = mp.exp(-z) - a
+        return (w * weight * u ** (part.q - 1) / eps
+                * mp.exp(-part.r * u - ((z - c1) ** 2 + (z - c2) ** 2) / eps ** 2))
+
+    return complex(mp.quad(f, mp.linspace(-9, top, 37), method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("v", [quasi_carleman(-1.1, 1.0, 1.0, 1.0),
+                               quasi_carleman(-1.0, -1.5, 1.0, 0.0)],
+                         ids=["density-r", "finite-part"])
+def test_gauss_hermite_gram_entries_match_mpmath(v):
+    # the perturbations of the benchmark's gaussian ops on Carleman, paired
+    # with the trials of every round: a diagonal entry and the off-diagonal
+    # one, which falls from 3e-7 to below 1e-300 as eps shrinks.  Rounding
+    # of the exponent, up to ~275 eps relative, bounds the off-diagonal
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+    sig = sigma_of_kernel(carleman() + v)
+    part = sig.parts[1]
+    rounds = list(_certify_gaussian(sig, 1.0, 2, eps0=0.01, delta0=0.06))
+    assert len(rounds) == _ROUNDS
+    for cert in rounds:
+        ends = [_gaussian_end(a, cert.eps) for a in cert.params["centers"]]
+        for (i, j), rtol in (((0, 0), 2e-15), ((0, 1), 1e-13)):
+            value, err = _gh_moment(part, ends[i], ends[j])
+            ref = _mp_gaussian_entry(mp, part, ends[i][0], ends[j][0], cert.eps)
+            assert abs(value - ref) <= rtol * abs(ref) + 1e-300, (cert.eps, i, j)
+            assert err <= 1e-15 * abs(ref) + 1e-300
+        # the closed-form Carleman block plus these entries is the Gram matrix
+        assert cert.gram[0, 0] == _gauss_gram([[ends[0]]], [(1.0, 0.0)])[0, 0] + _gh_moment(
+            part, ends[0], ends[0])[0]
+
+
+def test_gauss_hermite_gram_entry_of_a_real_interpolation_end():
+    # alpha = 0.01 puts z_alpha = 4.6 about 30 widths or more from kappa =
+    # -ln 0.6, so the real degree-0 trial a exp(-(x-kappa)^2/eps^2) takes the
+    # rule: its square pairs to a^2 sqrt(pi/2) eps on s0 = 1 below z_alpha
+    sig0 = sigma_of_kernel(quasi_carleman(1.0, 1.0, 0.01, 0.0))
+    kappas, directions = _sign_directions(finite_rank([-1.0], 0.6).conjugate_groups())
+    (_, kind, ends), = directions
+    a = ends[0][1][0]
+    for eps in _eps_schedule(0.2):
+        end, = _interpolation_ends(kind, ends, kappas, eps)
+        value, err = _gh_moment(sig0.parts[0], end, end)
+        exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
+        assert abs(value - exact) <= 1e-14 * exact and err <= 1e-14 * exact, eps
+        u = _end_spec([end])
+        assert abs(value - _s0_pair_x(sig0.parts, u, u)) <= 1e-11 * exact, eps
+
+
+def test_gauss_hermite_gram_route():
+    # alpha = 1 puts z_alpha at 0; the 40-point rule of two ends of width
+    # eps = 0.01 spans 8.10 widths 0.01/sqrt(2) about their centre
+    part = RegularDensity(1.0, 0.5, 1.0)
+    reach = (np.polynomial.hermite.hermgauss(2 * _GH_NODES)[0][-1] + _GH_CLEAR) * 0.01 / math.sqrt(2)
+
+    def moment(centre):
+        end = _gaussian_end(math.exp(-centre), 0.01)
+        return _gh_moment(part, end, end)
+
+    assert moment(-0.999 * reach) is None and moment(0.999 * reach) is None
+    assert moment(-1.001 * reach)[0] > 0  # on the density's side of z_alpha
+    assert moment(1.001 * reach) == (0.0, 0.0)  # where the density vanishes
+    # delta parts and conjugate-pair ends stay on the adaptive pairing, even
+    # on a part with no branch point (alpha = 0) and where a pair end's
+    # product with itself has a real centre
+    end = _gaussian_end(1.1, 0.01)
+    assert _gh_moment(DeltaCombo(1.0, (1.0,)), end, end) is None
+    kappas, directions = _sign_directions(finite_rank([1.0, 0.5j], 1 + 1j).conjugate_groups())
+    _, kind, ends = directions[0]
+    real_end, = _interpolation_ends("real", ((kappas[0][0].real, ends[0][1]),), [], 0.2)
+    for pair_end in _interpolation_ends(kind, ends, kappas, 0.2):
+        for e1, e2 in ((pair_end, pair_end), (pair_end, real_end), (real_end, pair_end)):
+            assert _gh_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), e1, e2) is None
+    assert _gh_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), real_end, real_end) is not None
+
+
+def test_gaussian_certificate_gram_err_by_route():
+    # Gauss-Hermite entries carry their node-doubling difference, far below
+    # the adaptive pairing's atol 1e-11; a delta part of h0 takes every entry
+    # through sigma_pair on that part (exact jets, here ~0 as beta = 3 sits
+    # far from the trials), which adds m atol
+    v = quasi_carleman(-1.1, 1.0, 1.0, 1.0)
+    cert = certificate(carleman(), v, 3)
+    assert cert.success and cert.gram_err < 1e-14
+    with_delta = certificate(carleman() + finite_rank([0.05], 3.0), v, 3)
+    assert with_delta.success and with_delta.eps == cert.eps
+    assert 3e-11 <= with_delta.gram_err < 3e-11 + 1e-14
+    assert np.max(np.abs(with_delta.gram - cert.gram)) <= 1e-15
 
 
 def _workloads():

@@ -151,6 +151,16 @@ def test_finite_rank_inertia_sums_to_rank():
         assert npos + nneg == pred.rank
 
 
+def test_finite_rank_inertia_check_names_an_eigenvalue_at_the_threshold():
+    # degree 5 with leading coefficient 0.008: the sign-matrix is nonsingular
+    # in exact arithmetic, but one eigenvalue lies ~1e-17 below the largest,
+    # inside the relative threshold, so the counts cannot sum to the rank
+    v = finite_rank([1.6859, -0.052, 0.3944, 0.4119, 1.5261, 0.008], 2.4023)
+    with pytest.raises(ArithmeticError, match=r"real group at beta = 2.4023 has 1 eigenvalue"
+                                              r".* smallest/largest \|eigenvalue\| = "):
+        finite_rank_inertia_check(v)
+
+
 def test_finite_rank_inertia_rejects_non_self_adjoint_kernels():
     # a complex exponent without its conjugate partner, and a real exponent
     # with a complex coefficient: both predictors refuse them alike

@@ -61,17 +61,20 @@ def _traced_names(call):
 
 
 def test_benchmark_tracer_sees_an_interpolation_certificate():
-    # the spans of an interpolation certificate on a background that takes
-    # quadrature (r = 1): the s0 pairing and the per-round inertia
+    # the spans of an interpolation certificate whose s0 block takes
+    # quadrature (a conjugate pair's ends on an r = 1 background): the s0
+    # pairing and the per-round inertia
     cert, seen = _traced_names(lambda: galerkin.certificate(quasi_carleman(1.0, 1.0, 0.0, 1.0),
-                                                            finite_rank([-1.0], 1.0), 1))
+                                                            finite_rank([1.0, 0.5j], 1 + 1j), 2))
     assert cert.success
     assert {"galerkin.certificate", "galerkin.s0_pair", "galerkin.round"} <= seen
-    # a Carleman background pairs in closed form: no s0 quadrature
-    cert, seen = _traced_names(lambda: galerkin.certificate(carleman(), finite_rank([-1.0], 1.0), 1))
-    assert cert.success
-    assert "galerkin.s0_pair" not in seen
-    assert {"galerkin.certificate", "galerkin.round"} <= seen
+    # a real exponent pairs by Gauss-Hermite on that background and in closed
+    # form on Carleman: no s0 quadrature
+    for h0 in (quasi_carleman(1.0, 1.0, 0.0, 1.0), carleman()):
+        cert, seen = _traced_names(lambda: galerkin.certificate(h0, finite_rank([-1.0], 1.0), 1))
+        assert cert.success
+        assert "galerkin.s0_pair" not in seen
+        assert {"galerkin.certificate", "galerkin.round"} <= seen
 
 
 def test_benchmark_tracer_counts_adaptive_panel_evaluations():
