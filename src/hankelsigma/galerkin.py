@@ -37,27 +37,21 @@ variational definition of the counts.  Three constructions are used:
 
 Every trial is one FunctionSpec, so its values and its jets come from the
 same expression.  Each construction yields one Certificate per eps of its
-shrinking schedule and ``certificate`` keeps the first success.  For the
+shrinking schedule, and ``certificate`` keeps the first success.  For the
 interpolation trials the finite-rank part of the Gram matrix is, in closed
 form, the diagonal of the negative sign-matrix eigenvalues (the trials'
-jets at the exponents are the orthonormal eigenvectors); only the pairing
-with h0's density depends on eps.
+jets at the exponents are the orthonormal eigenvectors).
 
-The gaussian and interpolation trials are sums of "ends", a polynomial times
-a gaussian in z = -ln lam, the exponential variable of the sign-matrices (a
-gaussian trial is lam^{-1/2} times its end), and a density sigma pairs two
-of them as the integral of sigma(e^{-z}) conj(u1) u2 dz.  On a power-law
-part c/Gamma(q) lam^{q-1} with alpha = 0 and r = 0, such as Carleman's, that
-measure is c/Gamma(q) e^{(1-q) z} dz, so their Gram entries are sums of
-gaussian moments, exact up to rounding (``_gauss_moment``).  On the other
-power-law parts the product of two real ends is one gaussian times a
-density analytic near it, so a Gauss-Hermite rule in z gives the entry
-(``_gh_moment``) when the branch point z_alpha = -ln alpha is far enough
-away; the entries it does not reach, delta parts, conjugate-pair ends and
-the window trials go through the adaptive pairing.  A Certificate's
-``margin`` bounds how far its count is from changing under the entries'
-error: node doubling for Gauss-Hermite entries, the tolerance for
-quadrature ones, plus eps max|G| of rounding.
+The gaussian and interpolation trials are sums of "ends", a polynomial
+times a gaussian in z = -ln lam (a gaussian trial is lam^{-1/2} times its
+end); a window trial has none.  One builder, ``_gram``, makes the Gram
+matrix of all three.  ``_end_moment`` picks the route of each end pair and
+density part: a gaussian moment in closed form (alpha = 0, r = 0), a
+Gauss-Hermite rule in z (the branch point z_alpha = -ln alpha far away),
+else the adaptive pairing of the whole trials.  A Certificate's ``margin``
+bounds how far its count is from changing under the entries' error: node
+doubling for Gauss-Hermite entries, the tolerance for quadrature ones, plus
+eps max|G| of rounding.
 """
 
 from __future__ import annotations
@@ -370,15 +364,6 @@ def _shift_poly(coeffs, shift):
 # a quadratic, both in the local variable x - c, (rho, m) running over
 # ``zeros``, and Re e2 < 0.
 
-def _closed_form_split(parts):
-    """(weights, rest) of sigma ``parts`` against ends in z = -ln lam: the
-    (c/Gamma(q), 1 - q) of ``_gauss_gram`` for each RegularDensity with
-    alpha = 0 and r = 0, whose measure is c/Gamma(q) e^{(1-q) z} dz, and the
-    other parts, which go to ``_rest_gram``."""
-    closed = [p for p in parts if isinstance(p, RegularDensity) and p.alpha == 0 and p.r == 0]
-    return [(p.weight, 1.0 - p.q) for p in closed], tuple(p for p in parts if p not in closed)
-
-
 def _end_poly(end, d):
     """Coefficients of an end's polynomial in powers of x - (c + d)."""
     c, q, zeros, _ = end
@@ -422,26 +407,30 @@ _GH_NODES = 20  # n of the Gauss-Hermite entries, whose error is |G_n - G_2n|
 _GH_CLEAR = 0.1  # K: widths from z_alpha to the nearest node of the 2n-point rule
 
 
-def _gh_moment(part, end1, end2):
-    """(value, error) of integral sigma_part(e^{-x}) conj(end1(x)) end2(x) dx
-    by Gauss-Hermite, or None where the rule does not apply.
+def _end_moment(part, end1, end2):
+    """(value, error) of integral sigma_part(e^{-x}) conj(end1(x)) end2(x) dx,
+    or None where neither route applies.
 
-    The product of the ends is r(u) e^{f0 - s u^2} about its centre x0
+    Closed form first: a RegularDensity with alpha = 0 and r = 0 is
+    c/Gamma(q) e^{(1-q) x} dx, so the entry is a gaussian moment with error
+    0, for real and complex ends alike.  Otherwise Gauss-Hermite: the
+    product of the ends is r(u) e^{f0 - s u^2} about its centre x0
     (``_end_product``), so with width w = s^{-1/2} the rule integrates
     r(w t) sigma(e^{-x0 - w t}) against e^{-t^2}; the value is the 2n-point
     rule's and the error its distance from the n-point one.  The rule
-    applies to a power-law part when both ends are real (real centres and
-    exponents, so x0 and s are real; a conjugate pair's ends oscillate at
-    1/eps) and every node of the 2n-point rule lies on x0's side of the branch
-    point z_alpha = -ln alpha, at least _GH_CLEAR widths from it.  Its
-    outermost node is at 8.10 widths, so z_alpha is then at least 8.2 widths
-    from x0: the density is analytic on the disk of that radius, and the
-    n-point error is of the order of Gamma(n + 1/2) 8.2^{-2n} ~ 1e-19
-    relative.  The gaussian family's schedule eps <= delta/6 keeps its
-    nearest centre ln(1 + delta) >= 5.8 eps = 8.24 widths from z_alpha.  On
-    the side where the density vanishes, every node reads 0: the entry is 0,
-    short by the density's mass under a tail below e^{-67} of the peak.
+    applies to a power-law part when both ends are real (a conjugate pair's
+    ends oscillate at 1/eps) and every node of the 2n-point rule lies on
+    x0's side of z_alpha = -ln alpha, at least _GH_CLEAR widths from it.
+    The outermost node is at 8.10 widths, so z_alpha is then 8.2 widths or
+    more from x0: the density is analytic on that disk, and the n-point
+    error is of the order of Gamma(n + 1/2) 8.2^{-2n} ~ 1e-19 relative.  The
+    gaussian family's schedule eps <= delta/6 keeps its nearest centre
+    ln(1 + delta) >= 5.8 eps = 8.24 widths from z_alpha.  Where the density
+    vanishes every node reads 0: the entry is 0, short by a tail below
+    e^{-67} of the peak.
     """
+    if isinstance(part, RegularDensity) and part.alpha == 0 and part.r == 0:
+        return part.weight * _gauss_moment(end1, end2, 1.0 - part.q), 0.0
     if not isinstance(part, _PowerLaw) or any(np.imag(e[0]) or np.any(np.imag(e[3]))
                                               for e in (end1, end2)):
         return None
@@ -463,13 +452,6 @@ def _gh_moment(part, end1, end2):
     scale = np.exp(f0) * w
     coarse, fine = scale * (vals[:_GH_NODES] @ w1), scale * (vals[_GH_NODES:] @ w2)
     return fine, float(abs(fine - coarse))
-
-
-def _gauss_gram(trials, weights):
-    """Gram matrix of trials given as lists of ends against the weight
-    sum_p w_p e^{k_p x} dx, ``weights`` the (w_p, k_p)."""
-    return _hermitian_gram(lambda t1, t2: sum(w * _gauss_moment(e1, e2, k) for w, k in weights
-                                              for e1 in t1 for e2 in t2), trials)
 
 
 def _end_spec(ends):
@@ -542,6 +524,9 @@ class Certificate:
 
 
 _ROUNDS = 12  # eps values each construction tries
+_GAUSSIAN_EPS, _GAUSSIAN_DELTA = 0.01, 0.06  # the gaussian family's first eps (<= delta/6) and delta
+_WINDOW_EPS = 0.25  # first eps of the polynomial window
+_INTERPOLATION_EPS = 0.2  # first eps of the interpolation trials
 
 
 def _first_success(certs):
@@ -573,61 +558,54 @@ def _gram_certificate(kind, eps, params, g, target, entry_err):
     return Certificate(kind, eps, params, g, achieved, target, err, margin)
 
 
-def _hermitian_gram(pair, trials):
-    """G[i, j] = pair(trials[i], trials[j]) for j >= i, mirrored below."""
-    m = len(trials)
+def _gram(ends, parts, spec, pair, atol):
+    """(G, err) of the trials whose ends are ``ends`` against the sigma
+    ``parts``; err bounds the error of every entry.  Each trial pair and part
+    takes one route: the sum of ``_end_moment`` over the pair's ends where
+    it applies to all of them, else ``pair(left, spec(i), spec(j))`` at
+    ``atol`` on the parts left, with ``spec(i)`` trial i as a FunctionSpec.
+    A trial with no ends takes ``pair`` on every part.  G[i, j] is computed
+    for j >= i and mirrored below."""
+    spec = functools.cache(spec)
+    m = len(ends)
     g = np.zeros((m, m), dtype=complex)
+    worst = 0.0
     for i in range(m):
         for j in range(i, m):
-            g[i, j] = pair(trials[i], trials[j])
+            total, err, left = 0.0, 0.0, []
+            for part in parts:
+                moments = [_end_moment(part, e1, e2) for e1 in ends[i] for e2 in ends[j]]
+                if not moments or any(mo is None for mo in moments):
+                    left.append(part)
+                    continue
+                for value, e in moments:
+                    total, err = total + value, err + e
+            if left:
+                total, err = total + pair(tuple(left), spec(i), spec(j)), err + atol
+            g[i, j] = total
             g[j, i] = np.conj(g[i, j])
-    return g
-
-
-def _rest_gram(trials, parts, spec, pair, atol):
-    """(G, err) of ``trials``, lists of ends, against the sigma ``parts``
-    that have no closed form (``_closed_form_split``); err bounds the error
-    of every entry.  Each trial pair and part takes one route: the sum of
-    ``_gh_moment`` over the pair's ends where the rule applies to all of
-    them, else ``pair(left, spec(i), spec(j))`` at ``atol`` on the parts
-    left, with ``spec(i)`` trial i as a FunctionSpec."""
-    spec = functools.cache(spec)
-    worst = 0.0
-
-    def entry(i, j):
-        nonlocal worst
-        total, err, left = 0.0, 0.0, []
-        for part in parts:
-            moments = [_gh_moment(part, e1, e2) for e1 in trials[i] for e2 in trials[j]]
-            if any(mo is None for mo in moments):
-                left.append(part)
-                continue
-            for value, e in moments:
-                total, err = total + value, err + e
-        if left:
-            total, err = total + pair(tuple(left), spec(i), spec(j)), err + atol
-        worst = max(worst, err)
-        return total
-
-    g = _hermitian_gram(entry, range(len(trials)))
+            worst = max(worst, err)
     return g, worst
+
+
+def _sigma_pair(parts, u1, u2):
+    """``sigma_pair`` of the gaussian and window trials, at atol 1e-11."""
+    return sigma_pair(SigmaDistribution(parts), u1, u2, atol=1e-11)
 
 
 # -- gaussian-family certificate --------------------------------------------
 
-def _certify_gaussian(sig, beta, target, eps0, delta0):
-    """Gram = closed-form block of the ends (``_closed_form_split``) + the
-    other parts by ``_rest_gram``, with ``sigma_pair`` on the trials where
-    Gauss-Hermite does not apply."""
-    weights, rest = _closed_form_split(sig.parts)
-    delta, eps = delta0, min(eps0, delta0 / 6.0)
+def _certify_gaussian(sig, beta, target):
+    """Trials ``gaussian_trial(A_j, eps)``, A_j = beta (1 + j delta), from
+    eps = _GAUSSIAN_EPS and delta = _GAUSSIAN_DELTA; delta halves every
+    other round and eps = min(eps/2, delta/6).  The Gram matrix is one
+    ``_gram`` of their single ends, ``_sigma_pair`` where ``_end_moment``
+    does not apply."""
+    delta, eps = _GAUSSIAN_DELTA, _GAUSSIAN_EPS
     for rd in range(_ROUNDS):
         centers = [beta * (1.0 + (j + 1) * delta) for j in range(target)]
-        ends = [[_gaussian_end(a, eps)] for a in centers]
-        g, err = _rest_gram(ends, rest, lambda i: gaussian_trial(centers[i], eps),
-                            lambda ps, u, v: sigma_pair(SigmaDistribution(ps), u, v, atol=1e-11),
-                            1e-11)
-        g += _gauss_gram(ends, weights)
+        g, err = _gram([[_gaussian_end(a, eps)] for a in centers], sig.parts,
+                       lambda i: gaussian_trial(centers[i], eps), _sigma_pair, 1e-11)
         yield _gram_certificate("gaussian-family", eps, {"delta": delta, "centers": centers},
                                 g, target, err)
         if rd % 2 == 0:
@@ -637,13 +615,15 @@ def _certify_gaussian(sig, beta, target, eps0, delta0):
 
 # -- polynomial-window certificate -------------------------------------------
 
-def _certify_window(sig, beta, rho, n_sub, target, eps0):
-    eps = eps0
+def _certify_window(sig, beta, rho, n_sub, target):
+    """``window_trials`` from eps = _WINDOW_EPS, halved each round.  They
+    have no ends, so ``_gram`` takes ``_sigma_pair`` on every part."""
+    eps = _WINDOW_EPS
     for _ in range(_ROUNDS):
         trials = window_trials(beta, rho, n_sub, target, eps)
-        g = _hermitian_gram(lambda u, v: sigma_pair(sig, u, v, atol=1e-11), trials)
+        g, err = _gram([()] * target, sig.parts, trials.__getitem__, _sigma_pair, 1e-11)
         yield _gram_certificate("polynomial-window", eps, {"rho": rho, "order": n_sub},
-                                g, target, 1e-11)
+                                g, target, err)
         eps *= 0.5
 
 
@@ -665,13 +645,13 @@ def _sign_directions(groups):
     return kappas, directions
 
 
-def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
-    """Gram = sign block + s0 block.  Each trial's jets at the exponents are
-    its sign-matrix eigenvector, so the finite-rank part of the form is
-    a_i^H S a_j = diag of the negative eigenvalues, for every eps; only the
-    pairing with s0 (h0's density) depends on eps.  The s0 block is closed
-    form on the parts that ``_closed_form_split`` allows and ``_rest_gram``
-    on the others, with ``_s0_pair_x`` where Gauss-Hermite does not apply."""
+def _certify_interpolation(h0_sigma, v_kernel, target):
+    """Gram = s0 block + sign block, from eps = _INTERPOLATION_EPS, halved
+    each round.  Each trial's jets at the exponents are its sign-matrix
+    eigenvector, so the finite-rank part of the form is a_i^H S a_j = diag
+    of the negative eigenvalues, for every eps; only the pairing with s0
+    (h0's density) depends on eps.  The s0 block is one ``_gram`` of the
+    trials' ends, ``_s0_pair_x`` where ``_end_moment`` does not apply."""
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
@@ -679,16 +659,14 @@ def _certify_interpolation(h0_sigma, v_kernel, target, eps0):
     block = np.diag([lam for lam, _, _ in directions]).astype(complex)
     params = {"groups": len(groups)}
     s0_parts = h0_sigma.regular_parts
+    eps = _INTERPOLATION_EPS
     if not s0_parts:
-        yield _gram_certificate("interpolation", eps0, params, block, target, 0.0)
+        yield _gram_certificate("interpolation", eps, params, block, target, 0.0)
         return
-    weights, rest = _closed_form_split(s0_parts)
-    eps = eps0
     for _ in range(_ROUNDS):
         ends = [_interpolation_ends(kind, e, kappas, eps) for _, kind, e in directions]
-        g, err = _rest_gram(ends, rest, lambda i: _end_spec(ends[i]), _s0_pair_x, 1e-12)
-        g += block + _gauss_gram(ends, weights)
-        yield _gram_certificate("interpolation", eps, params, g, target, err)
+        g, err = _gram(ends, s0_parts, lambda i: _end_spec(ends[i]), _s0_pair_x, 1e-12)
+        yield _gram_certificate("interpolation", eps, params, g + block, target, err)
         eps *= 0.5
 
 
@@ -705,41 +683,36 @@ def _s0_pair_x(s0_parts, u1, u2):
 # Certificate driver
 # ---------------------------------------------------------------------------
 
-def certificate(h0, v, target, kind="auto"):
+def certificate(h0, v, target):
     """Certify N_minus(h0 + v) >= target by an explicit negative subspace.
 
-    Picks the trial construction from the perturbation type unless ``kind``
-    forces one; returns the first successful Certificate along the
-    shrinking-eps schedule, else the one with the largest count (check
-    ``.success``).  The interpolation construction needs a finite-rank,
-    self-adjoint ``v`` and an ``h0`` whose sigma is a density (q > 0 parts
-    only); other inputs raise CertificateInputError.
+    The perturbation picks the trial construction: interpolation for a
+    finite-rank ``v``; for a single quasi-Carleman term, the polynomial
+    window when q < 0 is fractional and its predicted finite count reaches
+    ``target``, else the gaussian family.  Returns the first successful
+    Certificate along the shrinking-eps schedule, else the one with the
+    largest count (check ``.success``).  The interpolation construction
+    needs an ``h0`` whose sigma is a density (q > 0 parts only), and the
+    gaussian trials centre above beta = alpha > 0; other inputs raise
+    CertificateInputError.
     """
     if target < 1:
         raise CertificateInputError("target must be >= 1")
-    if kind == "auto" and v.fr_terms and not v.qc_terms:
-        kind = "interpolation"
-    elif kind == "auto":
-        if len(v.qc_terms) != 1:
-            raise CertificateInputError("certificate needs a single-term perturbation")
-        term = v.qc_terms[0]
-        kind = "gaussian"
-        if -term.q > 0 and not float(-term.q).is_integer():
-            pred = predict_quasi_carleman(term.q, v0=term.v0)
-            if pred.n_minus.finite and target <= pred.n_minus.n:
-                kind = "window"
-
-    if kind == "interpolation":
+    if v.fr_terms and not v.qc_terms:
         sig0 = sigma_of_kernel(h0)
-        if v.qc_terms or not all(isinstance(p, RegularDensity) for p in sig0.parts):
-            raise CertificateInputError("an interpolation certificate needs a finite-rank v "
-                                        "and an h0 whose sigma is a density (quasi-Carleman q > 0)")
-        return _first_success(_certify_interpolation(sig0, v, target, eps0=0.2))
-    if kind not in ("gaussian", "window"):
-        raise CertificateInputError("unknown certificate kind %r" % (kind,))
+        if not all(isinstance(p, RegularDensity) for p in sig0.parts):
+            raise CertificateInputError("an interpolation certificate needs an h0 whose sigma "
+                                        "is a density (quasi-Carleman q > 0)")
+        return _first_success(_certify_interpolation(sig0, v, target))
+    if len(v.qc_terms) != 1:
+        raise CertificateInputError("certificate needs a single-term perturbation")
     term, sig = v.qc_terms[0], sigma_of_kernel(h0 + v)
-    if kind == "gaussian":
-        return _first_success(_certify_gaussian(sig, term.alpha, target,
-                                                eps0=0.01, delta0=0.06))
-    return _first_success(_certify_window(sig, term.alpha, term.r, int(math.floor(-term.q)),
-                                          target, eps0=0.25))
+    if term.alpha == 0:  # sigma refuses alpha = 0 with q <= 0, so this is the gaussian family
+        raise CertificateInputError("the gaussian trials centre above beta = alpha, "
+                                    "and the perturbation has alpha = 0")
+    if -term.q > 0 and not float(-term.q).is_integer():
+        pred = predict_quasi_carleman(term.q, v0=term.v0)
+        if pred.n_minus.finite and target <= pred.n_minus.n:
+            return _first_success(_certify_window(sig, term.alpha, term.r,
+                                                  int(math.floor(-term.q)), target))
+    return _first_success(_certify_gaussian(sig, term.alpha, target))

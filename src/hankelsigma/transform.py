@@ -103,6 +103,7 @@ class LogGrid:
 DEFAULT_GRID = LogGrid(-60.0, 60.0, 16384)
 MOLLIFIER_GRID = LogGrid(-40.0, 40.0, 1024)
 _NORM_ITERS, _NORM_TOL = 30, 1e-6  # mollifier_norm's power iteration
+_NORM_BRACKET = 5e-3  # relative width of its bracket above which mollifier_norm warns
 
 
 @dataclass(frozen=True)
@@ -272,9 +273,13 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID):
     T = U |K| U^H with U = e^{i Im lg} unitary and diagonal, and
     |K| x = e^a conv(e^{-a} x) with a = Re lg, so the iteration runs in real
     arithmetic on |K|^T |K| v = e^{-a} conv(e^{2a} conv(e^{-a} v)), from the
-    vector with every entry 1/sqrt(N).  Warns (RuntimeWarning) when
-    _NORM_ITERS iterations end before the relative change of ||T||^2 falls
-    to _NORM_TOL.
+    vector with every entry 1/sqrt(N).  It stops when the relative change
+    of ||T||^2 falls to _NORM_TOL, or after _NORM_ITERS steps.  A = |K|^T |K|
+    is entrywise positive, so for the last iterate v > 0 the Collatz-Wielandt
+    bound rho(A) <= max_i (A v)_i / v_i gives an upper end of the norm; the
+    estimate sqrt||A v|| is below it.  Warns (RuntimeWarning) when the upper
+    end exceeds the estimate by more than _NORM_BRACKET relative, or is
+    infinite because an entry of v is 0.
     """
     conv, lg = _mollifier_conv(n, grid)
     down, up = np.exp(-lg.real), np.exp(2 * lg.real)
@@ -283,14 +288,14 @@ def mollifier_norm(n, grid=MOLLIFIER_GRID):
     for _ in range(_NORM_ITERS):
         w = down * conv(up * conv(down * v))
         s = np.linalg.norm(w)
-        v = w / s
-        step = abs(s - prev)
-        if step <= _NORM_TOL * s:
+        last, v = v, w / s
+        if abs(s - prev) <= _NORM_TOL * s:
             break
         prev = s
-    else:
-        warnings.warn("mollifier_norm(%d): power iteration stopped at iters=%d with "
-                      "relative change %.3g > tol=%g" % (n, _NORM_ITERS, step / s, _NORM_TOL),
+    upper = np.sqrt(np.max(w / last)) if np.all(last > 0) else np.inf
+    if upper > np.sqrt(s) * (1.0 + _NORM_BRACKET):
+        warnings.warn("mollifier_norm(%d): the norm lies in [%.8g, %.8g], wider than "
+                      "_NORM_BRACKET=%g relative" % (n, np.sqrt(s), upper, _NORM_BRACKET),
                       RuntimeWarning, stacklevel=2)
     return float(np.sqrt(s))
 

@@ -347,6 +347,17 @@ def test_certificate_command(tmp_path):
     assert 0 < diag["gram_err"] < 1e-14 and 0 < diag["margin"] < 1
 
 
+def test_certificate_of_an_alpha_0_perturbation_exits_2(tmp_path, caplog):
+    # the gaussian trials centre above beta = alpha, so alpha = 0 has none
+    spec = _write(tmp_path, "v.json", dict(CARLEMAN, v0=-2.0))
+    h0 = _write(tmp_path, "h0.json", CARLEMAN)
+    code = main(["certificate", "--spec", spec, "--h0", h0, "--target", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "alpha = 0" in caplog.records[0].getMessage()
+
+
 UNPAIRED = {"schema": "1", "type": "finite_rank",
             "terms": [{"coeffs": [[1.0, 0.0]], "beta": [1.0, 2.0]}]}
 

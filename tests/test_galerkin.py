@@ -12,10 +12,11 @@ import pytest
 
 from hankelsigma import _quad, galerkin
 from hankelsigma.form import FormDomainError
-from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _ROUNDS, _certify_gaussian,
-                                  _certify_interpolation, _compression_bound, _end_spec,
-                                  _gauss_gram, _gaussian_end, _gh_moment, _hermitian_gram,
-                                  _interpolation_ends, _LaguerreProducts,
+from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROUNDS,
+                                  CertificateInputError, _certify_gaussian,
+                                  _certify_interpolation, _certify_window, _compression_bound,
+                                  _end_moment, _end_spec, _first_success, _gauss_moment,
+                                  _gaussian_end, _gram, _interpolation_ends, _LaguerreProducts,
                                   _power_law_moments, _s0_pair_x, _section_spectra,
                                   _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
@@ -478,17 +479,17 @@ def test_window_certificate_finite_branch():
 
 def test_window_certificate_with_shift():
     # rho > 0 exercises the series polynomial R
-    cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.5), 1,
-                       kind="window")
-    assert cert.success
+    cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.5), 1)
+    assert cert.kind == "polynomial-window" and cert.success
 
 
 def test_window_certificate_cannot_exceed_dimension():
     # every round fails, so eps halves down to 1.2e-4; from eps = 0.002 on,
-    # the finite part's subtracted integrand caps panels at max_depth
+    # the finite part's subtracted integrand caps panels at max_depth.  The
+    # predicted count is 1, so ``certificate`` itself takes the gaussian family
+    sig = sigma_of_kernel(carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0))
     with pytest.warns(RuntimeWarning, match="max_depth"):
-        cert = certificate(carleman(), quasi_carleman(1.0, -1.5, 1.0, 0.0), 2,
-                           kind="window")
+        cert = _first_success(_certify_window(sig, 1.0, 0.0, 1, 2))
     assert not cert.success and cert.achieved <= 1
 
 
@@ -568,9 +569,6 @@ def test_interpolation_certificate_rejects_what_it_cannot_pair():
                quasi_carleman(1.0, -1.5, 1.0, 0.0), finite_rank([2.0], 3.0)):
         with pytest.raises(ValueError, match="h0"):
             certificate(h0, v, 1)
-    with pytest.raises(ValueError, match="finite-rank v"):
-        certificate(Kernel(()), v + quasi_carleman(1.0, 1.0, 1.0, 0.0), 1,
-                    kind="interpolation")
     # a real exponent with a complex coefficient has no conjugate partner
     with pytest.raises(NonSelfAdjointError):
         certificate(Kernel(()), Kernel((FiniteRankTerm((-1.0 + 0.5j,), 1.0),)), 1)
@@ -588,6 +586,13 @@ def test_certificate_soundness_on_finite_branches():
     cert2 = certificate(Kernel(()), v2, 1)
     est2 = stabilized_negcount(v2, (64, 128, 256))
     assert cert2.achieved <= est2.history[-1][1]
+
+
+def test_gaussian_certificate_refuses_alpha_0():
+    # the gaussian family centres above beta = alpha; at alpha = 0 it used
+    # to stop in math.log(0) with a bare "math domain error"
+    with pytest.raises(CertificateInputError, match="alpha = 0"):
+        certificate(carleman(), quasi_carleman(-2.0, 1.0, 0.0, 0.0), 1)
 
 
 def test_certificate_target_validation():
@@ -609,7 +614,7 @@ def test_gaussian_gram_matches_the_log_gaussian_formula():
     # difference and sum of ln A_i, ln A_j: every entry, every round
     parts = ((1.0, 1.0), (0.5, 0.5))
     sig = sigma_of_kernel(carleman() + quasi_carleman(0.5, 0.5))
-    rounds = list(_certify_gaussian(sig, 1.0, 3, eps0=0.01, delta0=0.06))
+    rounds = list(_certify_gaussian(sig, 1.0, 3))
     assert len(rounds) == _ROUNDS
     for cert in rounds:
         x = np.log(cert.params["centers"])
@@ -632,17 +637,18 @@ def test_degree_zero_interpolation_trial_in_closed_form():
     (lam, _, ((kappa, a),)), = _sign_directions(v.conjugate_groups())[1]
     c, q = 0.7, 0.5
     w = c / math.gamma(q)
-    rounds = list(_certify_interpolation(sigma_of_kernel(quasi_carleman(c, q)), v, 1, 0.2))
-    assert [cert.eps for cert in rounds] == _eps_schedule(0.2)
+    sig0 = sigma_of_kernel(quasi_carleman(c, q))
+    rounds = list(_certify_interpolation(sig0, v, 1))
+    assert [cert.eps for cert in rounds] == _eps_schedule(_INTERPOLATION_EPS)
     for cert in rounds:
         eps = cert.eps
         exact = (w * abs(a[0]) ** 2 * math.exp(-(q - 1) * kappa.real) * eps * math.sqrt(math.pi / 2)
                  * math.exp((q - 1) ** 2 * eps ** 2 / 8))
-        s0 = _gauss_gram([_interpolation_ends("real", ((kappa, a),), [(kappa, 0)], eps)],
-                         [(w, 1.0 - q)])
-        assert abs(s0[0, 0] - exact) <= 1e-14 * exact
+        end, = _interpolation_ends("real", ((kappa, a),), [(kappa, 0)], eps)
+        s0, err = _end_moment(sig0.parts[0], end, end)
+        assert abs(s0 - exact) <= 1e-14 * exact and err == 0.0
         # the certificate adds the sign block -1/beta
-        assert cert.gram[0, 0] == lam + s0[0, 0] and lam == pytest.approx(-1 / 0.6)
+        assert cert.gram[0, 0] == lam + s0 and lam == pytest.approx(-1 / 0.6)
 
 
 def test_s0_quadrature_sees_narrow_real_trials():
@@ -697,18 +703,18 @@ def test_gauss_hermite_gram_entries_match_mpmath(v):
     mp.mp.dps = 20
     sig = sigma_of_kernel(carleman() + v)
     part = sig.parts[1]
-    rounds = list(_certify_gaussian(sig, 1.0, 2, eps0=0.01, delta0=0.06))
+    rounds = list(_certify_gaussian(sig, 1.0, 2))
     assert len(rounds) == _ROUNDS
     for cert in rounds:
         ends = [_gaussian_end(a, cert.eps) for a in cert.params["centers"]]
         for (i, j), rtol in (((0, 0), 2e-15), ((0, 1), 1e-13)):
-            value, err = _gh_moment(part, ends[i], ends[j])
+            value, err = _end_moment(part, ends[i], ends[j])
             ref = _mp_gaussian_entry(mp, part, ends[i][0], ends[j][0], cert.eps)
             assert abs(value - ref) <= rtol * abs(ref) + 1e-300, (cert.eps, i, j)
             assert err <= 1e-15 * abs(ref) + 1e-300
         # the closed-form Carleman block plus these entries is the Gram matrix
-        assert cert.gram[0, 0] == _gauss_gram([[ends[0]]], [(1.0, 0.0)])[0, 0] + _gh_moment(
-            part, ends[0], ends[0])[0]
+        assert cert.gram[0, 0] == (_end_moment(sig.parts[0], ends[0], ends[0])[0]
+                                   + _end_moment(part, ends[0], ends[0])[0])
 
 
 def test_gauss_hermite_gram_entry_of_a_real_interpolation_end():
@@ -721,7 +727,7 @@ def test_gauss_hermite_gram_entry_of_a_real_interpolation_end():
     a = ends[0][1][0]
     for eps in _eps_schedule(0.2):
         end, = _interpolation_ends(kind, ends, kappas, eps)
-        value, err = _gh_moment(sig0.parts[0], end, end)
+        value, err = _end_moment(sig0.parts[0], end, end)
         exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
         assert abs(value - exact) <= 1e-14 * exact and err <= 1e-14 * exact, eps
         u = _end_spec([end])
@@ -736,7 +742,7 @@ def test_gauss_hermite_gram_route():
 
     def moment(centre):
         end = _gaussian_end(math.exp(-centre), 0.01)
-        return _gh_moment(part, end, end)
+        return _end_moment(part, end, end)
 
     assert moment(-0.999 * reach) is None and moment(0.999 * reach) is None
     assert moment(-1.001 * reach)[0] > 0  # on the density's side of z_alpha
@@ -745,14 +751,27 @@ def test_gauss_hermite_gram_route():
     # on a part with no branch point (alpha = 0) and where a pair end's
     # product with itself has a real centre
     end = _gaussian_end(1.1, 0.01)
-    assert _gh_moment(DeltaCombo(1.0, (1.0,)), end, end) is None
+    assert _end_moment(DeltaCombo(1.0, (1.0,)), end, end) is None
     kappas, directions = _sign_directions(finite_rank([1.0, 0.5j], 1 + 1j).conjugate_groups())
     _, kind, ends = directions[0]
     real_end, = _interpolation_ends("real", ((kappas[0][0].real, ends[0][1]),), [], 0.2)
     for pair_end in _interpolation_ends(kind, ends, kappas, 0.2):
         for e1, e2 in ((pair_end, pair_end), (pair_end, real_end), (real_end, pair_end)):
-            assert _gh_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), e1, e2) is None
-    assert _gh_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), real_end, real_end) is not None
+            assert _end_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), e1, e2) is None
+    assert _end_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), real_end, real_end) is not None
+    # alpha = 0 and r = 0 take the closed form before any check of the ends,
+    # so conjugate-pair ends (complex centres and exponents) get it too.  The
+    # pair block is ~exp(-2 |Im kappa|/eps) ~ 3e-8, and the quadrature's atol
+    # 1e-12 limits the agreement to ~4e-11 of it
+    part = RegularDensity(0.7, 0.5)
+    e1, e2 = _interpolation_ends(kind, ends, kappas, 0.2)
+    assert np.imag(e1[0]) != 0 and np.any(np.imag(e1[3]))
+    for u, w in ((e1, e1), (e1, e2), (e2, e1)):
+        value, err = _end_moment(part, u, w)
+        assert err == 0.0 and value == part.weight * _gauss_moment(u, w, 1.0 - part.q)
+        ref = _s0_pair_x((part,), _end_spec([u]), _end_spec([w]))
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+
 
 
 def test_gaussian_certificate_gram_err_by_route():
@@ -785,7 +804,6 @@ def test_interpolation_gram_matches_the_s0_quadrature(background):
     h0 = {"carleman": carleman(), "qc(0.7,0.5)": quasi_carleman(0.7, 0.5),
           "qc(1.3,1.6)+carleman": quasi_carleman(1.3, 1.6) + carleman()}[background]
     parts = sigma_of_kernel(h0).parts
-    weights = [(p.weight, 1.0 - p.q) for p in parts]
     wl = _workloads()
     rng = np.random.default_rng(0)
     for shape in wl.INTERP_SHAPES:
@@ -793,8 +811,10 @@ def test_interpolation_gram_matches_the_s0_quadrature(background):
         kappas, directions = _sign_directions(v.conjugate_groups())
         for eps in _eps_schedule(0.2):
             ends = [_interpolation_ends(kind, e, kappas, eps) for _, kind, e in directions]
-            g = _gauss_gram(ends, weights)
-            ref = _hermitian_gram(lambda u, w: _s0_pair_x(parts, u, w), [_end_spec(e) for e in ends])
+            g, err = _gram(ends, parts, lambda i: _end_spec(ends[i]), _s0_pair_x, 1e-12)
+            # trials with no ends take the quadrature on every part
+            ref = _gram([()] * len(ends), parts, lambda i: _end_spec(ends[i]), _s0_pair_x, 1e-12)[0]
+            assert err == 0.0
             # the scale is the certificate's Gram, sign block included: the
             # s0 block of a pair is ~exp(-2 |Im kappa|/eps), below the
             # quadrature's tolerance from eps = 0.0125 on
