@@ -4,14 +4,14 @@ The Galerkin basis is e_n(t) = L_n(t) e^{-t/2}, whose Laplace images are
 mu(lam)^n / (lam + 1/2) with mu = (lam-1/2)/(lam+1/2).  Every section
 entry is therefore a sigma pairing against mu^{j+k} (lam+1/2)^{-2}: the
 matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of a
-power-law part with r = 0 are moments of a Jacobi weight in mu, and
-``assemble`` takes them from their three-term recurrence.  The other parts
-(r > 0 and delta combinations) get all 2N-1 products from the sigma pairing
-dispatch as one test product with a batch axis (values, Taylor coefficients
-and a decay bound, see ``sigma``), so they cost one pass over those parts.
-The Taylor coefficients of those 2N-1 products come in blocked powers,
-mu^{ib+r} = mu^r mu^{ib} with b ~ sqrt(2N): two short step loops and one
-batched truncated product, about 2 sqrt(2N) jet products in all.
+power-law part are moments of a weight in mu: with r = 0 ``assemble`` takes
+them from their three-term recurrence, with r > 0 from a four-term one whose
+decaying solution is pinned by one or two quadrature entries.  Only delta
+combinations get their 2N-1 entries from the sigma pairing dispatch, as
+one test product with a batch axis of Taylor coefficients (see ``sigma``).
+Those coefficients come in blocked powers, mu^{ib+r} = mu^r mu^{ib} with
+b ~ sqrt(2N): two short step loops and one batched truncated product, about
+2 sqrt(2N) jet products in all.
 
 The counts of nested sections come from their spectra (``_section_spectra``).
 Sections up to 4 * 64 get a dense ``eigvalsh``.  Larger ones are compressed
@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ from .predict import predict_quasi_carleman
 from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
                     _inertia, _pair_product, group_sign_matrix, sigma_of_kernel, sigma_pair)
 from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
-                      fs_var)
+                      fs_var, laguerre_image)
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
 from .special import _jet_mul, _jet_recip
@@ -94,10 +95,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class _LaguerreProducts:
-    """The test products mu^s (lam+1/2)^{-2}, s = 0..smax, batched along
-    the leading axis.
+    """The test products mu^s (lam+1/2)^{-2}, s = 0..smax, as the one thing
+    a delta part reads of them: their Taylor coefficients, batched along the
+    leading axis.
 
-    Their jets come in blocked powers: with b = ceil(sqrt(smax+1)) and
+    They come in blocked powers: with b = ceil(sqrt(smax+1)) and
     s = i b + r, the jet of index s is the truncated product of the base row
     mu^r (r < b) and the block row (lam+1/2)^{-2} mu^{i b}, i < m =
     ceil((smax+1)/b).  The base rows and mu^b come from the step loop, the
@@ -108,16 +110,8 @@ class _LaguerreProducts:
     33, and Miller's power recurrence divides by mu(center), 0 at 1/2.
     """
 
-    knots = ()
-
     def __init__(self, smax):
         self.smax = smax
-
-    def __call__(self, lams):
-        out = np.empty((self.smax + 1, len(lams)))
-        out[0] = (lams + 0.5) ** -2.0
-        out[1:] = (lams - 0.5) / (lams + 0.5)
-        return np.cumprod(out, axis=0, out=out)
 
     def jet(self, center, order):
         n = order + 1
@@ -135,9 +129,6 @@ class _LaguerreProducts:
         for i in range(1, m):
             blocks[i] = _jet_mul(blocks[i - 1], base[b])
         return _jet_mul(base[:b], blocks).reshape(m * b, n)[:self.smax + 1]
-
-    def decay(self):
-        return (0.0, -2.0)  # mu -> 1 as lam -> inf
 
 
 def _power_law_moments(part, smax):
@@ -169,6 +160,100 @@ def _power_law_moments(part, smax):
     return part.c * (part.alpha + 0.5) ** (q - 1.0) * np.array(m)
 
 
+_FORWARD_RS = 16.0  # r smax up to which the r > 0 moments run forward
+# (lam+1/2)^{-1} and (lam+1/2)^{-2}: their pairings are the entries m_0 and d_0
+_NORMALISERS = (laguerre_image(0), FPow(fs_affine(1.0, 0.5), -2))
+
+
+def _damped_power_law_moments(part, smax):
+    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part with r > 0.
+
+    The substitution of ``_power_law_moments`` makes the entries multiples of
+    the moments m_s of w(mu) = (mu-a)^{q-1} (1-mu)^{1-q} e^{-rho (mu-a)/(1-mu)}
+    on [a, 1], rho = r (alpha+1/2).  Integrating mu^s (mu-a) (1-mu)^2 w' by
+    parts gives, with b = 1-a,
+
+        (s+3) m_{s+2} - [(s+2)(2+a) + b(q-1+rho)] m_{s+1}
+            + [(s+1)(1+2a) + b(q-1+rho a)] m_s - s a m_{s-1} = 0,
+
+    whose s = 0 row has no m_{-1}: two entries fix the solution.  Two of its
+    solutions go like e^{-+2 sqrt(r s)} (rho b = r), and the moments are the
+    decaying one (Gautschi, SIAM Review 9, 1967; Wimp, 1984).  Up to r smax =
+    _FORWARD_RS the other one grows by at most e^8 over the section, and the
+    entries run forward from the quadrature entries m_0 and d_0 = m_0 - m_1 =
+    <part, (lam+1/2)^{-3}>, in the differences d_s = m_s - m_{s+1}:
+
+        (s+3) d_{s+1} = [s+1 + a(s+2) + b(q-1+rho)] d_s - s a d_{s-1} - r b m_s.
+
+    The coefficients of the recurrence sum to -r b, so its characteristic
+    roots are 1, 1 and a up to O(r); on the m_s themselves each step cancels
+    against the double root, and at r = 1e-3, N = 1024 and q = 2.5 that lost
+    up to 5e-10 of max|m|, against 1e-13 in the differences.  Beyond
+    _FORWARD_RS the entries solve the recurrence as a boundary-value problem
+    from m_0 and m_S = 0 (``_minimal_moment_ratios``).  The quadrature
+    entries take atol 1e-13: the recurrence carries their error along.
+    """
+    sig = SigmaDistribution((part,))
+    e0, e00 = _NORMALISERS
+    f0 = sigma_pair(sig, e0, e0, 1e-13)
+    b = 1.0 / (part.alpha + 0.5)
+    a = (part.alpha - 0.5) * b
+    c1 = b * (part.q - 1.0) + part.r  # b (q-1+rho)
+    if part.r * smax > _FORWARD_RS:
+        return f0 * _minimal_moment_ratios((a, c1, c1 - part.r * b), smax)
+    m, d = array("d", [1.0]), array("d", [(sigma_pair(sig, e0, e00, 1e-13) / f0).real])
+    for s in range(smax):
+        m.append(m[s] - d[s])
+        d.append(((s + 1 + a * (s + 2) + c1) * d[s] - (s * a * d[s - 1] if s else 0.0)
+                  - part.r * b * m[s]) / (s + 3))
+    return f0 * np.array(m)
+
+
+def _minimal_moment_ratios(coeffs, smax):
+    """m_s / m_0, s = 0..smax, of the decaying solution of the recurrence of
+    ``_damped_power_law_moments``, coeffs = (a, b(q-1+rho), b(q-1+rho a)).
+
+    With m_0 = 1 and m_S = 0, rows s = 0..S-2 are a banded system in m_1..m_{S-1}
+    (two diagonals below, one above), solved by elimination without pivoting:
+    row s reduces to u_s m_{s+1} + (s+3) m_{s+2} = y_s.  By back substitution,
+    cutting at S moves m_smax by m_S prod_{k=smax-1}^{S-2} (k+3)/u_k, so S grows
+    (Olver, J. Res. NBS 71B, 1967) until that product, with m_S read as y/u of
+    the last row, is below eps; ArithmeticError if it never is.
+    """
+    a, c1, c2 = coeffs
+    eps = np.finfo(float).eps
+    u, y = array("d"), array("d")  # 8 bytes a row, no float objects
+    prod = 1.0
+    for s in range(64 * (smax + 64)):
+        diag = -((s + 2) * (2.0 + a) + c1)
+        sub1 = (s + 1) * (1.0 + 2.0 * a) + c2
+        if s == 0:
+            rhs, sub1 = -sub1, 0.0
+        elif s == 1:
+            rhs = a  # -(-s a) m_0
+        else:
+            l2 = -s * a / u[s - 2]  # eliminates m_{s-1} with row s-2
+            sub1 -= l2 * (s + 1)
+            rhs = -l2 * y[s - 2]
+        if s:
+            l1 = sub1 / u[s - 1]  # eliminates m_s with row s-1
+            diag -= l1 * (s + 2)
+            rhs -= l1 * y[s - 1]
+        u.append(diag)
+        y.append(rhs)
+        if s >= smax - 1:
+            prod *= abs((s + 3) / diag)
+            if s >= smax and abs(rhs / diag) * prod <= eps:
+                break
+    else:
+        raise ArithmeticError("moment recurrence: no decaying solution within %d rows" % (s + 2))
+    m = np.empty(s + 3)
+    m[0], m[s + 2] = 1.0, 0.0
+    for k in range(s, -1, -1):
+        m[k + 1] = (y[k] - (k + 3) * m[k + 2]) / u[k]
+    return m[:smax + 1]
+
+
 @dataclass(frozen=True)
 class FiniteSection:
     size: int
@@ -181,22 +266,26 @@ class FiniteSection:
 def assemble(kernel, n):
     """N x N Laguerre finite section of the kernel's quadratic form.
 
-    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>, in
-    closed form for power-law parts with r = 0 (``_power_law_moments``) and
-    from the batched pairing at atol 1e-12 for the others.  Subnormal entries
-    are flushed to 0.  Unbounded-positive kernels are allowed with a warning
-    as long as every entry integral is finite; otherwise FormDomainError.
+    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>.  A
+    power-law part takes them from a moment recurrence, in closed form with
+    r = 0 (``_power_law_moments``) and from one or two scalar pairings at atol
+    1e-12 with r > 0 (``_damped_power_law_moments``); delta parts from the
+    batched jets.  Subnormal entries are flushed to 0.  Unbounded-positive
+    kernels are allowed with a warning as long as every entry integral is
+    finite; otherwise FormDomainError.  A size below 1 is a ValueError.
     """
+    if n < 1:
+        raise ValueError("section size must be a positive integer, got %r" % (n,))
     cls = classify(kernel)
     if cls is Classification.UNBOUNDED_POSITIVE_FORM:
         warnings.warn("assembling finite sections of an unbounded positive form")
     sig = sigma_of_kernel(kernel)
-    closed = [p for p in sig.parts if isinstance(p, _PowerLaw) and p.r == 0]
-    rest = SigmaDistribution(tuple(p for p in sig.parts if p not in closed))
+    deltas = SigmaDistribution(tuple(p for p in sig.parts if not isinstance(p, _PowerLaw)))
     try:
-        f = sum((_power_law_moments(p, 2 * n - 2) for p in closed), np.zeros(2 * n - 1))
-        if rest.parts:
-            f = f + _pair_product(rest, _LaguerreProducts(2 * n - 2), 1e-12)
+        f = sum(((_damped_power_law_moments if p.r else _power_law_moments)(p, 2 * n - 2)
+                 for p in sig.parts if isinstance(p, _PowerLaw)), np.zeros(2 * n - 1))
+        if deltas.parts:
+            f = f + _pair_product(deltas, _LaguerreProducts(2 * n - 2), 1e-12)
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     scale = max(np.max(np.abs(f)), 1e-300)
@@ -228,9 +317,11 @@ def _compression_bound(h, q):
 
 
 def _section_spectra(h, sizes):
-    """(spectra, counts) of the leading blocks h[:s, :s], s in ``sizes``
-    (ascending, the last one len(h)), each count the ``_inertia`` of its
-    spectrum at that spectrum's error.
+    """(spectra, counts, compression) of the leading blocks h[:s, :s], s in
+    ``sizes`` (ascending, the last one len(h)), each count the ``_inertia`` of
+    its spectrum at that spectrum's error, and compression = (delta / max|theta|
+    of the whole section, whether it fell back to the dense ``eigvalsh``), or
+    None when the section is small enough for the dense one.
 
     Up to 4 _RANK rows every block gets a dense ``eigvalsh``.  Larger
     sections are compressed once: Q = qr(H Omega) with a seeded Gaussian
@@ -260,10 +351,12 @@ def _section_spectra(h, sizes):
                 theta = np.linalg.eigvalsh(m)
             spectra.append(np.sort(np.concatenate([theta, np.zeros(s - len(theta))])))
         counts = [_inertia(ev, delta + n * eps * np.max(np.abs(ev))) for ev in spectra]
+        rel_delta = float(delta / max(np.max(np.abs(spectra[-1])), 1e-300))
         if min(c[3] for c in counts) > 0:
-            return spectra, counts
+            return spectra, counts, (rel_delta, False)
     spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
-    return spectra, [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
+    counts = [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
+    return spectra, counts, ((rel_delta, True) if n > 4 * _RANK else None)
 
 
 def section_inertia(section):
@@ -278,6 +371,7 @@ class NegCountEstimate:
     history: tuple  # (size, n_minus, n_plus) triples
     max_eigs: tuple  # largest eigenvalue of each section in ``history``
     margins: tuple  # each section's ``_inertia`` margin: > 0 when its count is certified
+    compression: tuple | None  # (delta / max|ev|, fell back to dense) of ``_section_spectra``
 
     def to_json(self):
         return {"kind": self.kind, "value": self.value,
@@ -292,16 +386,18 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
     count strictly increases across every listed size; undecided otherwise.
-    Repeated sizes count once, and fewer than 3 distinct sizes raise
-    ValueError.  Only the largest section is assembled, the others are its
-    leading blocks, and their spectra come from ``_section_spectra``;
+    Repeated sizes count once; fewer than 3 distinct sizes, or a size below
+    1, raise ValueError.  Only the largest section is assembled, the others
+    are its leading blocks, and their spectra come from ``_section_spectra``;
     ``max_eigs`` and ``margins`` follow ``history``'s order.
     """
     sizes = sorted(set(sizes))
     if len(sizes) < 3:
         raise ValueError("need at least 3 distinct section sizes")
+    if sizes[0] < 1:
+        raise ValueError("section sizes must be positive integers, got %r" % (sizes,))
     top = assemble(kernel, sizes[-1])
-    spectra, counts = _section_spectra(top.matrix, sizes)
+    spectra, counts, compression = _section_spectra(top.matrix, sizes)
     history = tuple((n, c[1], c[0]) for n, c in zip(sizes, counts))
     max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
@@ -311,7 +407,8 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
         kind, value = "infinite-suspected", None
     else:
         kind, value = "undecided", None
-    return NegCountEstimate(kind, value, history, max_eigs, tuple(c[3] for c in counts))
+    return NegCountEstimate(kind, value, history, max_eigs, tuple(c[3] for c in counts),
+                            compression)
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,16 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 # Pairing engines.  Every pairing goes through one dispatch, _pair_product,
 # which walks sigma's parts against a test product prod = w1* w2 offering
 #
-#   prod(lam)                values on a real lambda array, shape (..., len(lam));
+#   prod(lam)                values on a real lambda array, shape (len(lam),);
 #   prod.jet(center, order)  Taylor coefficients at center, shape (..., order+1);
 #   prod.decay()             (rate, power): |prod| <~ lam^power e^{-rate lam},
 #                            ValueError when no such bound is known;
 #   prod.knots               real points where prod is narrow.
 #
-# The leading batch shape is () for the FunctionSpec tests of sigma_pair and
-# (2N-1,) for the Laguerre products of a Galerkin section; the engines
-# broadcast over it.  The dispatch folds each part's e^{-r(lam-alpha)} into
-# the product before handing it to an engine.
+# A delta part reads only the jets, and they may carry a leading batch axis:
+# the 2N-1 Laguerre products of a Galerkin section pair that way, and offer
+# nothing else.  The dispatch folds each power-law part's e^{-r(lam-alpha)}
+# into the product before handing it to an engine.
 # ---------------------------------------------------------------------------
 
 _SERIES_EXTRA = 30
@@ -244,8 +244,8 @@ def _splits(alpha, knots):
 def _density_pair_engine(part, psi, atol, splits):
     """integral_alpha^inf u^{q-1} psi(alpha+u) du * c/Gamma(q), q > 0.
 
-    ``psi`` maps a lambda array to values with any leading batch shape and
-    must already contain the e^{-r(lam-alpha)} factor; ``splits``: _splits.
+    ``psi`` maps a lambda array to its values and must already contain the
+    e^{-r(lam-alpha)} factor; ``splits``: _splits.
     A non-integer q takes tanh-sinh on its singular end, up to near_end.
     """
     a, q = part.alpha, part.q
@@ -266,14 +266,14 @@ def _density_pair_engine(part, psi, atol, splits):
 def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
     """Finite-part pairing for q < 0 non-integer.
 
-    psi_jets: Taylor coefficients of psi at alpha, shape (..., n+EXTRA+1);
-    psi(lam array) -> (..., m).  The series radius d0 of ``splits`` is halved
+    psi_jets: Taylor coefficients of psi at alpha, n+EXTRA+1 of them;
+    psi(lam array) -> values.  The series radius d0 of ``splits`` is halved
     until the truncated tail is negligible and the series reproduces psi at
     alpha + d0: a check at the radius's edge that misses features inside.
     """
     a, q, n = part.alpha, part.q, part.order
     jets = np.asarray(psi_jets)
-    extra = jets.shape[-1] - (n + 1)
+    extra = len(jets) - (n + 1)
     if extra < 8:
         raise ValueError("need at least 8 spare jet orders")
     if not np.all(np.isfinite(jets)):
@@ -283,24 +283,23 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
     hs, _, far_start, d0 = splits
     ps_hi = np.arange(n + 1, n + extra + 1)
     for _ in range(60):
-        terms = jets[..., n + 1:] * (d0 ** (q + ps_hi) / (q + ps_hi))
-        last = np.max(np.abs(terms[..., -3:]))
-        series_val = np.sum(jets * d0 ** np.arange(jets.shape[-1]), axis=-1)
-        direct_val = psi(np.array([a + d0]))[..., 0]
-        mismatch = np.abs(series_val - direct_val)
-        ok = mismatch <= np.maximum(1e-8 * np.abs(direct_val), atol * 1e-2)
-        if last <= atol * 1e-2 and np.all(ok):
+        terms = jets[n + 1:] * (d0 ** (q + ps_hi) / (q + ps_hi))
+        last = np.max(np.abs(terms[-3:]))
+        series_val = np.sum(jets * d0 ** np.arange(len(jets)))
+        direct_val = psi(np.array([a + d0]))[0]
+        mismatch = abs(series_val - direct_val)
+        if last <= atol * 1e-2 and mismatch <= max(1e-8 * abs(direct_val), atol * 1e-2):
             break
         d0 *= 0.5
         if d0 < 1e-9:
             raise ArithmeticError("series split for the finite part did not converge")
-    near = np.sum(terms, axis=-1)
+    near = np.sum(terms)
 
     ps_lo = np.arange(n + 1)
-    taylor = jets[..., : n + 1]
+    taylor = jets[: n + 1]
 
     def g_sub(u):
-        tay = np.sum(taylor[..., :, None] * u[None, :] ** ps_lo[:, None], axis=-2)
+        tay = np.sum(taylor[:, None] * u[None, :] ** ps_lo[:, None], axis=0)
         return u ** (q - 1) * (psi(a + u) - tay)
 
     mid = _quad.adaptive_gl(g_sub, d0, far_start, atol=atol, knots=hs)
@@ -309,7 +308,7 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
         return (lam - a) ** (q - 1) * psi(lam)
 
     far = _quad.semi_infinite(g_raw, a + far_start, atol=atol * 0.1)
-    tail_corr = np.sum(taylor * (far_start ** (q + ps_lo) / (-q - ps_lo)), axis=-1)
+    tail_corr = np.sum(taylor * (far_start ** (q + ps_lo) / (-q - ps_lo)))
     return part.weight * (near + mid + far - tail_corr)
 
 

@@ -1,6 +1,5 @@
 """Finite sections, stabilized counts, spectrum study, certificates."""
 
-import contextlib
 import importlib.util
 import math
 import os
@@ -10,13 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hankelsigma import _quad, galerkin
+from hankelsigma import _quad, galerkin, sigma
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROUNDS,
                                   CertificateInputError, _certify_gaussian,
                                   _certify_interpolation, _certify_window, _compression_bound,
                                   _end_moment, _end_spec, _first_success, _gauss_moment,
-                                  _gaussian_end, _gram, _interpolation_ends, _LaguerreProducts,
+                                  _damped_power_law_moments, _gaussian_end, _gram,
+                                  _interpolation_ends, _LaguerreProducts,
                                   _power_law_moments, _s0_pair_x, _section_spectra,
                                   _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
@@ -25,7 +25,7 @@ from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
                                _inertia, _pair_product, sigma_of_kernel, sigma_pair)
-from hankelsigma.special import _jet_mul, _jet_recip, laguerre_image
+from hankelsigma.special import FPow, FProd, _jet_mul, _jet_recip, fs_affine, laguerre_image
 
 
 def _closed_form_carleman(n):
@@ -52,25 +52,6 @@ def test_entries_match_scalar_pairings(kern):
     for j, k in ((0, 0), (3, 5), (11, 2)):
         val = sigma_pair(sig, laguerre_image(j), laguerre_image(k))
         assert abs(sec.matrix[j, k] - val.real) < 1e-9
-
-
-def test_laguerre_products_match_loop_reference():
-    # the row-by-row loop np.cumprod replaced, kept as the reference
-    def products_ref(smax, lams):
-        mu = (lams - 0.5) / (lams + 0.5)
-        out = np.empty((smax + 1, len(lams)))
-        cur = (lams + 0.5) ** -2.0
-        for s in range(smax + 1):
-            out[s] = cur
-            cur = cur * mu
-        return out
-
-    lams = np.concatenate([0.5 + np.array([-1e-9, 0.0, 1e-12, 1e-6]),
-                           np.geomspace(1e-8, 1e8, 61), [1e12, 1e300]])
-    for smax in (0, 1, 2046):
-        got = _LaguerreProducts(smax)(lams)
-        assert got.shape == (smax + 1, len(lams))
-        assert np.array_equal(got, products_ref(smax, lams))
 
 
 def _products_jet_loop(smax, center, order):
@@ -135,21 +116,90 @@ def test_laguerre_jets_take_blocked_powers(monkeypatch):
     assert 0 < len(calls) <= 3 * math.ceil(math.sqrt(2047))
 
 
+def _scalar_entries(part, smax):
+    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, one ``sigma_pair`` each, the
+    power of mu taken of mu itself so that no factor overflows."""
+    sig = SigmaDistribution((part,))
+    rden = FPow(fs_affine(1.0, 0.5), -1)
+    mu = FProd([fs_affine(1.0, -0.5), rden])
+    return np.array([sigma_pair(sig, rden, FProd([FPow(mu, s), rden]), 1e-12)
+                     for s in range(smax + 1)]).real
+
+
 @pytest.mark.parametrize("q", [1.0, 0.5, 0.3, -0.5, -1.5, -3.5])
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 5.0, 100.0])
 def test_moment_recurrence_matches_batched_pairing(q, alpha):
-    # the r = 0 entries against the quadrature path they replace in assemble.
-    # At (q, alpha) = (-3.5, 0.05) the finite part's Taylor-subtracted
-    # integrand cancels, so the error estimates there are the rounding noise
-    # of the terms it subtracts; that path caps panels at max_depth and says so
+    # the r = 0 entries against scalar pairings, which no section takes
     n = 24
     part = RegularDensity(1.3, q, alpha) if q > 0 else RegularizedPower(1.3, q, alpha)
-    capped = (q, alpha) == (-3.5, 0.05)
-    with pytest.warns(RuntimeWarning, match="max_depth") if capped else contextlib.nullcontext():
-        ref = _pair_product(SigmaDistribution((part,)), _LaguerreProducts(2 * n - 2),
-                            1e-12).real
+    ref = _scalar_entries(part, 2 * n - 2)
     got = _power_law_moments(part, 2 * n - 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def _damped_mpmath(mp, q, alpha, r, s):
+    """<(lam-alpha)_+^{q-1} e^{-r(lam-alpha)}/Gamma(q), mu^s (lam+1/2)^{-2}> at 30
+    digits.  For q < 0 the finite part: below u = lam-alpha = 1 the Taylor
+    polynomial of order floor(-q) at alpha is subtracted and integrated in
+    closed form, and below u = 1e-6 the rest is its Taylor series."""
+    q, alpha, r = mp.mpf(q), mp.mpf(alpha), mp.mpf(r)
+
+    def psi(u):
+        lam = alpha + u
+        return mp.exp(-r * u) * ((lam - 0.5) / (lam + 0.5)) ** s / (lam + 0.5) ** 2
+
+    peak = mp.sqrt(s / r)  # of mu^s e^{-r lam}
+    far = mp.quad(lambda u: u ** (q - 1) * psi(u),
+                  [1] + [p for p in (peak / 4, peak, 4 * peak) if p > 1] + [mp.inf])
+    if q > 0:
+        return (mp.quad(lambda u: u ** (q - 1) * psi(u), [0, 1]) + far) / mp.gamma(q)
+    n, d = int(-q), mp.mpf("1e-6")
+    t = mp.taylor(psi, 0, n + 8)
+    near = mp.quad(lambda u: u ** (q - 1) * (psi(u) - mp.polyval(t[n::-1], u)), [d, 1])
+    near += sum(t[k] * d ** (q + k) / (q + k) for k in range(n + 1, n + 9))
+    near += sum(t[k] / (q + k) for k in range(n + 1))
+    return (near + far) / mp.gamma(q)
+
+
+@pytest.mark.parametrize("q", [0.5, -2.5])
+@pytest.mark.parametrize("r", [1e-3, 1.0])  # forward and boundary-value at N = 1024
+def test_damped_moments_match_mpmath(q, r):
+    mp = pytest.importorskip("mpmath")
+    part = (RegularDensity if q > 0 else RegularizedPower)(1.0, q, 1.0, r)
+    got = _damped_power_law_moments(part, 2046).real
+    top = np.max(np.abs(got))
+    with mp.workdps(45):
+        for s in (0, 1, 40, 2046):
+            assert abs(got[s] - float(_damped_mpmath(mp, q, 1.0, r, s))) <= 1e-14 * top
+
+
+@pytest.mark.parametrize("q", [2.5, 0.5, -0.5, -2.5])
+@pytest.mark.parametrize("alpha", [0.1, 5.0])
+@pytest.mark.parametrize("r", [1e-3, 0.05, 1.0, 5.0])
+def test_damped_moments_match_scalar_pairings(q, alpha, r):
+    # n = 24: r (2n-2) <= 16 runs forward for r <= 0.05, the others solve
+    # the boundary-value problem
+    n = 24
+    part = (RegularDensity if q > 0 else RegularizedPower)(0.7, q, alpha, r)
+    ref = _scalar_entries(part, 2 * n - 2)
+    got = _damped_power_law_moments(part, 2 * n - 2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("r, pairings", [(1.0, 1), (1e-3, 2)])
+def test_damped_sections_pair_only_their_normalisers(monkeypatch, r, pairings):
+    # the 2N-1 entries of an r > 0 part take one quadrature pairing (m_0) when
+    # they solve the boundary-value problem and two (m_0, d_0) forward
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return engine(*args)
+
+    engine = sigma._regularized_pair_engine
+    monkeypatch.setattr(sigma, "_regularized_pair_engine", counting)
+    h = assemble(quasi_carleman(1.0, -2.5, 1.0, r), 1024).matrix
+    assert len(calls) == pairings and np.all(np.isfinite(h))
 
 
 @pytest.mark.parametrize("q, alpha", [(1.2, 3.0), (1.3, 1.0), (1.4, 0.0), (1.5, 0.5)])
@@ -281,6 +331,19 @@ def test_stabilized_rejects_repeated_sizes():
     assert est.kind == "infinite-suspected"
 
 
+@pytest.mark.parametrize("sizes", [(-1, 1, 2), (0, 1, 2)])
+def test_stabilized_rejects_sizes_below_1(sizes):
+    # -1 read h[:-1, :-1], a block of another size; 0 failed inside numpy
+    with pytest.raises(ValueError, match=r"positive integers, got \[%d, 1, 2\]" % sizes[0]):
+        stabilized_negcount(carleman(), sizes)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_assemble_rejects_sizes_below_1(n):
+    with pytest.raises(ValueError, match="positive integer, got %d" % n):
+        assemble(carleman(), n)
+
+
 @pytest.fixture
 def eigvalsh_shapes(monkeypatch):
     """Records the shape of every matrix handed to ``np.linalg.eigvalsh``."""
@@ -319,7 +382,8 @@ def test_full_rank_matrix_falls_back_to_dense(eigvalsh_shapes):
     a = np.random.default_rng(7).standard_normal((512, 512))
     h = a + a.T
     sizes = (128, 256, 512)
-    spectra, _ = _section_spectra(h, sizes)
+    spectra, _, compression = _section_spectra(h, sizes)
+    assert compression[1]
     assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
     for s, ev in zip(sizes, spectra):
         assert np.array_equal(ev, np.linalg.eigvalsh(h[:s, :s]))
@@ -336,11 +400,13 @@ def test_eigenvalue_near_threshold_falls_back(eigvalsh_shapes):
     # tau = 1e-10 (max|ev| = 1): compressed, with room to spare
     decaying = [(-0.5) ** k for k in range(40)]
     sizes = (128, 256, 512)
-    _, counts = _section_spectra(_with_spectrum(512, decaying), sizes)
+    _, counts, (_, dense) = _section_spectra(_with_spectrum(512, decaying), sizes)
     assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and min(c[3] for c in counts) > 0
+    assert not dense
     # one more eigenvalue 1e-19 from tau, far inside the error of the compression
-    _, counts = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]), sizes)
-    assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
+    _, counts, (_, dense) = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]),
+                                             sizes)
+    assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes) and dense
     assert counts[-1][3] < 0
 
 
