@@ -1,19 +1,17 @@
 """Shared quadrature engine.
 
-Three workhorses, all vectorized over batch integrands (an integrand maps a
-node array of shape (m,) to values of shape (..., m); the leading axes are
-carried through so a whole family of pairings integrates in one sweep):
+Three workhorses, each calling its integrand on a whole node array of shape
+(m,) for values of shape (m,), real or complex:
 
 * adaptive Gauss-Legendre panels with optional user knots,
 * tanh-sinh panels for an integrable singularity at the left endpoint,
 * geometric panel doubling for [a, inf) with divergence detection.
 
 An adaptive panel evaluates the integrand once, on the 72 nodes of the 24-
-and 48-point Gauss-Legendre rules together, and is accepted when, for every
-batch element, |G48 - G24| <= max(budget, 50 eps M), where M, the 48-point
-rule applied to |f|, is the panel's absolute mass.  That floor is the
-roundoff stop of QUADPACK (Piessens et al., 1983): bisection never chases
-rounding noise.
+and 48-point Gauss-Legendre rules together, and is accepted when |G48 - G24|
+<= max(budget, 50 eps M), where M, the 48-point rule applied to |f|, is the
+panel's absolute mass.  That floor is the roundoff stop of QUADPACK
+(Piessens et al., 1983): bisection never chases rounding noise.
 
 Two ``RuntimeWarning``s say when a rule returns short of its tolerance:
 ``adaptive_gl`` when it accepts panels at ``_MAX_DEPTH`` above both budget
@@ -72,12 +70,12 @@ def adaptive_gl(f, a, b, atol=1e-12, knots=None):
     Error budgets halve with each bisection so accepted-panel errors sum to
     about ``atol``.  A panel is accepted once |G48 - G24| is within its
     budget or within the rounding floor 50 eps times the 48-point rule of
-    |f| on the panel, per batch element.  Panels still above both at
-    depth ``_MAX_DEPTH`` are accepted too, and a call that accepts any raises one
-    ``RuntimeWarning`` with their number and worst error/budget ratio.
+    |f| on the panel.  Panels still above both at depth ``_MAX_DEPTH`` are
+    accepted too, and a call that accepts any raises one ``RuntimeWarning``
+    with their number and worst error/budget ratio.
     """
     if b <= a:
-        return np.asarray(f(np.array([a])))[..., 0] * 0.0
+        return 0.0
     pts = [a, b]
     if knots is not None:
         pts.extend(k for k in knots if a < k < b)
@@ -106,15 +104,15 @@ def _adaptive_segment(f, a, b, atol):
         lo, hi, budget, depth = stack.pop()
         half = 0.5 * (hi - lo)
         vals = np.asarray(f(0.5 * (lo + hi) + half * x))
-        coarse = half * (vals[..., :24] @ w24)
-        fine = half * (vals[..., 24:] @ w48)
-        err = np.abs(fine - coarse)
-        miss = err > np.maximum(budget, _NOISE * half * (np.abs(vals[..., 24:]) @ w48))
-        if not miss.any() or depth >= _MAX_DEPTH:
+        coarse = half * (vals[:24] @ w24)
+        fine = half * (vals[24:] @ w48)
+        err = abs(fine - coarse)
+        miss = err > max(budget, _NOISE * half * (np.abs(vals[24:]) @ w48))
+        if not miss or depth >= _MAX_DEPTH:
             total = fine if total is None else total + fine
-            if miss.any():
+            if miss:
                 capped += 1
-                worst = max(worst, float(np.max(err[miss]) / budget))
+                worst = max(worst, float(err / budget))
         else:
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid, 0.5 * budget, depth + 1))
@@ -158,7 +156,7 @@ def tanh_sinh_left(f, a, b, atol=1e-12):
         h /= 2
         u, w = nodes_weights(h, only_odd=True)
         refined = 0.5 * total + np.asarray(f(u)) @ w
-        change = np.max(np.abs(refined - total))
+        change = abs(refined - total)
         total = refined
         if change <= atol:
             break
@@ -183,9 +181,9 @@ def semi_infinite(f, a, atol=1e-13):
     for _ in range(90):
         part = _panel(f, lo, lo + length, 48)
         total = part if total is None else total + part
-        mag = float(np.max(np.abs(part)))
+        mag = float(abs(part))
         history.append(mag)
-        scale = max(1.0, float(np.max(np.abs(total))))
+        scale = max(1.0, float(abs(total)))
         if mag < atol * scale and len(history) >= 3:
             return total
         if not np.isfinite(mag) or (len(history) >= 45 and history[-1] > 0.9 ** 10 * history[-11]

@@ -31,11 +31,10 @@ A sweep records either as the case's "error" and goes on.
 
 Reports with section counts (verify galerkin, sweep cases with
 "galerkin": true; sizes default to ``galerkin.DEFAULT_SIZES``) carry a
-"diagnostics" block with each size's margin from the inertia threshold,
-the rank-64 compression's error bound relative to the top eigenvalue
-("compression_delta", null for sections of 256 or fewer, which are dense)
-and whether an uncertified count sent every size to the dense spectrum
-("dense_fallback"); a certificate report's "diagnostics" hold the Gram
+"diagnostics" block with each size's margin from the inertia threshold
+and whether a saturated rank-64 sketch sent every size to the dense
+spectrum ("dense_fallback", false for sections of 256 or fewer, which are
+dense anyway); a certificate report's "diagnostics" hold the Gram
 matrix's error bound ``gram_err`` and the certified count's ``margin``.
 Only "timings" changes between reruns.
 
@@ -239,8 +238,8 @@ def _section_report(report, kern, sizes):
     """Write ``kern``'s prediction (null for a shape with no theorem; a failed
     precondition raises first) and, unless ``sizes`` (``_section_sizes``
     items) is None, its section counts with each size's margin from the
-    inertia threshold (> 0 when certified) and the compression's relative
-    error bound and fallback flag; returns the estimate."""
+    inertia threshold (> 0 when certified) and the flag of a saturated
+    sketch; returns the estimate."""
     try:
         report["prediction"] = predict_kernel(kern).to_json()
     except NoTheoremError:
@@ -249,9 +248,7 @@ def _section_report(report, kern, sizes):
         return None
     est = stabilized_negcount(kern, _section_sizes(sizes))
     report["counts"] = est.to_json()
-    delta, dense = est.compression or (None, False)
-    report["diagnostics"] = {"margins": list(est.margins), "compression_delta": delta,
-                             "dense_fallback": dense}
+    report["diagnostics"] = {"margins": list(est.margins), "dense_fallback": est.dense_fallback}
     return est
 
 

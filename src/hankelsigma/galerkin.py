@@ -14,11 +14,15 @@ b ~ sqrt(2N): two short step loops and one batched truncated product, about
 2 sqrt(2N) jet products in all.
 
 The counts of nested sections come from their spectra (``_section_spectra``).
-Sections up to 4 * 64 get a dense ``eigvalsh``.  Larger ones are compressed
-once by a seeded rank-64 range finder, H ~ Q M Q^T, and each leading block is
-read from a 64 x 64 matrix.  The a-posteriori bound 2 ||H - H Q Q^T||_F and
-Weyl's inequality certify every count; when one is not certified, all sizes
-fall back to the dense ``eigvalsh``.
+A section is the form compressed onto span{e_0..e_{N-1}}, so by min-max each
+eigenvalue beyond its error is one more dimension of N_-+: the counts are
+lower bounds, and a lower bound is all they need to be.  Sections up to
+4 * 64 get a dense ``eigvalsh``.  Larger ones are sketched once by a seeded
+rank-64 range finder Q, and each leading block is read from the Rayleigh-Ritz
+values of a 64 x 64 compression of it, which by Cauchy interlacing count no
+more than the block.  Only a saturated sketch, all 64 Ritz values of the
+whole section beyond the threshold, sends every size to the dense
+``eigvalsh``.
 
 Certificates build explicit trial subspaces on which the full quadratic
 form is negative definite, which witnesses N_minus >= dim by the
@@ -299,64 +303,45 @@ def assemble(kernel, n):
 
 _RANK = 64  # columns of the range finder of ``_section_spectra``
 _SEED = 0  # of its Gaussian test matrix, so that reruns are byte-identical
-_BLOCK = 128  # rows per block of its residual
 
 
-def _compression_bound(h, q):
-    """(2 ||H - H Q Q^T||_F, H Q).  The first is a bound on ||H - P H P||_2
-    for symmetric H and P = Q Q^T: H - PHP = (I-P)H + PH(I-P), and both terms
-    have 2-norm at most ||(I-P)H||_2 = ||H(I-P)||_2.  It is summed over row
-    blocks, so that no N x N temporary is made."""
-    hq = h @ q
-    sq = 0.0
-    for i in range(0, len(h), _BLOCK):
-        r = hq[i:i + _BLOCK] @ q.T
-        r -= h[i:i + _BLOCK]
-        sq += float(r.ravel() @ r.ravel())
-    return 2.0 * math.sqrt(sq), hq
+def _ritz_values(h, u):
+    """Spectrum of the compression U^T H U, padded with zeros to len(h)."""
+    theta = np.linalg.eigvalsh(u.T @ (h @ u))
+    return np.sort(np.concatenate([theta, np.zeros(len(h) - len(theta))]))
 
 
 def _section_spectra(h, sizes):
-    """(spectra, counts, compression) of the leading blocks h[:s, :s], s in
-    ``sizes`` (ascending, the last one len(h)), each count the ``_inertia`` of
-    its spectrum at that spectrum's error, and compression = (delta / max|theta|
-    of the whole section, whether it fell back to the dense ``eigvalsh``), or
-    None when the section is small enough for the dense one.
+    """(spectra, counts, dense_fallback) of the leading blocks H_s = h[:s, :s],
+    s in ``sizes`` (ascending, the last one len(h)), each count the
+    ``_inertia`` of its spectrum at the error s eps max|theta|.
 
     Up to 4 _RANK rows every block gets a dense ``eigvalsh``.  Larger
-    sections are compressed once: Q = qr(H Omega) with a seeded Gaussian
-    Omega of _RANK columns, M = Q^T H Q, and the block of size s is read as
-    E_s^T P H P E_s = Q_s M Q_s^T, whose spectrum is that of T M T^T
-    (T the R factor of Q_s = Q[:s]) padded with zeros; the whole section
-    reads M itself, as T = diag(+-1) there up to rounding.  By Weyl's inequality
-    each eigenvalue of the block lies within ||E_s^T (H - PHP) E_s|| <=
-    ||H - PHP|| <= delta (``_compression_bound``) of the compressed one, and
-    len(h) eps max|theta| more covers rounding.  A size is decided when its
-    margin with that error is positive; if any size is undecided, every
-    block gets the dense ``eigvalsh``.  There the margins use the error
-    s eps max|ev|, and may be negative.
+    sections are sketched once, Q = qr(H Omega) with a seeded Gaussian Omega
+    of _RANK columns, and the block of size s is read from its Rayleigh-Ritz
+    values: the spectrum of U^T H_s U, U = qr(Q[:s]) (Q itself for the whole
+    section), padded with zeros.  That is a true compression of H_s, so by
+    Cauchy interlacing #{theta < -x} <= #{lambda(H_s) < -x} for every x >= 0,
+    and the same for the positive side: each count is a lower bound on the
+    block's, and so on the form's N_-+.  Its margin may be negative, and is
+    only reported.  When all _RANK Ritz values of the whole section lie
+    beyond tau the sketch cannot hold the section's numerical rank, and
+    every block gets the dense ``eigvalsh``; dense_fallback says so.
     """
     n, eps = len(h), np.finfo(float).eps
+    saturated = False
     if n > 4 * _RANK:
         omega = np.random.default_rng(_SEED).standard_normal((n, _RANK))
         q = np.linalg.qr(h @ omega)[0]
-        delta, hq = _compression_bound(h, q)
-        m = q.T @ hq
-        spectra = []
-        for s in sizes:
-            if s < n:
-                t = np.linalg.qr(q[:s], mode="r")
-                theta = np.linalg.eigvalsh(t @ m @ t.T)
-            else:
-                theta = np.linalg.eigvalsh(m)
-            spectra.append(np.sort(np.concatenate([theta, np.zeros(s - len(theta))])))
-        counts = [_inertia(ev, delta + n * eps * np.max(np.abs(ev))) for ev in spectra]
-        rel_delta = float(delta / max(np.max(np.abs(spectra[-1])), 1e-300))
-        if min(c[3] for c in counts) > 0:
-            return spectra, counts, (rel_delta, False)
-    spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
+        whole = _ritz_values(h, q)
+        saturated = sum(_inertia(whole)[:2]) == _RANK
+    if n <= 4 * _RANK or saturated:
+        spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
+    else:
+        spectra = [_ritz_values(h[:s, :s], np.linalg.qr(q[:s])[0]) if s < n else whole
+                   for s in sizes]
     counts = [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
-    return spectra, counts, ((rel_delta, True) if n > 4 * _RANK else None)
+    return spectra, counts, saturated
 
 
 def section_inertia(section):
@@ -371,7 +356,7 @@ class NegCountEstimate:
     history: tuple  # (size, n_minus, n_plus) triples
     max_eigs: tuple  # largest eigenvalue of each section in ``history``
     margins: tuple  # each section's ``_inertia`` margin: > 0 when its count is certified
-    compression: tuple | None  # (delta / max|ev|, fell back to dense) of ``_section_spectra``
+    dense_fallback: bool  # the sketch of ``_section_spectra`` saturated: every size is dense
 
     def to_json(self):
         return {"kind": self.kind, "value": self.value,
@@ -397,7 +382,7 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
     if sizes[0] < 1:
         raise ValueError("section sizes must be positive integers, got %r" % (sizes,))
     top = assemble(kernel, sizes[-1])
-    spectra, counts, compression = _section_spectra(top.matrix, sizes)
+    spectra, counts, dense_fallback = _section_spectra(top.matrix, sizes)
     history = tuple((n, c[1], c[0]) for n, c in zip(sizes, counts))
     max_eigs = tuple(float(ev[-1]) for ev in spectra)
     negs = [h[1] for h in history]
@@ -408,7 +393,7 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
     else:
         kind, value = "undecided", None
     return NegCountEstimate(kind, value, history, max_eigs, tuple(c[3] for c in counts),
-                            compression)
+                            dense_fallback)
 
 
 # ---------------------------------------------------------------------------

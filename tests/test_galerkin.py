@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ from hankelsigma import _quad, galerkin, sigma
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROUNDS,
                                   CertificateInputError, _certify_gaussian,
-                                  _certify_interpolation, _certify_window, _compression_bound,
+                                  _certify_interpolation, _certify_window,
                                   _end_moment, _end_spec, _first_success, _gauss_moment,
                                   _damped_power_law_moments, _gaussian_end, _gram,
                                   _interpolation_ends, _LaguerreProducts,
@@ -382,8 +383,9 @@ def test_full_rank_matrix_falls_back_to_dense(eigvalsh_shapes):
     a = np.random.default_rng(7).standard_normal((512, 512))
     h = a + a.T
     sizes = (128, 256, 512)
-    spectra, _, compression = _section_spectra(h, sizes)
-    assert compression[1]
+    # a full-rank matrix saturates the sketch: all 64 Ritz values beyond tau
+    spectra, _, dense = _section_spectra(h, sizes)
+    assert dense
     assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes)
     for s, ev in zip(sizes, spectra):
         assert np.array_equal(ev, np.linalg.eigvalsh(h[:s, :s]))
@@ -395,34 +397,35 @@ def _with_spectrum(n, eigenvalues):
     return (u * eigenvalues) @ u.T
 
 
-def test_eigenvalue_near_threshold_falls_back(eigvalsh_shapes):
+def test_eigenvalue_near_threshold_keeps_the_sketch(eigvalsh_shapes):
     # eigenvalues (-1/2)^k down to 2e-12 on either side of the threshold
-    # tau = 1e-10 (max|ev| = 1): compressed, with room to spare
+    # tau = 1e-10 (max|ev| = 1): Ritz values, with room to spare
     decaying = [(-0.5) ** k for k in range(40)]
     sizes = (128, 256, 512)
-    _, counts, (_, dense) = _section_spectra(_with_spectrum(512, decaying), sizes)
+    _, counts, dense = _section_spectra(_with_spectrum(512, decaying), sizes)
     assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and min(c[3] for c in counts) > 0
     assert not dense
-    # one more eigenvalue 1e-19 from tau, far inside the error of the compression
-    _, counts, (_, dense) = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]),
-                                             sizes)
-    assert [shape[0] for shape in eigvalsh_shapes[-3:]] == list(sizes) and dense
+    # one more eigenvalue 1e-19 from tau, far inside the rounding error: its
+    # margin is negative and reported, and nothing falls back
+    _, counts, dense = _section_spectra(_with_spectrum(512, decaying + [1e-10 * (1 + 1e-9)]),
+                                        sizes)
+    assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and not dense
     assert counts[-1][3] < 0
 
 
-def test_compression_bound_covers_both_sides():
-    # H - PHP = (I-P)H + PH(I-P).  For P = e1 e1^T and H = [[0, 1], [1, 1]]
-    # its norm (1 + sqrt 5)/2 exceeds ||(I-P)H||_F = sqrt 2: one side is not enough
-    h = np.array([[0.0, 1.0], [1.0, 1.0]])
-    q = np.array([[1.0], [0.0]])
-    for h, q in ((h, q), (_with_spectrum(300, np.linspace(-1, 1, 300)),
-                          np.linalg.qr(np.random.default_rng(5).standard_normal((300, 20)))[0])):
-        p = q @ q.T
-        assert _compression_bound(h, q)[0] >= np.linalg.norm(h - p @ h @ p, 2)
+def test_carleman_counts_at_large_sizes_stay_on_the_sketch(eigvalsh_shapes):
+    # one margin of Carleman's lies within rounding of tau at N = 2048; the
+    # counts are Ritz lower bounds, so it costs no dense eigvalsh
+    start = time.perf_counter()
+    est = stabilized_negcount(carleman(), (256, 512, 1024, 2048))
+    elapsed = time.perf_counter() - start
+    assert est.history[-1] == (2048, 0, 38)
+    assert max(shape[0] for shape in eigvalsh_shapes) <= 64 and not est.dense_fallback
+    assert elapsed < 1.0
 
 
 def test_section_spectra_memory():
-    # the residual is summed over row blocks: no N x N temporary
+    # the sketch makes no N x N temporary
     n = LARGE_SIZES[-1]
     h = _closed_form_carleman(n)
     tracemalloc.start()

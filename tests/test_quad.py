@@ -22,22 +22,25 @@ def _counting(f):
     return g, sizes
 
 
-def _big_and_bump(x):
-    return np.stack([1e10 * np.exp(-x), 1e-3 * np.exp(-(x - 0.3) ** 2 / 1e-4)])
+def _bump(x):
+    return 1e-3 * np.exp(-(x - 0.3) ** 2 / 1e-4)
 
 
-def test_noise_floor_is_per_batch_element():
-    # the large element stops at its rounding floor (7e-5 on [0, 1]) at
-    # once; the bump, 3e-15 of its size, must still be refined to atol
-    # rather than stop at the large element's floor
-    g, sizes = _counting(_big_and_bump)
+def test_noise_floor_scales_with_the_integrand():
+    # a large integrand stops at its rounding floor (7e-5 on [0, 1]) at
+    # once, far above atol; a bump 3e-15 of its size has its own floor and
+    # is still refined to atol
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        big, bump = adaptive_gl(g, 0.0, 1.0, atol=1e-12)
+        g, sizes = _counting(lambda x: 1e10 * np.exp(-x))
+        big = adaptive_gl(g, 0.0, 1.0, atol=1e-12)
+        assert sizes == [72]
+        g, sizes = _counting(_bump)
+        bump = adaptive_gl(g, 0.0, 1.0, atol=1e-12)
     exact = 1e-3 * 0.5 * math.sqrt(math.pi) * 0.01 * (math.erf(0.7 / 0.01) + math.erf(0.3 / 0.01))
     assert abs(bump - exact) <= 1e-12
     assert abs(big - 1e10 * (1.0 - math.exp(-1.0))) <= 1e-14 * 1e10
-    assert len(sizes) < 20
+    assert 1 < len(sizes) < 20
 
 
 def test_one_call_of_72_nodes_per_panel():
@@ -48,7 +51,7 @@ def test_one_call_of_72_nodes_per_panel():
     adaptive_gl(g, 0.0, 1.0, atol=1e-12, knots=[0.25, 0.5])
     assert sizes == [72] * 3
     # bisection: a binary tree of panels, each evaluated once
-    g, sizes = _counting(_big_and_bump)
+    g, sizes = _counting(_bump)
     adaptive_gl(g, 0.0, 1.0, atol=1e-12)
     assert len(sizes) > 1 and len(sizes) % 2 == 1 and set(sizes) == {72}
 

@@ -84,10 +84,10 @@ def test_benchmark_tracer_counts_adaptive_panel_evaluations():
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
-        val = _quad.adaptive_gl(lambda x: np.stack([np.exp(x), x]), 0.0, 1.0)
+        val = _quad.adaptive_gl(np.exp, 0.0, 1.0)
     finally:
         undo()
-    assert np.allclose(val, [np.e - 1.0, 0.5])
-    assert tracer.evals == 2 * 72
+    assert np.isclose(val, np.e - 1.0)
+    assert tracer.evals == 72
     seen = [tracing.NAMES[i] for i in tracer.name]
     assert seen == ["quad.adaptive_gl", "quad.integrand"]
