@@ -3,15 +3,12 @@
 The Galerkin basis is e_n(t) = L_n(t) e^{-t/2}, whose Laplace images are
 mu(lam)^n / (lam + 1/2) with mu = (lam-1/2)/(lam+1/2).  Every section
 entry is therefore a sigma pairing against mu^{j+k} (lam+1/2)^{-2}: the
-matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of a
-power-law part are moments of a weight in mu: with r = 0 ``assemble`` takes
-them from their three-term recurrence, with r > 0 from a four-term one whose
-decaying solution is pinned by one or two quadrature entries.  Only delta
-combinations get their 2N-1 entries from the sigma pairing dispatch, as
-one test product with a batch axis of Taylor coefficients (see ``sigma``).
-Those coefficients come in blocked powers, mu^{ib+r} = mu^r mu^{ib} with
-b ~ sqrt(2N): two short step loops and one batched truncated product, about
-2 sqrt(2N) jet products in all.
+matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of
+every part are its moments in mu, and ``assemble`` picks one moment rule per
+part: a power-law part with r = 0 runs a three-term recurrence, one with
+r > 0 a four-term one whose decaying solution is pinned by one or two
+quadrature entries, and a delta combination of order K at beta is a
+binomial sum over the K+1 jets of (mu - mu(beta))^p (lam+1/2)^{-2} there.
 
 The counts of nested sections come from their spectra (``_section_spectra``).
 A section is the form compressed onto span{e_0..e_{N-1}}, so by min-max each
@@ -72,12 +69,14 @@ from . import _quad
 from .form import FormDomainError
 from .kernel import Classification, classify
 from .predict import predict_quasi_carleman
-from .sigma import (DecayError, RegularDensity, SigmaDistribution, _PowerLaw, _SpecProduct,
-                    _inertia, _pair_product, group_sign_matrix, sigma_of_kernel, sigma_pair)
+from .sigma import (DecayError, DeltaCombo, RegularDensity, SigmaDistribution, _PowerLaw,
+                    _SpecProduct, _inertia, group_sign_matrix, sigma_of_kernel, sigma_pair)
 from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
                       fs_var, laguerre_image)
 # Imported by name and called through this module's globals: the benchmark's
-# tracer (perfbench/tracing.py) wraps the jet helpers as galerkin attributes.
+# tracer (perfbench/tracing.py) wraps the jet helpers and the delta engine as
+# galerkin attributes.
+from .sigma import _delta_pair_engine
 from .special import _jet_mul, _jet_recip
 
 __all__ = [
@@ -97,43 +96,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Finite sections
 # ---------------------------------------------------------------------------
-
-class _LaguerreProducts:
-    """The test products mu^s (lam+1/2)^{-2}, s = 0..smax, as the one thing
-    a delta part reads of them: their Taylor coefficients, batched along the
-    leading axis.
-
-    They come in blocked powers: with b = ceil(sqrt(smax+1)) and
-    s = i b + r, the jet of index s is the truncated product of the base row
-    mu^r (r < b) and the block row (lam+1/2)^{-2} mu^{i b}, i < m =
-    ceil((smax+1)/b).  The base rows and mu^b come from the step loop, the
-    block rows from a second loop in steps of mu^b, and all smax+1 products
-    from one batched ``_jet_mul``: about 2 sqrt(smax) jet products instead
-    of smax, with the same rounding as the loop to a few eps of the largest
-    jet.  A binomial closed form of mu^s loses up to 6e-10 of it at order
-    33, and Miller's power recurrence divides by mu(center), 0 at 1/2.
-    """
-
-    def __init__(self, smax):
-        self.smax = smax
-
-    def jet(self, center, order):
-        n = order + 1
-        lam = _var_jet(center, order)
-        rden = _jet_recip((lam + 0.5).coeffs)
-        mu = _jet_mul((lam - 0.5).coeffs, rden)
-        b = math.isqrt(self.smax) + 1  # ceil(sqrt(smax+1))
-        m = -(-(self.smax + 1) // b)
-        base = np.zeros((b + 1, n), dtype=complex)
-        base[0, 0] = 1.0
-        for r in range(b):
-            base[r + 1] = _jet_mul(base[r], mu)
-        blocks = np.empty((m, n), dtype=complex)
-        blocks[0] = _jet_mul(rden, rden)
-        for i in range(1, m):
-            blocks[i] = _jet_mul(blocks[i - 1], base[b])
-        return _jet_mul(base[:b], blocks).reshape(m * b, n)[:self.smax + 1]
-
 
 def _power_law_moments(part, smax):
     """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part with r = 0.
@@ -258,38 +220,64 @@ def _minimal_moment_ratios(coeffs, smax):
     return m[:smax + 1]
 
 
+def _delta_moments(part, smax):
+    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a DeltaCombo part.
+
+    A delta combination of order K at beta reads the jets of order K there,
+    and the Taylor expansion mu^s = sum_p C(s,p) mu_b^{s-p} (mu - mu_b)^p,
+    mu_b = mu(beta), reaches them with p <= K only:
+
+        f_s = sum_{p <= min(K, s)} C(s,p) mu_b^{s-p} w_p,
+
+    w_p the pairing of the jet of (mu - mu_b)^p (lam+1/2)^{-2}: K+1 jet
+    products for any smax.  The sum is exact up to the rounding of its
+    terms, which outgrow max|f| with K: against the step loop of jets the
+    entries lose up to 1e-15 of max|f| for K <= 6, 1e-13 at K = 16 and 2e-9
+    at K = 33 (beta = 5, smax = 2046).
+    """
+    lam = _var_jet(part.beta, part.degree)
+    rden = _jet_recip((lam + 0.5).coeffs)
+    dmu = _jet_mul((lam - 0.5).coeffs, rden)
+    mu_b, dmu[0] = dmu[0], 0.0  # dmu: the jet of mu - mu_b
+    s = np.arange(smax + 1)
+    powers = np.cumprod(np.r_[1.0, np.full(smax, mu_b)])  # mu_b^s
+    jet, binom = _jet_mul(rden, rden), np.ones(smax + 1)  # C(s, p) at p = 0
+    f = _delta_pair_engine(part, jet) * powers
+    for p in range(1, min(part.degree, smax) + 1):
+        jet = _jet_mul(jet, dmu)
+        binom = binom * (s - p + 1) / p
+        f[p:] += binom[p:] * powers[:smax + 1 - p] * _delta_pair_engine(part, jet)
+    return f
+
+
 @dataclass(frozen=True)
 class FiniteSection:
     size: int
     matrix: np.ndarray
 
-    def leading(self, n):
-        return FiniteSection(n, self.matrix[:n, :n])
-
 
 def assemble(kernel, n):
     """N x N Laguerre finite section of the kernel's quadratic form.
 
-    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>.  A
-    power-law part takes them from a moment recurrence, in closed form with
-    r = 0 (``_power_law_moments``) and from one or two scalar pairings at atol
-    1e-12 with r > 0 (``_damped_power_law_moments``); delta parts from the
-    batched jets.  Subnormal entries are flushed to 0.  Unbounded-positive
-    kernels are allowed with a warning as long as every entry integral is
-    finite; otherwise FormDomainError.  A size below 1 is a ValueError.
+    Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>, the
+    moments in mu of each part.  A power-law part takes them from a moment
+    recurrence, in closed form with r = 0 (``_power_law_moments``) and from
+    one or two scalar pairings at atol 1e-13 with r > 0
+    (``_damped_power_law_moments``); a delta part from its binomial sum
+    (``_delta_moments``).  Subnormal entries are flushed to 0.
+    Unbounded-positive kernels are allowed with a warning as long as every
+    entry integral is finite; otherwise FormDomainError.  A size below 1 is
+    a ValueError.
     """
     if n < 1:
         raise ValueError("section size must be a positive integer, got %r" % (n,))
     cls = classify(kernel)
     if cls is Classification.UNBOUNDED_POSITIVE_FORM:
         warnings.warn("assembling finite sections of an unbounded positive form")
-    sig = sigma_of_kernel(kernel)
-    deltas = SigmaDistribution(tuple(p for p in sig.parts if not isinstance(p, _PowerLaw)))
     try:
-        f = sum(((_damped_power_law_moments if p.r else _power_law_moments)(p, 2 * n - 2)
-                 for p in sig.parts if isinstance(p, _PowerLaw)), np.zeros(2 * n - 1))
-        if deltas.parts:
-            f = f + _pair_product(deltas, _LaguerreProducts(2 * n - 2), 1e-12)
+        f = sum(((_delta_moments if isinstance(p, DeltaCombo) else
+                  _damped_power_law_moments if p.r else _power_law_moments)(p, 2 * n - 2)
+                 for p in sigma_of_kernel(kernel).parts), np.zeros(2 * n - 1))
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     scale = max(np.max(np.abs(f)), 1e-300)

@@ -197,19 +197,20 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Pairing engines.  Every pairing goes through one dispatch, _pair_product,
-# which walks sigma's parts against a test product prod = w1* w2 offering
+# Pairing engines.  Every pairing goes through one dispatch, sigma_pair,
+# which walks sigma's parts against the test product prod = w1* w2
+# (_SpecProduct) offering
 #
 #   prod(lam)                values on a real lambda array, shape (len(lam),);
-#   prod.jet(center, order)  Taylor coefficients at center, shape (..., order+1);
+#   prod.jet(center, order)  Taylor coefficients at center, shape (order+1,);
 #   prod.decay()             (rate, power): |prod| <~ lam^power e^{-rate lam},
 #                            ValueError when no such bound is known;
 #   prod.knots               real points where prod is narrow.
 #
-# A delta part reads only the jets, and they may carry a leading batch axis:
-# the 2N-1 Laguerre products of a Galerkin section pair that way, and offer
-# nothing else.  The dispatch folds each power-law part's e^{-r(lam-alpha)}
-# into the product before handing it to an engine.
+# A delta part reads only the jets.  The dispatch folds each power-law part's
+# e^{-r(lam-alpha)} into the product before handing it to an engine.  The
+# Laguerre sections of ``galerkin`` take their entries as moments in mu and
+# call the delta engine on their own jets.
 # ---------------------------------------------------------------------------
 
 _SERIES_EXTRA = 30
@@ -313,38 +314,11 @@ def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
 
 
 def _delta_pair_engine(part, jets):
-    """sum_j c_j (-1)^j d^j/dlam^j [w1* w2](beta), exact from the Taylor
-    coefficients of w1* w2 at beta, shape (..., K+1)."""
+    """sum_j c_j (-1)^j d^j/dlam^j [w1* w2](beta), exact from the K+1 Taylor
+    coefficients of w1* w2 at beta."""
     j = np.arange(part.degree + 1)
     fact = np.array([math.factorial(i) for i in j], dtype=float)
     return jets @ (np.asarray(part.coeffs) * (-1.0) ** j * fact)
-
-
-def _pair_product(sig, prod, atol):
-    """<sigma, prod> for a test product (see above)."""
-    total = 0.0 + 0.0j
-    for part in sig.parts:
-        if isinstance(part, DeltaCombo):
-            total = total + _delta_pair_engine(part, prod.jet(part.beta, part.degree))
-            continue
-        if not isinstance(part, _PowerLaw):
-            raise TypeError("unknown sigma part %r" % (part,))
-        _check_density_decay(part.q, part.r, prod)
-        splits = _splits(part.alpha, prod.knots)
-
-        def psi(lam, _p=part):
-            return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
-
-        if isinstance(part, RegularDensity):
-            total = total + _density_pair_engine(part, psi, atol, splits)
-        else:
-            order = part.order + _SERIES_EXTRA
-            damp = np.zeros(order + 1, complex)
-            damp[1] = -part.r
-            with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
-                jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
-            total = total + _regularized_pair_engine(part, psi, jets, atol, splits)
-    return total
 
 
 class _SpecProduct:
@@ -378,7 +352,30 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
     of a q < 0 finite part (``_splits``): a feature within 0.5 of alpha that
     no knot marks goes unseen.
     """
-    return _pair_product(sig, _SpecProduct(w1, w2), atol)
+    prod = _SpecProduct(w1, w2)
+    total = 0.0 + 0.0j
+    for part in sig.parts:
+        if isinstance(part, DeltaCombo):
+            total = total + _delta_pair_engine(part, prod.jet(part.beta, part.degree))
+            continue
+        if not isinstance(part, _PowerLaw):
+            raise TypeError("unknown sigma part %r" % (part,))
+        _check_density_decay(part.q, part.r, prod)
+        splits = _splits(part.alpha, prod.knots)
+
+        def psi(lam, _p=part):
+            return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
+
+        if isinstance(part, RegularDensity):
+            total = total + _density_pair_engine(part, psi, atol, splits)
+        else:
+            order = part.order + _SERIES_EXTRA
+            damp = np.zeros(order + 1, complex)
+            damp[1] = -part.r
+            with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
+                jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
+            total = total + _regularized_pair_engine(part, psi, jets, atol, splits)
+    return total
 
 
 # ---------------------------------------------------------------------------

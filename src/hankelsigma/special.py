@@ -139,19 +139,8 @@ def laguerre_e(n, t):
 # ---------------------------------------------------------------------------
 
 def _jet_mul(a, b):
-    """Truncated product of Taylor coefficients, np.convolve(a, b)[:n].
-
-    Either argument is one jet of length n or a batch of them along leading
-    axes, shape (..., n).  ``b`` enters as its lower-triangular Toeplitz
-    matrices, shape (..., n, n), through numpy's matmul broadcasting: a batch
-    ``a`` of shape (k, n) times one jet gives the k products, times a batch
-    ``b`` of shape (m, n) all m k of them, shape (m, k, n).
-    """
-    n = np.shape(b)[-1]
-    if np.ndim(a) == 1 and np.ndim(b) == 1:
-        return np.convolve(a, b)[:n]
-    k = np.arange(n)
-    return a @ np.swapaxes(np.tril(np.asarray(b)[..., k[:, None] - k[None, :]]), -1, -2)
+    """Truncated product of two jets' Taylor coefficients, length n = len(b)."""
+    return np.convolve(a, b)[:len(b)]
 
 
 def _jet_recip(a):
@@ -177,10 +166,6 @@ class Jet:
     @property
     def order(self):
         return len(self.coeffs) - 1
-
-    def derivative(self, p):
-        """f^{(p)}(center)."""
-        return self.coeffs[p] * math.factorial(p)
 
     def _check(self, other):
         if self.center != other.center or self.order != other.order:

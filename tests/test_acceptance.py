@@ -21,7 +21,7 @@ import scipy.linalg
 from hankelsigma.form import (ExpPoly, dilation_check, form_direct,
                               identity_residual, min_monomial_order,
                               spectral_witnesses)
-from hankelsigma.galerkin import (assemble, certificate, section_inertia,
+from hankelsigma.galerkin import (FiniteSection, assemble, certificate, section_inertia,
                                   stabilized_negcount)
 from hankelsigma.kernel import Kernel, carleman, finite_rank, quasi_carleman
 from hankelsigma.predict import predict_finite_rank
@@ -92,7 +92,7 @@ def test_criterion_2_carleman_ground_truth():
     neg_ok, prev, mono_ok, below_pi = True, -np.inf, True, True
     max512 = None
     for n in (8, 16, 32, 64, 128, 256, 512):
-        sub = top.leading(n)
+        sub = FiniteSection(n, top.matrix[:n, :n])
         _, nneg = section_inertia(sub)
         neg_ok &= (nneg == 0)
         mx = float(np.linalg.eigvalsh(sub.matrix)[-1])

@@ -10,22 +10,21 @@ import warnings
 import numpy as np
 import pytest
 
-from hankelsigma import _quad, galerkin, sigma
+from hankelsigma import _quad, sigma
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROUNDS,
-                                  CertificateInputError, _certify_gaussian,
+                                  CertificateInputError, FiniteSection, _certify_gaussian,
                                   _certify_interpolation, _certify_window,
                                   _end_moment, _end_spec, _first_success, _gauss_moment,
-                                  _damped_power_law_moments, _gaussian_end, _gram,
-                                  _interpolation_ends, _LaguerreProducts,
-                                  _power_law_moments, _s0_pair_x, _section_spectra,
-                                  _sign_directions, assemble,
+                                  _damped_power_law_moments, _delta_moments, _gaussian_end,
+                                  _gram, _interpolation_ends, _power_law_moments, _s0_pair_x,
+                                  _section_spectra, _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
 from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
-                               _inertia, _pair_product, sigma_of_kernel, sigma_pair)
+                               _delta_pair_engine, _inertia, sigma_of_kernel, sigma_pair)
 from hankelsigma.special import FPow, FProd, _jet_mul, _jet_recip, fs_affine, laguerre_image
 
 
@@ -56,7 +55,8 @@ def test_entries_match_scalar_pairings(kern):
 
 
 def _products_jet_loop(smax, center, order):
-    # the step loop the blocked powers replaced, kept as the reference
+    # the jets of mu^s (lam+1/2)^{-2} at center by a step loop, the reference
+    # of the delta moments
     num = np.zeros(order + 1, dtype=complex)
     num[:2] = center, 1.0
     den = num.copy()
@@ -71,21 +71,33 @@ def _products_jet_loop(smax, center, order):
     return out
 
 
-@pytest.mark.parametrize("center", [0.05, 0.3, 0.5, 1.0, 2.0, 1.4 + 0.6j])  # mu(0.5) = 0
+def _delta_tol(order):
+    # the binomial sum's rounding outgrows max|f| with the degree (``_delta_moments``)
+    return 1e-14 if order <= 6 else 2e-9
+
+
+@pytest.mark.parametrize("center", [0.05, 0.3, 0.5, 1.0, 2.0, 1.4 + 0.6j,  # mu(0.5) = 0
+                                    0.05 + 0.3j])
 @pytest.mark.parametrize("order", [1, 4, 33])
 def test_laguerre_product_jets_match_step_loop(center, order):
+    # the delta moments of degree ``order`` at ``center`` against the step
+    # loop's jets contracted by the delta engine; smax 0, 1 and 3 cut the
+    # binomial sum short of the degree
+    part = DeltaCombo(center, tuple(1.0 / (1.0 + j) for j in range(order + 1)))
     for smax in (0, 1, 3, 15, 2046):
-        ref = _products_jet_loop(smax, center, order)
-        got = _LaguerreProducts(smax).jet(center, order)
+        ref = _delta_pair_engine(part, _products_jet_loop(smax, center, order))
+        got = _delta_moments(part, smax)
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= _delta_tol(order) * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("center, order", [(0.3, 33), (2.0, 4), (1.4 + 0.6j, 33)])
 def test_laguerre_product_jets_match_mpmath(center, order):
-    # (lam+1/2)^{-2} mu^s in 40-digit series arithmetic, mu^s by squaring
+    # (lam+1/2)^{-2} mu^s in 40-digit series arithmetic, mu^s by squaring,
+    # contracted by the delta part's c_j (-1)^j j!
     mp = pytest.importorskip("mpmath")
-    got = _LaguerreProducts(2046).jet(center, order)
+    coeffs = [1.0 / (1.0 + j) for j in range(order + 1)]
+    got = _delta_moments(DeltaCombo(center, tuple(coeffs)), 2046)
     top = np.max(np.abs(got))
 
     def mul(a, b):
@@ -101,20 +113,22 @@ def test_laguerre_product_jets_match_mpmath(center, order):
                 if e & 1:
                     want = mul(want, sq)
                 sq, e = mul(sq, sq), e >> 1
-            assert np.max(np.abs(got[s] - np.array([complex(c) for c in want]))) <= 1e-14 * top
+            want = mp.fsum(c * (-1) ** j * mp.factorial(j) * w
+                           for j, (c, w) in enumerate(zip(coeffs, want)))
+            assert abs(got[s] - complex(want)) <= _delta_tol(order) * top
 
 
-def test_laguerre_jets_take_blocked_powers(monkeypatch):
-    # the saving is fewer jet products: ~2 sqrt(2N) at N = 1024, not 2N - 1
-    calls = []
-
-    def counting(a, b):
-        calls.append(1)
-        return _jet_mul(a, b)
-
-    monkeypatch.setattr(galerkin, "_jet_mul", counting)
-    assemble(carleman() + finite_rank([1.0, -0.4], 0.9), 1024)
-    assert 0 < len(calls) <= 3 * math.ceil(math.sqrt(2047))
+def test_delta_degree_above_the_section():
+    # K = 3 > smax = 0: the binomial sum stops at p = smax
+    kern = finite_rank([1.0, 0.0, 0.0, 0.3], 2.0)
+    sec = assemble(kern, 1)
+    val = sigma_pair(sigma_of_kernel(kern), laguerre_image(0), laguerre_image(0))
+    assert sec.matrix.shape == (1, 1)
+    assert abs(sec.matrix[0, 0] - val.real) <= 1e-14 * abs(val)
+    sec = assemble(kern, 2)
+    for j, k in ((0, 1), (1, 1)):
+        val = sigma_pair(sigma_of_kernel(kern), laguerre_image(j), laguerre_image(k))
+        assert abs(sec.matrix[j, k] - val.real) <= 1e-14 * np.max(np.abs(sec.matrix))
 
 
 def _scalar_entries(part, smax):
@@ -252,7 +266,7 @@ def test_assemble_holds_no_subnormal_entry():
     # delta part alone, which decays geometrically below the normal range
     tiny = np.finfo(float).tiny
     fr = finite_rank([0.6, -1.0], 0.8)
-    deltas = _pair_product(sigma_of_kernel(fr), _LaguerreProducts(2046), 1e-12).real
+    deltas = _delta_moments(sigma_of_kernel(fr).parts[0], 2046).real
     assert np.any((deltas != 0) & (np.abs(deltas) < tiny))
     h = assemble(carleman() + fr, 1024).matrix
     assert not np.any((h != 0) & (np.abs(h) < tiny))
@@ -313,10 +327,10 @@ def test_stabilized_max_eigs_are_section_tops():
     top = assemble(kern, 64)
     assert len(est.max_eigs) == len(sizes)
     for n, mx in zip(sizes, est.max_eigs):
-        assert mx == float(np.linalg.eigvalsh(top.leading(n).matrix)[-1])
+        assert mx == float(np.linalg.eigvalsh(top.matrix[:n, :n])[-1])
     doc = est.to_json()
     assert set(doc) == {"kind", "value", "history"}
-    assert doc["history"] == [[n, *section_inertia(top.leading(n))[::-1]] for n in sizes]
+    assert doc["history"] == [[n, *section_inertia(FiniteSection(n, top.matrix[:n, :n]))[::-1]] for n in sizes]
     assert all(h[1] == 1 for h in doc["history"])
 
 
@@ -442,7 +456,7 @@ def test_nested_counts_monotone():
     top = assemble(kern, 128)
     prev_neg, prev_max = -1, -np.inf
     for n in (8, 16, 32, 64, 128):
-        sub = top.leading(n)
+        sub = FiniteSection(n, top.matrix[:n, :n])
         _, nneg = section_inertia(sub)
         mx = float(np.linalg.eigvalsh(sub.matrix)[-1])
         assert nneg >= prev_neg and mx >= prev_max - 1e-12
@@ -576,7 +590,7 @@ def test_interpolation_certificate_mixed_kernel():
 
 def _derivatives(trial, kappa, order):
     jet = trial.jet(kappa, order)
-    return np.array([jet.derivative(l) for l in range(order + 1)])
+    return jet.coeffs * np.array([math.factorial(l) for l in range(order + 1)])
 
 
 def test_interpolation_trials_carry_the_sign_block():

