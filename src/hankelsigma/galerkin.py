@@ -7,8 +7,9 @@ matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of
 every part are its moments in mu, and ``assemble`` picks one moment rule per
 part: a power-law part with r = 0 runs a three-term recurrence, one with
 r > 0 a four-term one whose decaying solution is pinned by one or two
-quadrature entries, and a delta combination of order K at beta is a
-binomial sum over the K+1 jets of (mu - mu(beta))^p (lam+1/2)^{-2} there.
+quadrature entries, and a delta combination of order K at beta pairs the
+order-K jets of mu^s (lam+1/2)^{-2} there, products of about 2 sqrt(2N)
+anchor and power jets.
 
 The counts of nested sections come from their spectra (``_section_spectra``).
 A section is the form compressed onto span{e_0..e_{N-1}}, so by min-max each
@@ -223,31 +224,31 @@ def _minimal_moment_ratios(coeffs, smax):
 def _delta_moments(part, smax):
     """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a DeltaCombo part.
 
-    A delta combination of order K at beta reads the jets of order K there,
-    and the Taylor expansion mu^s = sum_p C(s,p) mu_b^{s-p} (mu - mu_b)^p,
-    mu_b = mu(beta), reaches them with p <= K only:
-
-        f_s = sum_{p <= min(K, s)} C(s,p) mu_b^{s-p} w_p,
-
-    w_p the pairing of the jet of (mu - mu_b)^p (lam+1/2)^{-2}: K+1 jet
-    products for any smax.  The sum is exact up to the rounding of its
-    terms, which outgrow max|f| with K: against the step loop of jets the
-    entries lose up to 1e-15 of max|f| for K <= 6, 1e-13 at K = 16 and 2e-9
-    at K = 33 (beta = 5, smax = 2046).
+    A delta combination of order K at beta reads the order-K jets of
+    mu^s (lam+1/2)^{-2} there.  With b = ceil(sqrt(smax+1)) and s = i b + t,
+    t < b, each is the truncated product of the anchor mu^{ib} (lam+1/2)^{-2}
+    and the power mu^t, both from step loops: about 2 sqrt(smax) jet
+    products, and the step loop's rounding, a few eps of max|f|, at any K.
+    The binomial sum f_s = sum_{p <= K} C(s,p) mu(beta)^{s-p} w_p, w_p from
+    the jets of (mu - mu(beta))^p (lam+1/2)^{-2}, takes K+1 products, but
+    its terms outgrow max|f| with K: it loses 2e-9 of it at K = 33.
     """
     lam = _var_jet(part.beta, part.degree)
     rden = _jet_recip((lam + 0.5).coeffs)
-    dmu = _jet_mul((lam - 0.5).coeffs, rden)
-    mu_b, dmu[0] = dmu[0], 0.0  # dmu: the jet of mu - mu_b
-    s = np.arange(smax + 1)
-    powers = np.cumprod(np.r_[1.0, np.full(smax, mu_b)])  # mu_b^s
-    jet, binom = _jet_mul(rden, rden), np.ones(smax + 1)  # C(s, p) at p = 0
-    f = _delta_pair_engine(part, jet) * powers
-    for p in range(1, min(part.degree, smax) + 1):
-        jet = _jet_mul(jet, dmu)
-        binom = binom * (s - p + 1) / p
-        f[p:] += binom[p:] * powers[:smax + 1 - p] * _delta_pair_engine(part, jet)
-    return f
+    mu = _jet_mul((lam - 0.5).coeffs, rden)
+    n, b = len(mu), math.isqrt(smax) + 1
+    powers = np.zeros((b + 1, n), dtype=complex)  # mu^t, t = 0..b
+    powers[0, 0] = 1.0
+    for t in range(b):
+        powers[t + 1] = _jet_mul(powers[t], mu)
+    anchors = [_jet_mul(rden, rden)]  # mu^{ib} (lam+1/2)^{-2}
+    for _ in range(smax // b):
+        anchors.append(_jet_mul(anchors[-1], powers[b]))
+    # toep[t, n-1-l, k] = powers[t, k-l]: anchor[::-1] @ toep[t] is a product jet
+    toep = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.zeros((b, n - 1)), powers[:b]], axis=1), n, axis=1)
+    prods = np.array(anchors)[:, ::-1] @ toep  # [t, i]: the jet of index i b + t
+    return _delta_pair_engine(part, prods).T.ravel()[:smax + 1]
 
 
 @dataclass(frozen=True)
@@ -263,11 +264,11 @@ def assemble(kernel, n):
     moments in mu of each part.  A power-law part takes them from a moment
     recurrence, in closed form with r = 0 (``_power_law_moments``) and from
     one or two scalar pairings at atol 1e-13 with r > 0
-    (``_damped_power_law_moments``); a delta part from its binomial sum
-    (``_delta_moments``).  Subnormal entries are flushed to 0.
-    Unbounded-positive kernels are allowed with a warning as long as every
-    entry integral is finite; otherwise FormDomainError.  A size below 1 is
-    a ValueError.
+    (``_damped_power_law_moments``); a delta part from the jets of
+    mu^s (lam+1/2)^{-2} at beta (``_delta_moments``).  Subnormal entries
+    are flushed to 0.  Unbounded-positive kernels are allowed with a warning
+    as long as every entry integral is finite; otherwise FormDomainError.  A
+    size below 1 is a ValueError.
     """
     if n < 1:
         raise ValueError("section size must be a positive integer, got %r" % (n,))

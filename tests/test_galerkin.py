@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hankelsigma import _quad, sigma
+from hankelsigma import _quad, galerkin, sigma
 from hankelsigma.form import FormDomainError
 from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROUNDS,
                                   CertificateInputError, FiniteSection, _certify_gaussian,
@@ -71,24 +71,18 @@ def _products_jet_loop(smax, center, order):
     return out
 
 
-def _delta_tol(order):
-    # the binomial sum's rounding outgrows max|f| with the degree (``_delta_moments``)
-    return 1e-14 if order <= 6 else 2e-9
-
-
 @pytest.mark.parametrize("center", [0.05, 0.3, 0.5, 1.0, 2.0, 1.4 + 0.6j,  # mu(0.5) = 0
                                     0.05 + 0.3j])
 @pytest.mark.parametrize("order", [1, 4, 33])
 def test_laguerre_product_jets_match_step_loop(center, order):
     # the delta moments of degree ``order`` at ``center`` against the step
-    # loop's jets contracted by the delta engine; smax 0, 1 and 3 cut the
-    # binomial sum short of the degree
+    # loop's jets contracted by the delta engine, also at smax below the degree
     part = DeltaCombo(center, tuple(1.0 / (1.0 + j) for j in range(order + 1)))
     for smax in (0, 1, 3, 15, 2046):
         ref = _delta_pair_engine(part, _products_jet_loop(smax, center, order))
         got = _delta_moments(part, smax)
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= _delta_tol(order) * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("center, order", [(0.3, 33), (2.0, 4), (1.4 + 0.6j, 33)])
@@ -115,11 +109,24 @@ def test_laguerre_product_jets_match_mpmath(center, order):
                 sq, e = mul(sq, sq), e >> 1
             want = mp.fsum(c * (-1) ** j * mp.factorial(j) * w
                            for j, (c, w) in enumerate(zip(coeffs, want)))
-            assert abs(got[s] - complex(want)) <= _delta_tol(order) * top
+            assert abs(got[s] - complex(want)) <= 1e-14 * top
+
+
+def test_laguerre_jets_take_blocked_powers(monkeypatch):
+    # the saving is fewer jet products: ~2 sqrt(2N) at N = 1024, not 2N - 1
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return _jet_mul(a, b)
+
+    monkeypatch.setattr(galerkin, "_jet_mul", counting)
+    assemble(carleman() + finite_rank([1.0, -0.4], 0.9), 1024)
+    assert 0 < len(calls) <= 3 * math.ceil(math.sqrt(2047))
 
 
 def test_delta_degree_above_the_section():
-    # K = 3 > smax = 0: the binomial sum stops at p = smax
+    # a degree K = 3 above smax = 0 and 2
     kern = finite_rank([1.0, 0.0, 0.0, 0.3], 2.0)
     sec = assemble(kern, 1)
     val = sigma_pair(sigma_of_kernel(kern), laguerre_image(0), laguerre_image(0))
