@@ -167,7 +167,8 @@ def tanh_sinh_left(f, a, b, atol=1e-12):
 
 
 def semi_infinite(f, a, atol=1e-13):
-    """Integrate f over [a, inf) by up to 90 GL panels doubling from length 1.
+    """Integrate f over [a, inf) by up to 90 GL panels doubling from length 1,
+    until the last three are below atol max(1, |total|) and not increasing.
 
     Divergence is reported at the first panel whose value is not finite,
     when per-panel contributions grow persistently, or when they are still
@@ -184,7 +185,8 @@ def semi_infinite(f, a, atol=1e-13):
         mag = float(abs(part))
         history.append(mag)
         scale = max(1.0, float(abs(total)))
-        if mag < atol * scale and len(history) >= 3:
+        if (len(history) >= 3 and history[-3] < atol * scale
+                and history[-1] <= history[-2] <= history[-3]):
             return total
         if not np.isfinite(mag) or (len(history) >= 45 and history[-1] > 0.9 ** 10 * history[-11]
                                     and mag > atol * scale):

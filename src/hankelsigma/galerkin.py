@@ -633,8 +633,8 @@ def _gram(ends, parts, spec, pair, atol):
     """(G, err) of the trials whose ends are ``ends`` against the sigma
     ``parts``; err bounds the error of every entry.  Each trial pair and part
     takes one route: the sum of ``_end_moment`` over the pair's ends where
-    it applies to all of them, else ``pair(left, spec(i), spec(j))`` at
-    ``atol`` on the parts left, with ``spec(i)`` trial i as a FunctionSpec.
+    it applies to all of them, else ``pair(left, spec(i), spec(j), atol)`` on
+    the parts left, with ``spec(i)`` trial i as a FunctionSpec.
     A trial with no ends takes ``pair`` on every part.  G[i, j] is computed
     for j >= i and mirrored below."""
     spec = functools.cache(spec)
@@ -652,16 +652,16 @@ def _gram(ends, parts, spec, pair, atol):
                 for value, e in moments:
                     total, err = total + value, err + e
             if left:
-                total, err = total + pair(tuple(left), spec(i), spec(j)), err + atol
+                total, err = total + pair(tuple(left), spec(i), spec(j), atol), err + atol
             g[i, j] = total
             g[j, i] = np.conj(g[i, j])
             worst = max(worst, err)
     return g, worst
 
 
-def _sigma_pair(parts, u1, u2):
-    """``sigma_pair`` of the gaussian and window trials, at atol 1e-11."""
-    return sigma_pair(SigmaDistribution(parts), u1, u2, atol=1e-11)
+def _sigma_pair(parts, u1, u2, atol):
+    """``sigma_pair`` of the gaussian and window trials."""
+    return sigma_pair(SigmaDistribution(parts), u1, u2, atol=atol)
 
 
 # -- gaussian-family certificate --------------------------------------------
@@ -741,13 +741,13 @@ def _certify_interpolation(h0_sigma, v_kernel, target):
         eps *= 0.5
 
 
-def _s0_pair_x(s0_parts, u1, u2):
+def _s0_pair_x(s0_parts, u1, u2, atol):
     """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x}), on
-    [-40, 40] with the tests' knots added to 25 fixed ones."""
+    [-40, 40] with the tests' knots added to 25 fixed ones, at ``atol``."""
     prod = _SpecProduct(u1, u2)
     s0 = SigmaDistribution(tuple(s0_parts))
     return _quad.adaptive_gl(lambda x: s0.density(np.exp(-x)) * prod(x), -40.0, 40.0,
-                             atol=1e-12, knots=list(np.linspace(-12, 12, 25)) + list(prod.knots))
+                             atol=atol, knots=list(np.linspace(-12, 12, 25)) + list(prod.knots))
 
 
 # ---------------------------------------------------------------------------

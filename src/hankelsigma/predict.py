@@ -8,7 +8,7 @@ one more term v0 (t+rho)^k e^{-beta t} (q = -k) or the finite-rank part:
   and non-integer |q| the finite count sits on one side and infinity on
   the other, by the parity of [|q|];
 * background + k < 0 (HKC): sign-definite regular sigma perturbation;
-  for k <= -1 a critical coupling nu decides nonnegativity;
+  for k <= -1 the closed-form nu of a one-part background decides nonnegativity;
 * background + non-integer k > 0 (FDH): the three-branch parity table,
   independent of the unperturbed operator;
 * finite rank, alone or on a background, integer k >= 0 included (FDH1):
@@ -28,7 +28,6 @@ import numpy as np
 from .kernel import (Classification, Kernel, QuasiCarlemanTerm,
                      UndefinableKernelError, classify)
 from .sigma import RegularDensity, group_sign_matrix, matrix_inertia, sigma_of_kernel
-from .special import gamma
 
 __all__ = [
     "NegCount",
@@ -154,33 +153,33 @@ def assumption_hfree(sigma0):
 
 
 def critical_coupling(sigma0, k, beta, rho):
-    """nu = Gamma(-k) e^{-beta rho} essinf_{lam >= beta} (lam-beta)^{k+1}
-    e^{rho lam} sigma0(lam), for k = -1 or (k < -1 and rho > 0)."""
+    """nu = Gamma(-k) e^{-beta rho} essinf_{lam>=beta} (lam-beta)^{k+1} e^{rho lam} sigma0(lam)
+    for k = -1 or (k < -1, rho > 0) and one part sigma0 = c/Gamma(q) (lam-alpha)_+^{q-1}
+    e^{-r(lam-alpha)}: 0 if d = beta-alpha < 0, else Gamma(-k) c/Gamma(q) e^{-rd} inf_{u>0}
+    g(u), g = u^a (u+d)^b e^{su}, a = k+1, b = q-1 (k+q and 0 if d = 0), s = rho-r."""
     if k > -1:
         raise ValueError("critical coupling is defined for k <= -1")
     if k < -1 and rho <= 0:
         raise ValueError("k < -1 requires rho > 0")
     if not assumption_hfree(sigma0):
         raise AssumptionViolation("critical coupling needs a regular sigma0")
-
-    parts = sigma0.regular_parts
-    if len(parts) == 1 and parts[0].q == 1.0 and parts[0].alpha == 0.0 and parts[0].r == 0.0:
-        # scaled Carleman density sigma0 = c: closed forms
-        c = parts[0].c
-        if k == -1:
-            return float(c)
-        return float(c * gamma(-k).real * math.exp(-k - 1) * (rho / (-k - 1)) ** (-k - 1))
-
-    # grid essential infimum with a monotone tail check
-    lam = beta + np.concatenate(([0.0], np.logspace(-8, math.log10(50.0), 10000)))
-    lam[0] = beta + 1e-12
-    vals = (lam - beta) ** (k + 1) * np.exp(rho * lam) * sigma0.density(lam)
-    ess = float(np.min(vals))
-    if rho == 0.0:
-        # k = -1 here; the weight is 1 and the density may keep decreasing
-        tail = sigma0.density(np.logspace(math.log10(beta + 50.0), 8, 200))
-        ess = min(ess, float(np.min(tail)))
-    return float(gamma(-k).real * math.exp(-beta * rho) * ess)
+    if len(sigma0.parts) != 1:
+        raise AssumptionViolation("critical coupling needs a one-part sigma0, not %d parts"
+                                  % len(sigma0.parts))
+    (p,) = sigma0.parts
+    d, s = beta - p.alpha, rho - p.r
+    if d < 0:  # sigma0 vanishes on (beta, alpha)
+        return 0.0
+    a, b = (k + 1, p.q - 1) if d > 0 else (k + p.q, 0.0)
+    # log g at u -> 0+ (~ u^a), at u -> inf (~ e^{su}, then u^{a+b}) and at the
+    # positive roots of g'/g, those of s u^2 + (a + b + s d) u + a d
+    logs = [math.copysign(math.inf, -a) if a else (b * math.log(d) if b else 0.0),
+            math.copysign(math.inf, s) if s else (math.copysign(math.inf, a + b) if a + b else 0.0)]
+    lin, disc = a + b + s * d, (a + b + s * d) ** 2 - 4 * s * a * d
+    h = -0.5 * (lin + math.copysign(math.sqrt(max(disc, 0.0)), lin))
+    roots = [a * d / h] + ([h / s] if s else []) if h and disc >= 0 else []
+    logs += [a * math.log(u) + b * math.log(u + d) + s * u for u in roots if u > 0]
+    return math.gamma(-k) * p.weight * math.exp(min(logs) - p.r * d)
 
 
 def predict_perturbed(h0, v):

@@ -528,5 +528,6 @@ def fs_affine(slope, offset):
 
 
 def laguerre_image(n):
-    """Laplace image of e_n: (lam - 1/2)^n / (lam + 1/2)^{n+1}."""
-    return FProd([FPow(fs_affine(1.0, -0.5), n), FPow(fs_affine(1.0, 0.5), -(n + 1))])
+    """Laplace image of e_n: mu^n / (lam + 1/2), mu = (lam - 1/2) / (lam + 1/2)."""
+    rden = FPow(fs_affine(1.0, 0.5), -1)
+    return FProd([FPow(FProd([fs_affine(1.0, -0.5), rden]), n), rden])

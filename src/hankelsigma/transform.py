@@ -54,7 +54,6 @@ __all__ = [
     "laplace_via_mellin",
     "reconstruct",
     "u_of_laplace_image",
-    "sample_u",
     "mollifier_matrix",
     "mollifier_tn",
     "mollifier_norm",
@@ -159,15 +158,12 @@ def laplace_via_mellin(f):
     return GridFunction(grid, np.exp(-grid.xs / 2) * w)
 
 
-def sample_u(w_spec, grid=DEFAULT_GRID):
-    """u(x) = e^{-x/2} w(e^{-x}) for a lam-side FunctionSpec w."""
-    x = grid.xs
-    return GridFunction(grid, np.exp(-x / 2) * np.asarray(w_spec(np.exp(-x)), dtype=complex))
-
-
 def u_of_laplace_image(f, grid=DEFAULT_GRID):
-    """u corresponding to a t-side test function with a closed-form image."""
-    return sample_u(f.laplace_image(), grid)
+    """u(x) = e^{-x/2} w(e^{-x}) of a t-side test function f with a
+    closed-form image w = L f."""
+    x = grid.xs
+    w = np.asarray(f.laplace_image()(np.exp(-x)), dtype=complex)
+    return GridFunction(grid, np.exp(-x / 2) * w)
 
 
 _EDGE_RTOL = 1e-10  # of max|u|, at the grid edges of ``reconstruct``

@@ -123,6 +123,20 @@ def test_predict_command_finite_rank_perturbation(tmp_path):
     assert report["prediction"]["n_plus"] == "infinite"
 
 
+def test_predict_command_critical_coupling_from_the_tail(tmp_path):
+    # background (t+1.01)^{-2}, sigma0 = lam e^{-1.01 lam}, perturbed by
+    # -0.5 (t+1)^{-1.5} e^{-t}: rho = 1 < r = 1.01, so phi -> 0 and nu = 0
+    doc = {"schema": "1", "type": "sum", "parts": [
+        {"type": "quasi_carleman", "v0": 1.0, "q": 2.0, "alpha": 0.0, "r": 1.01},
+        {"type": "quasi_carleman", "v0": -0.5, "q": 1.5, "alpha": 1.0, "r": 1.0}]}
+    spec = _write(tmp_path, "k.json", doc)
+    assert main(["predict", "--spec", spec, "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "predict.json").read_text())
+    assert report["prediction"]["source"] == "HKC"
+    assert report["prediction"]["critical_coupling"] == 0.0
+    assert report["prediction"]["n_minus"] == "infinite"
+
+
 # Carleman + t^{3/2} e^{-t} + finite rank: no theorem covers two quasi-Carleman
 # terms plus finite rank, and the sections see 3 negative eigenvalues
 TWO_QC_PLUS_RANK = {"schema": "1", "type": "sum", "parts": FDH_SUM["parts"] + [

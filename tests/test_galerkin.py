@@ -755,7 +755,7 @@ def test_s0_quadrature_sees_narrow_real_trials():
     for eps in _eps_schedule(0.2):
         u = _end_spec(_interpolation_ends(kind, ends, kappas, eps))
         exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
-        assert abs(_s0_pair_x(sig0.parts, u, u) - exact) <= 1e-11 * exact, eps
+        assert abs(_s0_pair_x(sig0.parts, u, u, 1e-12) - exact) <= 1e-11 * exact, eps
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +821,7 @@ def test_gauss_hermite_gram_entry_of_a_real_interpolation_end():
         exact = abs(a) ** 2 * math.sqrt(math.pi / 2) * eps
         assert abs(value - exact) <= 1e-14 * exact and err <= 1e-14 * exact, eps
         u = _end_spec([end])
-        assert abs(value - _s0_pair_x(sig0.parts, u, u)) <= 1e-11 * exact, eps
+        assert abs(value - _s0_pair_x(sig0.parts, u, u, 1e-12)) <= 1e-11 * exact, eps
 
 
 def test_gauss_hermite_gram_route():
@@ -859,7 +859,7 @@ def test_gauss_hermite_gram_route():
     for u, w in ((e1, e1), (e1, e2), (e2, e1)):
         value, err = _end_moment(part, u, w)
         assert err == 0.0 and value == part.weight * _gauss_moment(u, w, 1.0 - part.q)
-        ref = _s0_pair_x((part,), _end_spec([u]), _end_spec([w]))
+        ref = _s0_pair_x((part,), _end_spec([u]), _end_spec([w]), 1e-12)
         assert abs(value - ref) <= 1e-10 * abs(ref)
 
 

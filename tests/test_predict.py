@@ -68,6 +68,66 @@ def test_critical_coupling_preconditions():
         critical_coupling(sig0, -0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("r", [1.0, 1.01, 1.1])
+def test_critical_coupling_is_zero_when_phi_decays(r):
+    # sigma0 = e^{-r lam}, k = -1.5, beta = rho = 1: phi ~ (lam-1)^{-1/2} e^{(1-r) lam}
+    # tends to 0, at lam -> inf or at beta+, so nu = 0
+    assert critical_coupling(sigma_of_kernel(quasi_carleman(1, 1, 0, r)), -1.5, 1.0, 1.0) == 0.0
+
+
+def test_coupling_below_minus_nu_zero_is_infinite():
+    p = predict_perturbed(quasi_carleman(1, 1, 0, 1), QuasiCarlemanTerm(-0.02, 1.5, 1, 1))
+    assert p.critical_coupling == 0.0 and not p.n_minus.finite
+
+
+def test_critical_coupling_interior_minimum():
+    # sigma0 = e^{-0.9 lam}, k = -1.5, beta = rho = 1: phi = (lam-1)^{-1/2} e^{0.1 lam}
+    # is least at lam = 6
+    nu = critical_coupling(sigma_of_kernel(quasi_carleman(1, 1, 0, 0.9)), -1.5, 1.0, 1.0)
+    want = math.gamma(1.5) * math.exp(-1) * 5 ** -0.5 * math.exp(0.6)
+    assert want == pytest.approx(0.2656697736585567, rel=1e-15)
+    assert abs(nu - want) <= 1e-14 * want
+
+
+def test_critical_coupling_support_above_beta_is_zero():
+    # sigma0 vanishes on (beta, alpha) = (1, 2)
+    assert critical_coupling(sigma_of_kernel(quasi_carleman(1, 1.5, 2, 0)), -1.0, 1.0, 0.5) == 0.0
+
+
+def test_critical_coupling_refuses_two_parts():
+    sig0 = sigma_of_kernel(carleman() + quasi_carleman(1, 2, 0, 1))
+    with pytest.raises(AssumptionViolation, match="2 parts"):
+        critical_coupling(sig0, -1.0, 1.0, 1.0)
+
+
+def test_critical_coupling_against_a_dense_log_grid():
+    # a grid minimum of phi can only overestimate the essinf; where it is
+    # interior it sits next to the exact minimiser
+    rng = np.random.default_rng(28)
+    u = np.logspace(-8, 4, 100001)
+    interior = 0
+    for _ in range(200):
+        alpha = float(rng.choice([0.0, rng.uniform(0, 2)]))
+        q = float(rng.uniform(1, 3) if alpha > 0 else rng.uniform(0.05, 3))
+        r = float(rng.choice([0.0, rng.uniform(0, 2)]))
+        k = float(rng.choice([-1.0, rng.uniform(-3, -1)]))
+        beta = alpha if alpha > 0 and rng.uniform() < 0.2 else float(rng.uniform(0.05, 3))
+        rho = float(rng.uniform(0.05, 3)) if k < -1 or rng.uniform() < 0.5 else 0.0
+        nu = critical_coupling(sigma_of_kernel(quasi_carleman(1, q, alpha, r)), k, beta, rho)
+        lam = beta + u
+        above = lam > alpha
+        log_phi = np.full(len(u), -np.inf)
+        log_phi[above] = ((k + 1) * np.log(u[above]) + rho * lam[above]
+                          + (q - 1) * np.log(lam[above] - alpha) - r * (lam[above] - alpha))
+        j = int(np.argmin(log_phi))
+        grid = math.gamma(-k) / math.gamma(q) * math.exp(log_phi[j] - beta * rho)
+        assert nu <= grid * (1 + 1e-12), (alpha, q, r, k, beta, rho)
+        if 0 < j < len(u) - 1:
+            interior += 1
+            assert abs(nu - grid) <= 1e-5 * grid, (alpha, q, r, k, beta, rho)
+    assert interior >= 50
+
+
 def test_perturbed_fractional_table():
     c = carleman()
     assert predict_perturbed(c, QuasiCarlemanTerm(1.0, -1.5, 1.0, 0.0)).n_minus == NegCount.of(1)

@@ -1,6 +1,7 @@
 """Sigma distributions, pairings, and sign-matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,13 +163,12 @@ def test_gaussian_fexp_pairs_through_its_own_knots():
     assert abs(got - want) <= 1e-10 * want
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "semi_infinite stops after three doubling panels below atol max(1, |total|); "
-    "mu^2046 e^{-lam/1000} is below 1e-300 there and peaks near lam = 1430"))
 def test_far_mass_is_not_missed():
     # mu^2046 (lam+1/2)^{-2} against a slowly damped density: the Laguerre
     # entry of index 2046, 1.19e-6 by the four-term moment recurrence (and
-    # by mpmath); the pairing gives 1.3e-103
+    # by mpmath).  mu^2046 e^{-lam/1000} is below 1e-300 on the first tail
+    # panels and peaks near lam = 1430, so the tail must not stop on three
+    # tiny panels that are still growing
     part = RegularDensity(1, 0.5, 1, 1e-3)
     rden = FPow(fs_affine(1.0, 0.5), -1)
     mu = FProd([fs_affine(1.0, -0.5), rden])
@@ -176,6 +176,16 @@ def test_far_mass_is_not_missed():
     want = _damped_power_law_moments(part, 2046)[-1]
     assert want == pytest.approx(1.194e-6, rel=1e-3)
     assert abs(got - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize("n", [23, 200, 1023])
+def test_high_index_laguerre_images_pair_without_overflow(n):
+    # Carleman: <e_n, e_n> = 2/(2n+1); mu^n (lam+1/2)^{-1} has no factor that
+    # overflows, and the far panels reach the mass near lam ~ 2n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigma_pair(sigma_of_kernel(carleman()), laguerre_image(n), laguerre_image(n), 1e-12)
+    assert abs(got - 2 / (2 * n + 1)) <= 1e-9 * 2 / (2 * n + 1)
 
 
 def test_pair_hermitian_symmetry():
