@@ -222,8 +222,10 @@ def _random_tests(kern, count, seed):
 
 def _section_sizes(items):
     """Section sizes of ``--sizes`` (split at commas) or of a sweep case:
-    at least 3 distinct positive integers."""
+    at least 3 distinct positive integers (a JSON true is not the size 1)."""
     try:
+        if any(isinstance(s, bool) for s in items):
+            raise TypeError
         sizes = tuple(int(s) if isinstance(s, str) else operator.index(s) for s in items)
     except (TypeError, ValueError):
         raise SpecError("section sizes must be integers, got %r" % (items,)) from None

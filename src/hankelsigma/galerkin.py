@@ -389,18 +389,17 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
 # Trial functions
 # ---------------------------------------------------------------------------
 
-def _log_window(center, eps, m, knots):
-    """exp(-eps^{-2m} ln^{2m}(lam/center)) as a FunctionSpec narrow at ``knots``."""
+def _log_window(center, eps, m):
+    """exp(-eps^{-2m} ln^{2m}(lam/center)), narrow at its peak and where it falls to e^{-16}."""
     lnratio = FLog(FProd([fs_var(), fs_const(1.0 / center)]))
     window = FExp(FProd([fs_const(-eps ** (-2.0 * m)), FPow(lnratio, 2 * m)]))
-    window.knots = tuple(knots)
+    window.knots = tuple(center * math.exp(f * 16 ** (0.5 / m) * eps) for f in (-1, 0, 1))
     return window
 
 
 def gaussian_trial(center, eps):
     """w(lam) = (eps lam)^{-1/2} e^{-ln^2(lam/center)/eps^2} as a FunctionSpec."""
-    window = _log_window(center, eps, 1, [center * math.exp(f) for f in (-4 * eps, 0.0, 4 * eps)])
-    return FProd([fs_const(eps ** -0.5), FPow(fs_var(), -0.5), window])
+    return FProd([fs_const(eps ** -0.5), FPow(fs_var(), -0.5), _log_window(center, eps, 1)])
 
 
 def window_trials(beta, rho, n_sub, ell, eps):
@@ -413,8 +412,7 @@ def window_trials(beta, rho, n_sub, ell, eps):
     m = n_sub // 2 + 1
     rcoeffs = [(rho / 2.0) ** p / math.factorial(p) for p in range(n_sub + 1)]
     rpoly = FPoly(rcoeffs, beta)
-    window = _log_window(beta, eps, m, [beta * math.exp(-2 * eps), beta * math.exp(2 * eps),
-                                        beta + 1.0])
+    window = _log_window(beta, eps, m)
     return [FProd([FPoly([0.0] * i + [1.0], beta) if i else 1.0, rpoly, window])
             for i in range(ell)]
 
@@ -526,8 +524,8 @@ def _end_moment(part, end1, end2):
 
 
 def _end_spec(ends):
-    """The sum of ``ends`` as a FunctionSpec of x.  The window of an end with
-    a real center is a real gaussian, so ``FExp`` gives it its knots."""
+    """The sum of ``ends`` as a FunctionSpec of x.  Every end's window is a
+    gaussian, real or of a conjugate pair, so ``FExp`` gives it its knots."""
     parts = [FProd([FPoly(q, c)] + [FPow(fs_affine(1.0, -rho), m) for rho, m in zeros]
                    + [FExp(FPoly(e, c))]) for c, q, zeros, e in ends]
     return parts[0] if len(parts) == 1 else FSum(parts)
@@ -743,11 +741,11 @@ def _certify_interpolation(h0_sigma, v_kernel, target):
 
 def _s0_pair_x(s0_parts, u1, u2, atol):
     """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x}), on
-    [-40, 40] with the tests' knots added to 25 fixed ones, at ``atol``."""
+    [-40, 40] split at the knots that the tests' ends declare, at ``atol``."""
     prod = _SpecProduct(u1, u2)
     s0 = SigmaDistribution(tuple(s0_parts))
     return _quad.adaptive_gl(lambda x: s0.density(np.exp(-x)) * prod(x), -40.0, 40.0,
-                             atol=atol, knots=list(np.linspace(-12, 12, 25)) + list(prod.knots))
+                             atol=atol, knots=prod.knots)
 
 
 # ---------------------------------------------------------------------------

@@ -340,15 +340,15 @@ class FPoly(FunctionSpec):
 
 
 class FExp(FunctionSpec):
-    """exp(child).  A real gaussian exp(c0 + c1 (z-a) + c2 (z-a)^2), c2 < 0,
-    is narrow at m and m +- 4 w: m = a - c1/(2 c2) its peak, w = (-c2)^{-1/2}."""
+    """exp(child).  A gaussian exp(c0 + c1 (z-a) + c2 (z-a)^2), Re c2 < 0, a and c
+    complex, is narrow at its real peak m = Re a - Re(c1 - 2i Im(a) c2)/(2 Re c2)
+    and where it falls to e^{-16}, m +- 4 w with w = (-Re c2)^{-1/2}."""
 
     def __init__(self, child):
         self.child = ch = _as_spec(child)
-        if (isinstance(ch, FPoly) and ch.degree == 2 and not np.any(ch.coeffs.imag)
-                and np.imag(ch.center) == 0 and ch.coeffs[2].real < 0):
-            c1, c2 = ch.coeffs[1].real, ch.coeffs[2].real
-            m, w = np.real(ch.center) - c1 / (2 * c2), (-c2) ** -0.5
+        if isinstance(ch, FPoly) and ch.degree == 2 and ch.coeffs[2].real < 0:
+            c1, c2, a = ch.coeffs[1], ch.coeffs[2], ch.center
+            m, w = np.real(a - (c1 - 2j * np.imag(a) * c2) / (2 * c2.real)), (-c2.real) ** -0.5
             self.knots = (m - 4 * w, m, m + 4 * w)
 
     def __call__(self, z):

@@ -448,6 +448,28 @@ def test_sweep_case_without_a_kernel_is_its_error(tmp_path):
     assert rc["prediction"]["n_minus"] == 0 and "error" not in rc
 
 
+def test_sweep_refuses_json_booleans_as_sizes(tmp_path, monkeypatch):
+    # operator.index(True) == 1: a true once ran a section of size 1, while
+    # a float such as 16.0 was refused
+    calls = []
+
+    def negcount(kern, sizes):
+        calls.append(sizes)
+        return galerkin.stabilized_negcount(kern, sizes)
+
+    monkeypatch.setattr(cli, "stabilized_negcount", negcount)
+    config = {"cases": [{"name": n, "kernel": CARLEMAN, "galerkin": True, "sizes": s}
+                        for n, s in (("t", [True, 2, 3]), ("f", [16, False, 64]),
+                                     ("x", [16.0, 32, 64]))]}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path, "sweep.json", config),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    for name in "tfx":
+        report = json.loads((out / name / "report.json").read_text())
+        assert "must be integers" in report["error"] and "counts" not in report
+    assert calls == []
+
+
 def test_sweep_records_a_numerical_failure_and_goes_on(tmp_path, monkeypatch):
     # no known spec reaches an ArithmeticError in a sweep, so the first
     # case's sections raise one

@@ -758,6 +758,31 @@ def test_s0_quadrature_sees_narrow_real_trials():
         assert abs(_s0_pair_x(sig0.parts, u, u, 1e-12) - exact) <= 1e-11 * exact, eps
 
 
+def test_conjugate_pair_ends_split_s0_quadrature_at_their_own_knots(monkeypatch):
+    # a pair end's window exp(-i sg y/eps - (z - Re kappa)^2) declares its
+    # peak and +-4 widths, so _s0_pair_x needs no fixed grid: 1,728
+    # integrand nodes for this certificate, 5,616 with a 25-point grid on
+    # [-12, 12].  Only _s0_pair_x reaches adaptive quadrature here
+    nodes = []
+    segment = _quad._adaptive_segment
+
+    def counted(f, a, b, atol):
+        def g(x):
+            nodes.append(len(x))
+            return f(x)
+        return segment(g, a, b, atol)
+
+    monkeypatch.setattr(_quad, "_adaptive_segment", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certificate(quasi_carleman(1.0, 1.0, 0.0, 1.0), finite_rank([1.0, 0.5j], 1 + 1j), 2)
+    assert cert.success and cert.eps == _INTERPOLATION_EPS
+    assert 0 < sum(nodes) <= 2000
+    # the Gram diagonal as the grid computed it
+    assert np.real(np.diag(cert.gram)) == pytest.approx([-0.9655436157682001, -0.06467130842928011],
+                                                        rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Hermite certificate entries
 # ---------------------------------------------------------------------------

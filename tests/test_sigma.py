@@ -163,6 +163,30 @@ def test_gaussian_fexp_pairs_through_its_own_knots():
     assert abs(got - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("kern, q, alpha, r, center, eps", [
+    (carleman(), 1.0, 0.0, 0.0, 30 + 0.002j, 0.01),
+    (quasi_carleman(1.0, 0.5), 0.5, 0.0, 0.0, 7 + 0.001j, 0.005),
+    (quasi_carleman(1.0, 1.5, 1.0, 0.3), 1.5, 1.0, 0.3, 2.2 - 0.001j, 0.003),
+], ids=["carleman", "q0.5", "q1.5-alpha-r"])
+def test_complex_centred_gaussian_pairs_through_its_own_knots(kern, q, alpha, r, center, eps):
+    # exp(-(lam-A)^2/eps^2) with a complex A peaks on the real line at Re A,
+    # where FExp puts its knots; without them these pairings read 0, 7.2e-77
+    # and 8.7e-15
+    mp = pytest.importorskip("mpmath")
+    w = FExp(FPoly([0.0, 0.0, -eps ** -2.0], center))
+    assert w.knots == pytest.approx((center.real - 4 * eps, center.real, center.real + 4 * eps),
+                                    abs=1e-12)
+    got = sigma_pair(sigma_of_kernel(kern), w, w, 1e-12)
+    with mp.workdps(30):
+        a, m = mp.mpc(center.real, center.imag), center.real
+
+        def integrand(lam):
+            u, window = lam - alpha, mp.exp(-(lam - a) ** 2 / eps ** 2)
+            return u ** (q - 1) / mp.gamma(q) * mp.exp(-r * u) * abs(window) ** 2
+        ref = float(mp.quad(integrand, [alpha, m - 10 * eps, m, m + 10 * eps, m + 1, mp.inf]))
+    assert abs(got - ref) <= 1e-12 * ref
+
+
 def test_far_mass_is_not_missed():
     # mu^2046 (lam+1/2)^{-2} against a slowly damped density: the Laguerre
     # entry of index 2046, 1.19e-6 by the four-term moment recurrence (and
@@ -186,6 +210,21 @@ def test_high_index_laguerre_images_pair_without_overflow(n):
         warnings.simplefilter("error")
         got = sigma_pair(sigma_of_kernel(carleman()), laguerre_image(n), laguerre_image(n), 1e-12)
     assert abs(got - 2 / (2 * n + 1)) <= 1e-9 * 2 / (2 * n + 1)
+
+
+@pytest.mark.xfail(strict=True, reason="semi_infinite stops on three tail panels that underflow "
+                                       "to exactly 0")
+def test_laguerre_image_past_the_underflow_of_its_first_panels():
+    # mu^8000 (lam+1/2)^{-2} is below the smallest double on the first tail
+    # panels and peaks near lam = 4000: the tail stops on three exact zeros
+    # and returns 1.2498e-4, half of 2/8001, with no warning.  Not mended
+    # by "never stop on zeros": a gaussian trial's tail is exactly 0 too,
+    # and would then run to the panel budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigma_pair(sigma_of_kernel(carleman()), laguerre_image(4000), laguerre_image(4000),
+                         1e-12)
+    assert abs(got - 2 / 8001) <= 1e-9 * 2 / 8001
 
 
 def test_pair_hermitian_symmetry():

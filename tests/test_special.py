@@ -221,10 +221,6 @@ def _interpolation_trials():
             for _, kind, ends in directions]
 
 
-def _interpolation_kinds():
-    return [kind for _, kind, _ in _interpolation_directions()[1]]
-
-
 _TREES = {
     "gaussian": (lambda: [gaussian_trial(1.3, 0.05), gaussian_trial(2.0, 0.3),
                           gaussian_trial(1.3, 0.05) - 2.0 * gaussian_trial(2.0, 0.3)],
@@ -254,11 +250,10 @@ def test_folded_trees_match_unfolded_reference(name):
             assert np.max(np.abs(w.jet(c, 12).coeffs - jet)) <= 1e-15 * np.max(np.abs(jet))
         assert _decay(w) == _decay(w_ref)
         # flattening keeps every leaf's knots (the log windows and the
-        # windows of real interpolation ends carry them)
+        # gaussian windows of interpolation ends, real and pair, carry them)
         assert sorted(w.knots) == sorted(k for n in _nodes(w_ref) for k in n.knots)
-    narrow = ([kind == "real" for kind in _interpolation_kinds()] if name == "interpolation"
-              else [name in ("gaussian", "window")] * len(ref))
-    assert [bool(w.knots) for w in build()] == narrow
+    narrow = name in ("gaussian", "window", "interpolation")
+    assert [bool(w.knots) for w in build()] == [narrow] * len(ref)
 
 
 def _decay(spec):
