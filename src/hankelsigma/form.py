@@ -60,9 +60,9 @@ class ExpPoly:
 
     def __post_init__(self):
         terms = tuple((complex(c), int(m), complex(g)) for c, m, g in self.terms)
-        for c, m, g in terms:
-            if m < 0 or g.real <= 0:
-                raise ValueError("ExpPoly needs m >= 0 and Re g > 0")
+        for (c, m, g), given in zip(terms, self.terms):
+            if m != given[1] or m < 0 or g.real <= 0:  # int() would truncate a fractional m
+                raise ValueError("ExpPoly needs integer m >= 0 and Re g > 0")
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, t):

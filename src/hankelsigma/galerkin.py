@@ -50,10 +50,10 @@ end); a window trial has none.  One builder, ``_gram``, makes the Gram
 matrix of all three.  ``_end_moment`` picks the route of each end pair and
 density part: a gaussian moment in closed form (alpha = 0, r = 0), a
 Gauss-Hermite rule in z (the branch point z_alpha = -ln alpha far away),
-else the adaptive pairing of the whole trials.  A Certificate's ``margin``
-bounds how far its count is from changing under the entries' error: node
-doubling for Gauss-Hermite entries, the tolerance for quadrature ones, plus
-eps max|G| of rounding.
+else a pairing of the whole trials in lam = e^{-z}.  A Certificate's
+``margin`` bounds how far its count is from changing under the entries'
+error: node doubling for Gauss-Hermite entries, the tolerance for quadrature
+ones, plus eps max|G| of rounding.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from .sigma import (DecayError, DeltaCombo, RegularDensity, SigmaDistribution, _
 from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
                       fs_var, laguerre_image)
 # Imported by name and called through this module's globals: the benchmark's
-# tracer (perfbench/tracing.py) wraps the jet helpers and the delta engine as
+# tracer (perfbench/tracing.py) wraps the jet helpers and the pairing engines as
 # galerkin attributes.
-from .sigma import _delta_pair_engine
+from .sigma import _delta_pair_engine, _density_pair_engine, _splits
 from .special import _jet_mul, _jet_recip
 
 __all__ = [
@@ -720,7 +720,7 @@ def _certify_interpolation(h0_sigma, v_kernel, target):
     eigenvector, so the finite-rank part of the form is a_i^H S a_j = diag
     of the negative eigenvalues, for every eps; only the pairing with s0
     (h0's density) depends on eps.  The s0 block is one ``_gram`` of the
-    trials' ends, ``_s0_pair_x`` where ``_end_moment`` does not apply."""
+    trials' ends, ``_s0_pair_x`` (in lam = e^{-x}) where ``_end_moment`` has no route."""
     groups = v_kernel.conjugate_groups()
     kappas, directions = _sign_directions(groups)
     if not directions:
@@ -740,12 +740,12 @@ def _certify_interpolation(h0_sigma, v_kernel, target):
 
 
 def _s0_pair_x(s0_parts, u1, u2, atol):
-    """integral s0(x) conj(u1) u2 dx with s0(x) = sigma0(e^{-x}), on
-    [-40, 40] split at the knots that the tests' ends declare, at ``atol``."""
+    """integral sigma0(e^{-x}) conj(u1) u2 dx at ``atol``, paired in lam = e^{-x} (dx = -dlam/lam)
+    by each part's ``_density_pair_engine``: tanh-sinh at alpha, the ends' knots at e^{-knot}."""
     prod = _SpecProduct(u1, u2)
-    s0 = SigmaDistribution(tuple(s0_parts))
-    return _quad.adaptive_gl(lambda x: s0.density(np.exp(-x)) * prod(x), -40.0, 40.0,
-                             atol=atol, knots=prod.knots)
+    return sum(_density_pair_engine(
+        p, lambda lam, p=p: np.exp(p.r * (p.alpha - lam)) * prod(-np.log(lam)) / lam,
+        atol, _splits(p.alpha, np.exp(-np.asarray(prod.knots)))) for p in s0_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,15 @@ def _normalize_term(term):
 
 
 def _merge_finite_rank(terms):
-    """Combine finite-rank terms with equal beta (Kronecker form needs
-    distinct exponents); drop terms whose polynomials cancel entirely."""
+    """Combine finite-rank terms with equal beta (Kronecker form needs distinct
+    exponents); drop those that cancel to 1e-12 of their terms' summed max|coeffs|."""
     out = []
     merged = []
     for t in terms:
         if not isinstance(t, FiniteRankTerm):
             out.append(t)
             continue
+        size = max(abs(c) for c in t.coeffs)
         for entry in merged:
             if abs(entry["beta"] - t.beta) <= 1e-12:
                 n = max(len(entry["coeffs"]), len(t.coeffs))
@@ -109,11 +110,13 @@ def _merge_finite_rank(terms):
                 c[: len(entry["coeffs"])] += entry["coeffs"]
                 c[: len(t.coeffs)] += t.coeffs
                 entry["coeffs"] = c
+                entry["size"] += size
                 break
         else:
-            merged.append({"beta": t.beta, "coeffs": np.asarray(t.coeffs, dtype=complex)})
+            merged.append({"beta": t.beta, "coeffs": np.asarray(t.coeffs, dtype=complex),
+                           "size": size})
     for entry in merged:
-        if np.max(np.abs(entry["coeffs"])) > 1e-12:
+        if np.max(np.abs(entry["coeffs"])) > 1e-12 * entry["size"]:
             out.append(FiniteRankTerm(tuple(entry["coeffs"]), entry["beta"]))
     return out
 

@@ -58,6 +58,15 @@ def test_form_direct_examples():
     assert form_direct(finite_rank([1.0], 1.0), ExpPoly(((1.0, 0, 1.0),))) == pytest.approx(0.25)
 
 
+def test_exp_poly_refuses_fractional_powers():
+    # int() used to truncate t^1.5 e^{-t} to t e^{-t}, whose Carleman form is
+    # 1/3 where that of t^1.5 e^{-t} is 0.4418
+    with pytest.raises(ValueError, match="integer m"):
+        ExpPoly(((1.0, 1.5, 1.0),))
+    f = ExpPoly(((1.0, 2.0, 1.0),))
+    assert f.terms == ((1.0, 2, 1.0),) and isinstance(f.terms[0][1], int)
+
+
 def test_form_sigma_examples():
     assert form_sigma(carleman(), laguerre_test([1.0])) == pytest.approx(2.0, abs=1e-9)
     kern = quasi_carleman(1, -0.5, 1, 0)

@@ -760,9 +760,10 @@ def test_s0_quadrature_sees_narrow_real_trials():
 
 def test_conjugate_pair_ends_split_s0_quadrature_at_their_own_knots(monkeypatch):
     # a pair end's window exp(-i sg y/eps - (z - Re kappa)^2) declares its
-    # peak and +-4 widths, so _s0_pair_x needs no fixed grid: 1,728
-    # integrand nodes for this certificate, 5,616 with a 25-point grid on
-    # [-12, 12].  Only _s0_pair_x reaches adaptive quadrature here
+    # peak and +-4 widths, so _s0_pair_x needs no fixed grid: 3,312
+    # integrand nodes for this certificate in lam = e^{-x} (1,728 on the
+    # former x-side window [-40, 40], 5,616 with a 25-point grid on
+    # [-12, 12]).  Only _s0_pair_x reaches adaptive quadrature here
     nodes = []
     segment = _quad._adaptive_segment
 
@@ -777,10 +778,47 @@ def test_conjugate_pair_ends_split_s0_quadrature_at_their_own_knots(monkeypatch)
         warnings.simplefilter("error")
         cert = certificate(quasi_carleman(1.0, 1.0, 0.0, 1.0), finite_rank([1.0, 0.5j], 1 + 1j), 2)
     assert cert.success and cert.eps == _INTERPOLATION_EPS
-    assert 0 < sum(nodes) <= 2000
+    assert 0 < sum(nodes) <= 3800
     # the Gram diagonal as the grid computed it
     assert np.real(np.diag(cert.gram)) == pytest.approx([-0.9655436157682001, -0.06467130842928011],
                                                         rel=1e-10)
+
+
+def test_s0_block_matches_mpmath_at_a_density_edge():
+    # s0(x) = c/Gamma(q) (e^{-x} - alpha)^{q-1} is singular at x = -ln alpha,
+    # where no end declares a knot; the s0 block pairs in lam = e^{-x} through
+    # the density engine's tanh-sinh at alpha (the former window [-40, 40] in x
+    # was 6.6e-7 off here, with gram_err 2e-12)
+    mp = pytest.importorskip("mpmath")
+    part, = parts = sigma_of_kernel(quasi_carleman(1.0, 0.7, 0.2, 0.0)).parts
+    kappas, directions = _sign_directions(finite_rank([1.0, 0.5j], 0.9 + 0.6j).conjugate_groups())
+    specs = [_end_spec(_interpolation_ends(kind, e, kappas, 0.2)) for _, kind, e in directions]
+    edge = -math.log(part.alpha)
+    with mp.workdps(20):
+        for i, u in enumerate(specs):
+            for w in specs[i:]:
+                prod = sigma._SpecProduct(u, w)
+
+                def f(x):
+                    return (part.weight * (mp.exp(-x) - part.alpha) ** (part.q - 1)
+                            * complex(prod(np.array([float(x)]))[0]))
+
+                knots = sorted(k for k in prod.knots if -40.0 < k < edge)
+                ref = complex(mp.quad(f, [-40.0] + knots + [edge]))
+                assert abs(_s0_pair_x(parts, u, w, 1e-12) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("h0, v, target", [
+    (quasi_carleman(0.5, 1.6, 1.3, 0.0), finite_rank([1.0, 0.5j], 1 + 1j), 2),
+    (quasi_carleman(1.0, 1.0, 0.0, 1.0) + quasi_carleman(0.5, 1.6, 1.3, 0.0),
+     finite_rank([0.7, 0.4j, 0.2], 1.1 + 0.5j), 3),
+], ids=["edge", "edge+damped"])
+def test_interpolation_certificates_at_a_density_edge_cap_no_panel(h0, v, target):
+    # the x-side window accepted 3 and 17 panels at max_depth on these
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certificate(h0, v, target)
+    assert cert.success and cert.margin > 0
 
 
 # ---------------------------------------------------------------------------
@@ -876,15 +914,15 @@ def test_gauss_hermite_gram_route():
     assert _end_moment(RegularDensity(1.0, 1.0, 0.0, 1.0), real_end, real_end) is not None
     # alpha = 0 and r = 0 take the closed form before any check of the ends,
     # so conjugate-pair ends (complex centres and exponents) get it too.  The
-    # pair block is ~exp(-2 |Im kappa|/eps) ~ 3e-8, and the quadrature's atol
-    # 1e-12 limits the agreement to ~4e-11 of it
+    # pair block is ~exp(-2 |Im kappa|/eps) ~ 3e-8, below the quadrature's
+    # usual atol 1e-12: at atol 1e-16 the reference agrees to ~2.4e-11 of it
     part = RegularDensity(0.7, 0.5)
     e1, e2 = _interpolation_ends(kind, ends, kappas, 0.2)
     assert np.imag(e1[0]) != 0 and np.any(np.imag(e1[3]))
     for u, w in ((e1, e1), (e1, e2), (e2, e1)):
         value, err = _end_moment(part, u, w)
         assert err == 0.0 and value == part.weight * _gauss_moment(u, w, 1.0 - part.q)
-        ref = _s0_pair_x((part,), _end_spec([u]), _end_spec([w]), 1e-12)
+        ref = _s0_pair_x((part,), _end_spec([u]), _end_spec([w]), 1e-16)
         assert abs(value - ref) <= 1e-10 * abs(ref)
 
 

@@ -10,6 +10,8 @@ from hankelsigma.kernel import (Classification, FiniteRankTerm, Kernel,
                                 NonSelfAdjointError, carleman,
                                 carleman_condition, classify, finite_rank,
                                 kernel_eval, quasi_carleman)
+from hankelsigma.galerkin import stabilized_negcount
+from hankelsigma.predict import NegCount, predict_kernel
 from hankelsigma.sigma import sigma_of_kernel
 
 
@@ -78,6 +80,21 @@ def test_same_beta_terms_merge():
     assert len(k.fr_terms) == 1 and k.fr_terms[0].coeffs == (1.0,)
     cancel = finite_rank([1.0], 2.0) + finite_rank([-1.0], 2.0)
     assert not cancel.terms
+    assert not (finite_rank([1, 2], 0.5) + finite_rank([-1, -2], 0.5)).terms
+
+
+def test_small_finite_rank_terms_are_kept():
+    # only a merged term that cancels is dropped, at 1e-12 of its terms' size:
+    # a lone term counts whatever its scale, as does a sum of unequal ones
+    assert predict_kernel(finite_rank([-1e-13], 1.0)) == predict_kernel(finite_rank([-1e-11], 1.0))
+    pred = predict_kernel(finite_rank([-1e-13], 1.0))
+    assert pred.n_minus == NegCount(True, 1) and pred.rank == 1
+    assert len((finite_rank([2e-13], 1.0) + finite_rank([-1e-13], 1.0)).fr_terms) == 1
+    pred = predict_kernel(carleman() + finite_rank([-1e-13], 1.0))
+    assert pred.source == "FDH1" and pred.n_minus == NegCount(True, 1)
+    for scale in (1.0, 1e13):
+        est = stabilized_negcount(quasi_carleman(1e-13 * scale, 1) + finite_rank([-1e-13 * scale], 1))
+        assert est.history[-1][:2] == (128, 1) and (est.kind, est.value) == ("finite", 1)
 
 
 def test_unmatched_complex_term_rejected():
