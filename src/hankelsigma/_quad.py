@@ -1,21 +1,24 @@
 """Shared quadrature engine.
 
-Three workhorses, each calling its integrand on a whole node array of shape
-(m,) for values of shape (m,), real or complex:
+Two rules, each calling its integrand on a whole node array of shape (m,)
+for values of shape (m,), real or complex:
 
-* adaptive Gauss-Legendre panels with optional user knots,
-* tanh-sinh panels for an integrable singularity at the left endpoint,
-* geometric panel doubling for [a, inf) with divergence detection.
+* adaptive Gauss-Legendre panels with optional user knots, for the middle
+  of a range;
+* tanh-sinh for both ends: ``tanh_sinh_left`` for an integrable
+  singularity at the left endpoint, and ``semi_infinite`` for [a, inf),
+  the same rule in u = 1/(lam + 1/2).
 
 An adaptive panel evaluates the integrand once, on the 72 nodes of the 24-
 and 48-point Gauss-Legendre rules together, and is accepted when |G48 - G24|
 <= max(budget, 50 eps M), where M, the 48-point rule applied to |f|, is the
 panel's absolute mass.  That floor is the roundoff stop of QUADPACK
-(Piessens et al., 1983): bisection never chases rounding noise.
+(Piessens et al., 1983): bisection never chases rounding noise.  A
+tanh-sinh halving stops on the same floor.
 
 Two ``RuntimeWarning``s say when a rule returns short of its tolerance:
 ``adaptive_gl`` when it accepts panels at ``_MAX_DEPTH`` above both budget
-and floor, and ``tanh_sinh_left`` when its halvings end unconverged.
+and floor, and either tanh-sinh rule when its halvings end unconverged.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ def _gl_pair():
 # relative size of the rounding noise in a panel's value (QUADPACK's 50 eps)
 _NOISE = 50 * np.finfo(float).eps
 _MAX_DEPTH = 11  # bisections of an adaptive panel
+_TINY = 1e-280  # least tanh-sinh node on [0, 1]: u^{q-1} and 1/u/u stay in range
+_LEVELS = 10  # halvings of the tanh-sinh step
 
 
+# unused by the rules; perfbench/tracing.py rebinds it, as tests/test_tracing.py checks
 def _panel(f, a, b, n):
     x, w = _gl(n)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
@@ -120,77 +126,72 @@ def _adaptive_segment(f, a, b, atol):
     return total, capped, worst
 
 
-def tanh_sinh_left(f, a, b, atol=1e-12):
-    """Integrate f over [a, b] with an integrable singularity allowed at a.
+@functools.cache
+def _ts_level(j):
+    """Nodes in (0, 1) and weights on [0, 1] of tanh-sinh level j, step
+    h = 2^-(j+1): every k at level 0, the odd k that halving adds after."""
+    h = 0.5 ** (j + 1)
+    k = np.arange(-int(6.5 / h), int(6.5 / h) + 1)
+    t = k[k % 2 != 0] * h if j else k * h
+    s = 0.5 * np.pi * np.sinh(t)
+    # log-space weights avoid cosh overflow; x = 1/(1 + e^{-2s}) stably at both ends
+    e = np.exp(-2.0 * np.abs(s))
+    w = np.exp(np.log(0.25 * np.pi * h * np.cosh(t)) - 2.0 * (np.logaddexp(s, -s) - np.log(2.0)))
+    x = np.where(s >= 0, 1.0, e) / (1.0 + e)
+    keep = (x > _TINY) & (w > 1e-300) & (x < 1.0)
+    return x[keep], w[keep]
 
-    The integrand is called as f(u) with u = x - a computed stably, so
-    factors like u^{q-1} can be evaluated without cancellation right down
-    to u ~ 1e-280.  The step starts at 0.5 and halves at most 10 times; a
-    ``RuntimeWarning`` says when the last halving still changed the value
-    by more than ``atol``.
-    """
-    half = 0.5 * (b - a)
-    piq = np.pi / 2
 
-    def nodes_weights(h, only_odd):
-        kmax = int(np.ceil(6.5 / h))
-        k = np.arange(-kmax, kmax + 1)
-        if only_odd:
-            k = k[k % 2 != 0]
-        t = k * h
-        s = piq * np.sinh(t)
-        # log-space weights avoid cosh overflow at the grid extremes
-        logcosh_s = np.logaddexp(s, -s) - np.log(2.0)
-        w = np.exp(np.log(h * half * piq) + np.log(np.cosh(t)) - 2.0 * logcosh_s)
-        # distance from the left endpoint, stable for x -> -1
-        u = np.where(s >= 0,
-                     2.0 * half / (1.0 + np.exp(-2.0 * np.abs(s))),
-                     2.0 * half * np.exp(-2.0 * np.abs(s)) / (1.0 + np.exp(-2.0 * np.abs(s))))
-        keep = (u > 1e-280) & (w > 1e-300) & (u < b - a)
-        return u[keep], w[keep]
-
-    h = 0.5
-    u, w = nodes_weights(h, only_odd=False)
-    total = np.asarray(f(u)) @ w
-    for _ in range(10):
-        h /= 2
-        u, w = nodes_weights(h, only_odd=True)
-        refined = 0.5 * total + np.asarray(f(u)) @ w
-        change = abs(refined - total)
-        total = refined
-        if change <= atol:
-            break
-    else:
-        warnings.warn("tanh_sinh_left on [%g, %g]: 10 halvings left a change of %.3g > atol=%g"
-                      % (a, b, change, atol), RuntimeWarning, stacklevel=2)
+def _tanh_sinh(g, length, atol, where):
+    """Integral of g over [0, length]: level 0, then up to ``_LEVELS``
+    halvings until one changes the value by at most atol or by rounding
+    noise (50 eps times the rule applied to |g|), else a warning that
+    names ``where``."""
+    total = mass = 0.0
+    for j in range(_LEVELS + 1):
+        x, w = _ts_level(j)
+        vals = np.asarray(g(length * x))
+        refined = 0.5 * total + length * (vals @ w)
+        mass = 0.5 * mass + length * (np.abs(vals) @ w)
+        change, total = abs(refined - total), refined
+        if j and change <= max(atol, _NOISE * mass):
+            return total
+    warnings.warn("%s: %d halvings left a change of %.3g > atol=%g"
+                  % (where, _LEVELS, change, atol), RuntimeWarning, stacklevel=3)
     return total
 
 
-def semi_infinite(f, a, atol=1e-13):
-    """Integrate f over [a, inf) by up to 90 GL panels doubling from length 1,
-    until the last three are below atol max(1, |total|) and not increasing.
+def tanh_sinh_left(f, a, b, atol=1e-12):
+    """Integrate f over [a, b] with an integrable singularity allowed at a.
 
-    Divergence is reported at the first panel whose value is not finite,
-    when per-panel contributions grow persistently, or when they are still
-    essentially flat once the panels span far beyond any decay scale in
-    this package (tails flatter than ~x^{-1.1} count as divergent).
+    f is called on u = x - a, stable down to u ~ 1e-280, so factors like
+    u^{q-1} keep their digits.  The step starts at 0.5 and halves at most 10
+    times; a ``RuntimeWarning`` says when the last halving still changed the
+    value by more than ``atol`` and its rounding floor.
     """
-    total = None
-    lo = a
-    length = 1.0
-    history = []
-    for _ in range(90):
-        part = _panel(f, lo, lo + length, 48)
-        total = part if total is None else total + part
-        mag = float(abs(part))
-        history.append(mag)
-        scale = max(1.0, float(abs(total)))
-        if (len(history) >= 3 and history[-3] < atol * scale
-                and history[-1] <= history[-2] <= history[-3]):
-            return total
-        if not np.isfinite(mag) or (len(history) >= 45 and history[-1] > 0.9 ** 10 * history[-11]
-                                    and mag > atol * scale):
+    return _tanh_sinh(f, b - a, atol, "tanh_sinh_left on [%g, %g]" % (a, b))
+
+
+def semi_infinite(f, a, atol=1e-13):
+    """Integrate f over [a, inf), a > -1/2, as g(u) = f(1/u - 1/2)/u^2 on
+    (0, 1/(a + 1/2)] by the tanh-sinh rule of ``tanh_sinh_left``.
+
+    An algebraic tail becomes an integrable singularity at u = 0, a peak far
+    out a layer there.  A nan of f (0 * inf, as lam^{q-1} e^{-r lam} at lam
+    ~ 1e280) counts as 0; an infinite value raises ``DivergentIntegralError``,
+    and so does u |g(u)|, about the mass below u, above atol at the smallest
+    node u = 1e-280, checked first: 1/x raises, x^{-1.05} integrates to 20.
+    """
+    def g(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f(1.0 / u - 0.5)) / u / u
+        vals[np.isnan(vals)] = 0.0
+        if not np.all(np.isfinite(vals)):
             raise DivergentIntegralError("tail contributions are not decaying on [%g, inf)" % a)
-        lo += length
-        length *= 2.0
-    raise DivergentIntegralError("tail did not converge within panel budget")
+        return vals
+
+    edge = _TINY * abs(g(np.array([_TINY]))[0])
+    if edge > atol:
+        raise DivergentIntegralError("tail on [%g, inf) decays too slowly: mass ~%.3g "
+                                     "beyond lam = 1e280" % (a, edge))
+    return _tanh_sinh(g, 1.0 / (a + 0.5), atol, "semi_infinite on [%g, inf)" % a)

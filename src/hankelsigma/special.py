@@ -528,6 +528,11 @@ def fs_affine(slope, offset):
 
 
 def laguerre_image(n):
-    """Laplace image of e_n: mu^n / (lam + 1/2), mu = (lam - 1/2) / (lam + 1/2)."""
+    """Laplace image of e_n: mu^n / (lam + 1/2), mu = (lam - 1/2) / (lam + 1/2).
+
+    Its leaf mu^n, ~ e^{-4n lam} near 0, is narrow at 4/n: the knot sits on
+    the leaf, as flattening drops a product's own knots."""
     rden = FPow(fs_affine(1.0, 0.5), -1)
-    return FProd([FPow(FProd([fs_affine(1.0, -0.5), rden]), n), rden])
+    mu_n = FPow(FProd([fs_affine(1.0, -0.5), rden]), n)
+    mu_n.knots = (4.0 / n,) if n else ()
+    return FProd([mu_n, rden])

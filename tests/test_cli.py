@@ -478,7 +478,7 @@ def test_sweep_records_a_numerical_failure_and_goes_on(tmp_path, monkeypatch):
     def negcount(kern, sizes):
         calls.append(sizes)
         if len(calls) == 1:
-            raise DivergentIntegralError("tail did not converge within panel budget")
+            raise DivergentIntegralError("tail contributions are not decaying on [1, inf)")
         return galerkin.stabilized_negcount(kern, sizes)
 
     monkeypatch.setattr(cli, "stabilized_negcount", negcount)
@@ -488,7 +488,7 @@ def test_sweep_records_a_numerical_failure_and_goes_on(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
     ra, rb = (json.loads((out / n / "report.json").read_text()) for n in "ab")
-    assert "panel budget" in ra["error"] and "counts" not in ra
+    assert "not decaying on [1, inf)" in ra["error"] and "counts" not in ra
     assert rb["counts"]["value"] == 0 and "error" not in rb
     assert len(calls) == 2
 

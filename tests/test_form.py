@@ -301,3 +301,14 @@ def test_carleman_witness_bounded_by_pi():
     qs = spectral_witnesses(carleman(), "unbounded",
                             {"l_values": (10.0, 100.0, 1000.0)})
     assert all(v < math.pi for v in qs)
+
+
+@pytest.mark.parametrize("q", [1.7, 1.9])
+def test_slow_algebraic_tails_are_not_read_as_divergent(q):
+    # h = t^{-q} e^{-t/2}, f = e^{-t}: the form is Gamma(2-q) 1.5^{q-2}
+    # (2.6489..., 9.1354...), and sigma's pairing integrand goes like
+    # lam^{q-3} on the tail
+    kern, f = quasi_carleman(1.0, q, 0.5), ExpPoly(((1.0, 0, 1.0),))
+    direct = form_direct(kern, f)
+    assert direct == pytest.approx(math.gamma(2 - q) * 1.5 ** (q - 2), rel=1e-12)
+    assert abs(form_sigma(kern, f) - direct) <= 1e-12 * direct

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre stop rule, panel evaluation and warnings."""
+"""Adaptive Gauss-Legendre stop rule, panel evaluation, the tanh-sinh tail and warnings."""
 
 import math
 import warnings
@@ -97,13 +97,52 @@ def test_semi_infinite_raises_on_a_growing_tail():
         calls.append(t)
         return np.exp(t)
 
-    # the 10th panel, [512, 1024], overflows to inf: no further panel runs
+    # f(1e280) overflows to inf at the first call, before any level
     with np.errstate(over="ignore"), pytest.raises(DivergentIntegralError, match="not decaying"):
         semi_infinite(growing, 1.0)
     assert len(calls) <= 10
     with pytest.raises(DivergentIntegralError, match="not decaying"):
         semi_infinite(lambda t: t, 1.0)
     assert abs(semi_infinite(lambda t: np.exp(-t), 1.0) - math.exp(-1.0)) < 1e-15
+
+
+def test_semi_infinite_integrates_slow_algebraic_tails():
+    # x^{-1.05}: 1e-14 of mass beyond the smallest node u = 1e-280
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(semi_infinite(lambda t: t ** -1.05, 1.0) - 20.0) <= 1e-12 * 20.0
+
+
+def test_semi_infinite_refuses_1_over_x_before_any_level():
+    calls = []
+
+    def harmonic(t):
+        calls.append(t)
+        return 1.0 / t
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentIntegralError, match="decays too slowly"):
+            semi_infinite(harmonic, 1.0)
+    assert len(calls) == 1
+
+
+def test_semi_infinite_counts_zero_times_inf_far_out_as_zero():
+    # lam^3 e^{-lam} is inf * 0 = nan at lam ~ 1e280, where both factors leave range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = semi_infinite(lambda t: t ** 3.0 * np.exp(-t), 1.0)
+    assert abs(val - 16.0 / math.e) <= 1e-13 * 16.0 / math.e
+
+
+def test_tanh_sinh_stops_at_the_noise_floor():
+    # a tail of size 5e10 changes by rounding noise far above atol = 1e-13
+    # once converged; like a panel, a level stops at 50 eps of its mass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = semi_infinite(lambda t: 1e12 * np.exp(-t) * np.cos(t), 1.0)
+    exact = 1e12 * math.exp(-1.0) * (math.cos(1.0) - math.sin(1.0)) / 2
+    assert abs(val - exact) <= 1e-14 * abs(exact)
 
 
 def test_tanh_sinh_warns_when_unconverged():

@@ -212,19 +212,15 @@ def test_high_index_laguerre_images_pair_without_overflow(n):
     assert abs(got - 2 / (2 * n + 1)) <= 1e-9 * 2 / (2 * n + 1)
 
 
-@pytest.mark.xfail(strict=True, reason="semi_infinite stops on three tail panels that underflow "
-                                       "to exactly 0")
-def test_laguerre_image_past_the_underflow_of_its_first_panels():
-    # mu^8000 (lam+1/2)^{-2} is below the smallest double on the first tail
-    # panels and peaks near lam = 4000: the tail stops on three exact zeros
-    # and returns 1.2498e-4, half of 2/8001, with no warning.  Not mended
-    # by "never stop on zeros": a gaussian trial's tail is exactly 0 too,
-    # and would then run to the panel budget
+@pytest.mark.parametrize("n", [4000, 8000, 100000])
+def test_laguerre_image_past_the_underflow_of_its_first_panels(n):
+    # mu^{2n} (lam+1/2)^{-2} underflows to exactly 0 at the start of the
+    # tail and peaks near lam = n; near lam = 0 the leaf mu^n ~ e^{-4n lam}
+    # is a layer, marked by its knot 4/n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sigma_pair(sigma_of_kernel(carleman()), laguerre_image(4000), laguerre_image(4000),
-                         1e-12)
-    assert abs(got - 2 / 8001) <= 1e-9 * 2 / 8001
+        got = sigma_pair(sigma_of_kernel(carleman()), laguerre_image(n), laguerre_image(n), 1e-12)
+    assert abs(got - 2 / (2 * n + 1)) <= 1e-9 * 2 / (2 * n + 1)
 
 
 def test_pair_hermitian_symmetry():

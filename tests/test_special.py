@@ -252,8 +252,10 @@ def test_folded_trees_match_unfolded_reference(name):
         # flattening keeps every leaf's knots (the log windows and the
         # gaussian windows of interpolation ends, real and pair, carry them)
         assert sorted(w.knots) == sorted(k for n in _nodes(w_ref) for k in n.knots)
-    narrow = name in ("gaussian", "window", "interpolation")
-    assert [bool(w.knots) for w in build()] == [narrow] * len(ref)
+    # the windows and mu^n (n >= 1) of laguerre_image(n) are narrow; e_0 and
+    # the exppoly image are not
+    narrow = {"laguerre": [False, True], "exppoly": [False]}.get(name, [True] * len(ref))
+    assert [bool(w.knots) for w in build()] == narrow
 
 
 def _decay(spec):
