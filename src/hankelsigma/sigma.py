@@ -10,10 +10,11 @@ The sigma distribution of a kernel comes in three part-kinds:
 * DeltaCombo         sum_j c_j delta^{(j)}(lam - beta), Re beta > 0, the
                      sigma distribution of P(t) e^{-beta t}.
 
-Pairings ``<sigma, w1* w2>`` are sesquilinear (antilinear in w1).  A
-RegularizedPower pairing folds the exponential into the test function
-before subtracting, splits off an analytic series piece near alpha, and
-integrates the remainder directly; DeltaCombo pairings are exact jet
+Pairings ``<sigma, w1* w2>`` are sesquilinear (antilinear in w1).  Both
+power-law kinds pair through one engine, which folds the exponential into
+the test function; only its piece near alpha depends on q, and for a
+RegularizedPower that piece is an analytic series, with the Taylor
+polynomial subtracted beyond it.  DeltaCombo pairings are exact jet
 arithmetic at beta.
 
 Sign-matrices of finite-rank kernels are assembled from the exponential-
@@ -208,7 +209,8 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 #   prod.knots               real points where prod is narrow.
 #
 # A delta part reads only the jets.  The dispatch folds each power-law part's
-# e^{-r(lam-alpha)} into the product before handing it to an engine.  The
+# e^{-r(lam-alpha)} into the product and hands it to the one power-law engine,
+# which asks for the product's jets at alpha only for a finite part.  The
 # Laguerre sections of ``galerkin`` take their entries as moments in mu and
 # call the delta engine on their own jets.
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def _check_density_decay(q, r, prod):
 
 
 def _splits(alpha, knots):
-    """(knots, near_end, far_start, d0) of the power-law engines, offsets from
+    """(knots, near_end, far_start, d0) of the power-law engine, offsets from
     alpha: the knots above alpha, the end of a density's singular-end piece
     min(1, nearest knot), the start of the tail (1, or twice the farthest
     knot) and the finite part's series radius min(0.5, nearest knot / 4)."""
@@ -242,75 +244,69 @@ def _splits(alpha, knots):
     return knots, near_end, far_start, d0
 
 
-def _density_pair_engine(part, psi, atol, splits):
-    """integral_alpha^inf u^{q-1} psi(alpha+u) du * c/Gamma(q), q > 0.
+def _density_pair_engine(part, psi, atol, splits, psi_jets=None):
+    """c/Gamma(q) integral_0^inf u^{q-1} psi(alpha+u) du, for q < 0 its finite part.
 
     ``psi`` maps a lambda array to its values and must already contain the
-    e^{-r(lam-alpha)} factor; ``splits``: _splits.
-    A non-integer q takes tanh-sinh on its singular end, up to near_end.
+    e^{-r(lam-alpha)} factor; ``splits``: _splits; ``psi_jets(order)``, asked
+    for only when q < 0: the Taylor coefficients of psi at alpha.  Only the
+    near piece depends on q: tanh-sinh on the singular end of a non-integer
+    q > 0, up to near_end; none for an integer q; for q < 0 the series of
+    _regularized_pair_engine, past which the Taylor polynomial T of order
+    floor(-q) is subtracted up to far_start, and the finite part of
+    u^{q-1} T(u) on [0, far_start] added back in closed form.
     """
     a, q = part.alpha, part.q
-    hs, near_end, far_start, _ = splits
+    hs, near_end, far_start, d0 = splits
 
-    def g(lam):
-        return (lam - a) ** (q - 1) * psi(lam)
+    def g(u):
+        return u ** (q - 1) * psi(a + u)
 
-    if float(q).is_integer():  # no singular end: Gauss-Legendre from alpha
+    g_mid, back = g, 0.0
+    if q < 0:
+        ps = np.arange(part.order + 1)
+        jets = np.asarray(psi_jets(part.order + _SERIES_EXTRA))
+        near, near_end = _regularized_pair_engine(part, psi, jets, atol, d0)
+        taylor = jets[: len(ps)]
+
+        def g_mid(u):
+            return u ** (q - 1) * (psi(a + u) - np.sum(taylor[:, None] * u[None, :] ** ps[:, None], axis=0))
+
+        back = np.sum(taylor * (far_start ** (q + ps) / (q + ps)))
+    elif float(q).is_integer():  # no singular end: Gauss-Legendre from alpha
         near, near_end = 0.0, 0.0
     else:
-        near = _quad.tanh_sinh_left(lambda u: u ** (q - 1) * psi(a + u), 0.0, near_end, atol=atol)
-    mid = _quad.adaptive_gl(g, a + near_end, a + far_start, atol=atol, knots=[a + h for h in hs])
-    far = _quad.semi_infinite(g, a + far_start, atol=atol * 0.1)
-    return part.weight * (mid + far + near)
+        near = _quad.tanh_sinh_left(g, 0.0, near_end, atol=atol)
+    mid = _quad.adaptive_gl(g_mid, near_end, far_start, atol=atol, knots=hs)
+    # the tail in lam, the variable in which the tests decay
+    far = _quad.semi_infinite(lambda lam: g(lam - a), a + far_start, atol=atol * 0.1)
+    return part.weight * (near + mid + far + back)
 
 
-def _regularized_pair_engine(part, psi, psi_jets, atol, splits):
-    """Finite-part pairing for q < 0 non-integer.
-
-    psi_jets: Taylor coefficients of psi at alpha, n+EXTRA+1 of them;
-    psi(lam array) -> values.  The series radius d0 of ``splits`` is halved
-    until the truncated tail is negligible and the series reproduces psi at
-    alpha + d0: a check at the radius's edge that misses features inside.
+def _regularized_pair_engine(part, psi, jets, atol, d0):
+    """(value, radius d) of the finite part's series near piece without c/Gamma(q),
+    sum_{p > n} c_p d^{q+p}/(q+p) over the Taylor coefficients c_p of psi at
+    alpha, n = part.order.  d starts at ``d0`` and is halved until the
+    truncated tail is negligible and the series reproduces psi at alpha + d:
+    a check at the radius's edge that misses features inside.
     """
     a, q, n = part.alpha, part.q, part.order
-    jets = np.asarray(psi_jets)
-    extra = len(jets) - (n + 1)
-    if extra < 8:
-        raise ValueError("need at least 8 spare jet orders")
     if not np.all(np.isfinite(jets)):
         raise ArithmeticError("Taylor coefficients of the test product at alpha overflow; "
                               "the finite part has no series split")
 
-    hs, _, far_start, d0 = splits
-    ps_hi = np.arange(n + 1, n + extra + 1)
-    for _ in range(60):
+    ps_hi = np.arange(n + 1, len(jets))
+    d_min = min(d0, 1e-9)  # halve down to 1e-9, but try a smaller first radius once
+    while d0 >= d_min:
         terms = jets[n + 1:] * (d0 ** (q + ps_hi) / (q + ps_hi))
         last = np.max(np.abs(terms[-3:]))
         series_val = np.sum(jets * d0 ** np.arange(len(jets)))
         direct_val = psi(np.array([a + d0]))[0]
         mismatch = abs(series_val - direct_val)
         if last <= atol * 1e-2 and mismatch <= max(1e-8 * abs(direct_val), atol * 1e-2):
-            break
+            return np.sum(terms), d0
         d0 *= 0.5
-        if d0 < 1e-9:
-            raise ArithmeticError("series split for the finite part did not converge")
-    near = np.sum(terms)
-
-    ps_lo = np.arange(n + 1)
-    taylor = jets[: n + 1]
-
-    def g_sub(u):
-        tay = np.sum(taylor[:, None] * u[None, :] ** ps_lo[:, None], axis=0)
-        return u ** (q - 1) * (psi(a + u) - tay)
-
-    mid = _quad.adaptive_gl(g_sub, d0, far_start, atol=atol, knots=hs)
-
-    def g_raw(lam):
-        return (lam - a) ** (q - 1) * psi(lam)
-
-    far = _quad.semi_infinite(g_raw, a + far_start, atol=atol * 0.1)
-    tail_corr = np.sum(taylor * (far_start ** (q + ps_lo) / (-q - ps_lo)))
-    return part.weight * (near + mid + far - tail_corr)
+    raise ArithmeticError("series split for the finite part did not converge")
 
 
 def _delta_pair_engine(part, jets):
@@ -366,15 +362,13 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
         def psi(lam, _p=part):
             return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
 
-        if isinstance(part, RegularDensity):
-            total = total + _density_pair_engine(part, psi, atol, splits)
-        else:
-            order = part.order + _SERIES_EXTRA
+        def psi_jets(order, _p=part):
             damp = np.zeros(order + 1, complex)
-            damp[1] = -part.r
+            damp[1] = -_p.r
             with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
-                jets = _jet_mul(prod.jet(part.alpha, order), Jet(part.alpha, damp).exp().coeffs)
-            total = total + _regularized_pair_engine(part, psi, jets, atol, splits)
+                return _jet_mul(prod.jet(_p.alpha, order), Jet(_p.alpha, damp).exp().coeffs)
+
+        total = total + _density_pair_engine(part, psi, atol, splits, psi_jets)
     return total
 
 

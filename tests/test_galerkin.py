@@ -574,9 +574,12 @@ def test_window_certificate_with_shift():
 
 
 def test_window_certificate_cannot_exceed_dimension():
-    # every round fails, so eps halves down to 1.2e-4; from eps = 0.002 on,
-    # the finite part's subtracted integrand caps panels at max_depth.  The
-    # predicted count is 1, so ``certificate`` itself takes the gaussian family
+    # every round fails, so eps halves down to 1.2e-4.  From eps = 4.9e-4 on,
+    # the finite part's middle piece caps panels at max_depth: the window,
+    # evaluated at the rounded lam = alpha + u, carries relative noise in u of
+    # up to 5.3e-12 (eps = 4.9e-4) to 2.2e-11 (eps = 1.2e-4), far above the
+    # 50 eps floor of 1.1e-14.  The predicted count is 1, so ``certificate``
+    # itself takes the gaussian family
     sig = sigma_of_kernel(carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0))
     with pytest.warns(RuntimeWarning, match="max_depth"):
         cert = _first_success(_certify_window(sig, 1.0, 0.0, 1, 2))

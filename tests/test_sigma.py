@@ -102,6 +102,22 @@ def test_pair_regularized_matches_direct_oracle():
     assert abs(val - oracle) < 1e-9
 
 
+@pytest.mark.parametrize("q", [-3.5, -2.5, -1.5, -0.5, 0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("alpha, r, s1, s2", [(0.5, 0.0, 0.3, 0.7), (2.0, 1.0, 0.1, 0.25),
+                                              (0.1, 0.05, 1.5, 2.5), (1.0, 5.0, 0.5, 1.0)])
+def test_power_law_pairs_exponentials_in_closed_form(q, alpha, r, s1, s2):
+    # <c/Gamma(q) (lam-alpha)_+^{q-1} e^{-r(lam-alpha)}, e^{-s lam}> = c e^{-s alpha} (r+s)^{-q},
+    # s = s1 + s2, for q < 0 too: Gamma(q) b^{-q} continues analytically in q
+    c = 0.7
+    part = (RegularDensity if q > 0 else RegularizedPower)(c, q, alpha, r)
+    want = c * math.exp(-(s1 + s2) * alpha) * (r + s1 + s2) ** -q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigma_pair(SigmaDistribution((part,)), FExp(FPoly([0, -s1])), FExp(FPoly([0, -s2])),
+                         atol=1e-14 * want)
+    assert abs(got - want) <= 1e-13 * want
+
+
 def test_finite_part_sees_a_bump_inside_half_a_unit_of_alpha():
     # A gaussian trial this close to alpha = 1 has jets ~e^{-128} or smaller
     # there, so no check at the series radius's edge sees it: only the

@@ -38,7 +38,8 @@ def test_benchmark_tracer_installs_and_undoes():
     try:
         assert all(a is not b for a, b in zip(_some_traced(), before))
         # r = 1: assemble takes r = 0 power-law parts in closed form, and
-        # only r > 0 parts reach the density and finite-part engines
+        # only r > 0 parts reach the power-law engine and, for q < 0, its
+        # finite-part series near piece
         galerkin.assemble(quasi_carleman(1.0, 1.0, 0.0, 1.0) + quasi_carleman(1.0, -1.5, 1.0, 1.0)
                           + finite_rank([1.0, -0.4], 0.9), 4)
     finally:
