@@ -10,7 +10,7 @@ Kernel spec schema (version "1"):
 
 Commands: sigma, predict, verify {identity|galerkin|factorization|witness},
 certificate, sweep.  Exit codes: 0 success, 2 validation/precondition
-failure, 3 numerical tolerance failure.  HS_LOG sets the log level.
+failure, 3 numerical tolerance failure or nan.  HS_LOG sets the log level.
 
 predict, verify galerkin and sweep count through ``predict_kernel``, which
 picks the theorem by the kernel's shape (background = the quasi-Carleman
@@ -22,11 +22,12 @@ Other shapes get no prediction: predict exits 2, verify galerkin and sweep
 write "prediction": null; a failed theorem precondition exits 2.  A sum is
 checked for self-adjointness as a whole.  ``_exit_code`` maps failures
 for commands and sweep cases alike: any ValueError or a missing file exits
-2 (malformed specs, sweep cases without a name or a kernel, fewer than 3,
-repeated or non-positive section sizes, non-self-adjoint or empty kernels,
-failed preconditions, diverging sections), any ArithmeticError exits 3
-(a divergent integral, cancelling terms, overflowing Taylor coefficients,
-an unconverged series split).
+2 (malformed specs, spec numbers or --tol that are not finite, sigma's
+--lam-min or --lam-max not positive, sweep cases without a name or a kernel,
+fewer than 3, repeated or non-positive section sizes, non-self-adjoint or
+empty kernels, failed preconditions, diverging sections), any
+ArithmeticError exits 3 (a divergent integral, cancelling terms,
+overflowing Taylor coefficients, an unconverged series split).
 A sweep records either as the case's "error" and goes on.
 
 Reports with section counts (verify galerkin, sweep cases with
@@ -91,12 +92,17 @@ def _exit_code(exc):
 # Kernel spec parsing
 # ---------------------------------------------------------------------------
 
-def _parse_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise SpecError("complex numbers are [re, im] pairs, got %r" % (v,))
+def _number(v, field):
+    """``v`` as a float if a finite int or float, not a bool; else SpecError naming ``field``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise SpecError("%s must be a finite number, got %r" % (field, v))
+    return float(v)
+
+
+def _parse_complex(v, field):
+    """A spec number that may be complex: a real one or an [re, im] pair."""
+    re, im = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    return complex(_number(re, field), _number(im, field))
 
 
 def _spec_terms(doc):
@@ -107,11 +113,11 @@ def _spec_terms(doc):
         raise SpecError("unsupported schema %r" % doc.get("schema"))
     ktype = doc.get("type")
     if ktype == "quasi_carleman":
-        return (QuasiCarlemanTerm(float(doc["v0"]), float(doc["q"]),
-                                  float(doc.get("alpha", 0.0)), float(doc.get("r", 0.0))),)
+        return (QuasiCarlemanTerm(*(_number(doc.get(k, d), k) for k, d in
+                                    (("v0", None), ("q", None), ("alpha", 0.0), ("r", 0.0)))),)
     if ktype == "finite_rank":
-        return tuple(FiniteRankTerm(tuple(_parse_complex(c) for c in entry["coeffs"]),
-                                    _parse_complex(entry["beta"]))
+        return tuple(FiniteRankTerm(tuple(_parse_complex(c, "coeffs") for c in entry["coeffs"]),
+                                    _parse_complex(entry["beta"], "beta"))
                      for entry in doc.get("terms", []))
     if ktype == "sum":
         return sum((_spec_terms(part) for part in doc.get("parts", [])), ())
@@ -176,6 +182,8 @@ def _write_csv(args, name, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_sigma(args):
+    if not min(_number(args.lam_min, "--lam-min"), _number(args.lam_max, "--lam-max")) > 0:
+        raise SpecError("--lam-min and --lam-max must be positive")
     sig = sigma_of_kernel(load_kernel(args.spec))
     lam = np.exp(np.linspace(np.log(args.lam_min), np.log(args.lam_max), args.points))
     dens = sig.density(lam)
@@ -263,8 +271,8 @@ def cmd_verify(args):
         tests = _random_tests(kern, args.count, args.seed)
         residuals = [identity_residual(kern, f) for f in tests]
         report["residuals"] = residuals
-        report["max_residual"] = max(residuals)
-        if report["max_residual"] > args.tol:
+        report["max_residual"] = float(np.max(residuals))  # a nan propagates
+        if not report["max_residual"] <= args.tol:
             code = EXIT_TOLERANCE
     elif args.mode == "galerkin":
         est = _section_report(report, kern, args.sizes.split(","))
@@ -279,16 +287,15 @@ def cmd_verify(args):
     elif args.mode == "factorization":
         grid = DEFAULT_GRID
         t = grid.lambdas_pos
-        worst = 0.0
+        residuals = []
         for n in range(6):
             f = GridFunction(grid, laguerre_e(n, t))
             w = laplace_via_mellin(f)
             truth = laguerre_image(n)(t)
             dif = (w.values - truth) * np.exp(grid.xs / 2)
-            num = np.sqrt(grid.dx * np.sum(np.abs(dif) ** 2))
-            worst = max(worst, float(num))
-        report["residual"] = worst
-        if worst > args.tol:
+            residuals.append(np.sqrt(grid.dx * np.sum(np.abs(dif) ** 2)))
+        report["residual"] = worst = float(np.max(residuals))
+        if not worst <= args.tol:
             code = EXIT_TOLERANCE
     elif args.mode == "witness":
         cls = classify(kern)
@@ -409,6 +416,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _number(args.tol, "--tol")
         return args.func(args)
     except _FAILURES as exc:
         log.error("%s", exc)

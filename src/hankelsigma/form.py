@@ -267,7 +267,8 @@ def _euler_pairing(coef, m, n, g1, g0, v0, q, alpha, r):
 
     For r = 0 a pair is C Gamma(p) int_0^1 x^m (1-x)^n G^{-p} dx, G = g1 x +
     g0 (1-x) + alpha, p = m + n + 2 - q (DLMF 15.6.1), or its finite part at
-    a pole p = -k, whose residues must cancel; r > 0 keeps a t-quadrature.
+    a pole p = -k, whose residues must cancel; r > 0 takes the tail rule on
+    all of t >= 0, its smooth end t = 0 at u = 2, where tanh-sinh clusters too.
     The x-rule is good to 1e-12 of the integrands' magnitude; complex rates
     that make the integrals cancel below 1e-6 of it raise ArithmeticError.
     Nodes x = c + d sinh(s) cluster at c, the point of [0, 1] nearest G's
@@ -313,8 +314,7 @@ def _euler_pairing(coef, m, n, g1, g0, v0, q, alpha, r):
         conv = np.einsum("pk,pkt->t", base, np.exp(power * np.log(t) - G[..., None] * t))
         return v0 * (t + r) ** -q * conv
 
-    return (_quad.adaptive_gl(integrand, 0.0, 1.0, atol=1e-12)
-            + _quad.semi_infinite(integrand, 1.0, atol=1e-13))
+    return _quad.semi_infinite(integrand, 0.0, atol=1e-13)
 
 
 def form_direct(kernel, f1, f2=None):

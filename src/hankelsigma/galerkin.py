@@ -72,8 +72,8 @@ from .kernel import Classification, classify
 from .predict import predict_quasi_carleman
 from .sigma import (DecayError, DeltaCombo, RegularDensity, SigmaDistribution, _PowerLaw,
                     _SpecProduct, _inertia, group_sign_matrix, sigma_of_kernel, sigma_pair)
-from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _var_jet, fs_affine, fs_const,
-                      fs_var, laguerre_image)
+from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _fit, _shift_poly, _var_jet,
+                      fs_affine, fs_const, fs_var, laguerre_image)
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers and the pairing engines as
 # galerkin attributes.
@@ -417,15 +417,6 @@ def window_trials(beta, rho, n_sub, ell, eps):
             for i in range(ell)]
 
 
-def _shift_poly(coeffs, shift):
-    """Coefficients of P(z + shift) given those of P(z) (ascending)."""
-    out = np.zeros(len(coeffs), dtype=complex)
-    for j, c in enumerate(coeffs):
-        for i in range(j + 1):
-            out[i] += c * math.comb(j, i) * shift ** (j - i)
-    return out
-
-
 # -- gaussian ends -------------------------------------------------------------
 #
 # An end (c, Q, zeros, E) is the function Q(x - c) prod (x - rho)^m
@@ -535,13 +526,6 @@ def _gaussian_end(center, eps):
     """The end of ``gaussian_trial``, lam^{1/2} (eps lam)^{-1/2} e^{-ln^2(lam/A)/eps^2}
     = eps^{-1/2} exp(-(z + ln A)^2/eps^2) in z = -ln lam."""
     return (-math.log(center), np.array([eps ** -0.5]), (), np.array([0.0, 0.0, -eps ** -2.0]))
-
-
-def _fit(coeffs, n):
-    """The first n of ``coeffs``, padded with zeros."""
-    out = np.zeros(n, dtype=complex)
-    out[:min(n, len(coeffs))] = coeffs[:n]
-    return out
 
 
 def _interpolation_ends(kind, ends, kappas, eps):

@@ -10,10 +10,11 @@ power-type behaviour.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .special import _shift_poly
 
 __all__ = [
     "QuasiCarlemanTerm",
@@ -88,8 +89,7 @@ def _normalize_term(term):
     """Integer q <= 0 with alpha > 0 becomes a finite-rank term."""
     if isinstance(term, QuasiCarlemanTerm) and term.q <= 0 and float(term.q).is_integer() and term.alpha > 0:
         m = int(-term.q)
-        coeffs = [term.v0 * math.comb(m, i) * term.r ** (m - i) for i in range(m + 1)]
-        return FiniteRankTerm(tuple(coeffs), term.alpha)
+        return FiniteRankTerm(tuple(_shift_poly([0.0] * m + [term.v0], term.r)), term.alpha)
     return term
 
 

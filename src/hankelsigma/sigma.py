@@ -113,14 +113,6 @@ class RegularizedPower(_PowerLaw):
         return int(math.floor(-self.q))
 
 
-def _falling_diffop(j):
-    """Coefficients of (1-X)(2-X)...(j-X) in ascending powers of X."""
-    poly = np.array([1.0 + 0j])
-    for i in range(1, j + 1):
-        poly = np.convolve(poly, np.array([i, -1.0], dtype=complex))
-    return poly
-
-
 @dataclass(frozen=True)
 class DeltaCombo:
     """sigma = sum_j coeffs[j] * delta^{(j)}(lam - beta)."""
@@ -141,10 +133,12 @@ class DeltaCombo:
     def diffop(self):
         """x-variable representation: sum_p d_p (d/dx)^p delta(x - kappa)."""
         d = np.zeros(len(self.coeffs), dtype=complex)
+        falling = np.array([1.0 + 0j])  # (1-X)(2-X)...(j-X), ascending in X
         for j, cj in enumerate(self.coeffs):
-            if cj == 0:
-                continue
-            d[: j + 1] += cj * self.beta ** (-1 - j) * _falling_diffop(j)
+            if j:
+                falling = np.convolve(falling, np.array([j, -1.0], dtype=complex))
+            if cj != 0:
+                d[: j + 1] += cj * self.beta ** (-1 - j) * falling
         return d
 
     def sign_entries(self):
@@ -250,8 +244,8 @@ def _density_pair_engine(part, psi, atol, splits, psi_jets=None):
     ``psi`` maps a lambda array to its values and must already contain the
     e^{-r(lam-alpha)} factor; ``splits``: _splits; ``psi_jets(order)``, asked
     for only when q < 0: the Taylor coefficients of psi at alpha.  Only the
-    near piece depends on q: tanh-sinh on the singular end of a non-integer
-    q > 0, up to near_end; none for an integer q; for q < 0 the series of
+    near piece depends on q: tanh-sinh on [0, near_end] for every q > 0,
+    whose end at 0 is singular or not; for q < 0 the series of
     _regularized_pair_engine, past which the Taylor polynomial T of order
     floor(-q) is subtracted up to far_start, and the finite part of
     u^{q-1} T(u) on [0, far_start] added back in closed form.
@@ -273,8 +267,6 @@ def _density_pair_engine(part, psi, atol, splits, psi_jets=None):
             return u ** (q - 1) * (psi(a + u) - np.sum(taylor[:, None] * u[None, :] ** ps[:, None], axis=0))
 
         back = np.sum(taylor * (far_start ** (q + ps) / (q + ps)))
-    elif float(q).is_integer():  # no singular end: Gauss-Legendre from alpha
-        near, near_end = 0.0, 0.0
     else:
         near = _quad.tanh_sinh_left(g, 0.0, near_end, atol=atol)
     mid = _quad.adaptive_gl(g_mid, near_end, far_start, atol=atol, knots=hs)

@@ -210,17 +210,15 @@ class Jet:
         return Jet(self.center, out)
 
     def log(self):
+        """(log f)' = f'/f: the reciprocal rule times the derivative's jet."""
         a = self.coeffs
         if a[0] == 0:
             raise NonAnalyticError("log of a jet vanishing at center")
-        n = self.order + 1
-        out = np.zeros(n, dtype=complex)
+        out = np.empty(self.order + 1, dtype=complex)
         out[0] = np.log(a[0])
-        for p in range(1, n):
-            acc = a[p]
-            for k in range(1, p):
-                acc -= (k / p) * out[k] * a[p - k]
-            out[p] = acc / a[0]
+        if self.order:
+            k = np.arange(1, self.order + 1)
+            out[1:] = _jet_mul(k * a[1:], _jet_recip(a)[:-1]) / k
         return Jet(self.center, out)
 
     def ipow(self, m):
@@ -245,6 +243,22 @@ class Jet:
     def conj_mirror(self):
         """Jet of z -> conj(f(conj z)) at conj(center)."""
         return Jet(np.conj(self.center), np.conj(self.coeffs))
+
+
+def _fit(coeffs, n):
+    """The first n of ``coeffs``, padded with zeros."""
+    out = np.zeros(n, dtype=complex)
+    out[:min(n, len(coeffs))] = coeffs[:n]
+    return out
+
+
+def _shift_poly(coeffs, shift):
+    """Coefficients of P(z + shift) from those of P(z), ascending: Horner in z + shift."""
+    out = np.array(coeffs[-1:], dtype=complex)
+    for c in coeffs[-2::-1]:
+        out = np.convolve(out, [shift, 1.0])
+        out[0] += c
+    return out
 
 
 def _var_jet(center, order):
@@ -323,13 +337,8 @@ class FPoly(FunctionSpec):
         return out
 
     def jet(self, center, order):
-        out = Jet(center, np.zeros(order + 1, complex))
-        zj = _var_jet(center, order)
-        if self.center != 0:
-            zj = zj - self.center
-        for c in self.coeffs[::-1]:
-            out = out * zj + c
-        return out
+        """The polynomial re-expanded about ``center``, to ``order``."""
+        return Jet(center, _fit(_shift_poly(self.coeffs, center - self.center), order + 1))
 
     @property
     def degree(self):

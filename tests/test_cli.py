@@ -51,6 +51,18 @@ def test_parse_kernel_rejects_bad_specs():
         {"type": "finite_rank", "terms": [{"coeffs": [1.0]}]},  # missing beta
         {"type": "quasi_carleman", "v0": [1, 2], "q": 1.0},
         {"type": "finite_rank", "terms": "x"},
+        # every spec number is a finite int or float, not a bool or a string
+        {"type": "quasi_carleman", "v0": math.nan, "q": 1.0},
+        json.loads('{"type": "quasi_carleman", "v0": 1e400, "q": 1.0}'),
+        {"type": "quasi_carleman", "v0": 1.0, "q": 1.0, "alpha": -math.inf},
+        {"type": "quasi_carleman", "v0": True, "q": "1.5", "alpha": "inf"},
+        {"type": "quasi_carleman", "v0": 1.0, "q": "1.5"},
+        {"type": "quasi_carleman", "v0": 1.0, "q": 1.0, "r": "inf"},
+        {"type": "quasi_carleman", "v0": 10 ** 400, "q": 1.0},
+        {"type": "finite_rank", "terms": [{"coeffs": [[math.nan, 0.0]], "beta": [1.0, 0.0]}]},
+        {"type": "finite_rank", "terms": [{"coeffs": [1.0], "beta": [1.0, math.inf]}]},
+        {"type": "finite_rank", "terms": [{"coeffs": [True], "beta": 1.0}]},
+        {"type": "finite_rank", "terms": [{"coeffs": ["1"], "beta": 1.0}]},
     ):
         with pytest.raises(SpecError):
             parse_kernel(doc)
@@ -231,6 +243,35 @@ def test_verify_identity_tolerance_exit(tmp_path):
     code = main(["verify", "identity", "--spec", spec, "--out", out,
                  "--count", "3", "--tol", "1e-30"])
     assert code == EXIT_TOLERANCE
+
+
+def test_verify_identity_nan_residual_exits_3(tmp_path, monkeypatch):
+    # nan > tol is false, so the check reads "not residual <= tol"
+    monkeypatch.setattr(cli, "identity_residual", lambda kern, f: math.nan)
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    assert main(["verify", "identity", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--count", "3"]) == EXIT_TOLERANCE
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tol_flag_must_be_finite(tmp_path, tol):
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    assert main(["verify", "identity", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--count", "3", "--tol", tol]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_sigma_lam_min_must_be_positive_and_finite(tmp_path, value):
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    assert main(["sigma", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--lam-min", value]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_sigma_lam_max_must_be_positive_and_finite(tmp_path, value):
+    spec = _write(tmp_path, "k.json", CARLEMAN)
+    assert main(["sigma", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--lam-max", value]) == EXIT_VALIDATION
 
 
 def test_verify_identity_cancelling_finite_rank_form_exits_3(tmp_path, caplog):

@@ -73,6 +73,12 @@ def test_integer_exponent_normalizes_to_finite_rank():
     assert term.beta == 1.5
     ts = np.array([0.3, 1.0, 2.7])
     assert np.allclose(kernel_eval(k, ts), 2 * (ts + 0.5) ** 2 * np.exp(-1.5 * ts))
+    # m = 3, r > 0: the coefficients of v0 (t + r)^m are v0 C(m, i) r^{m-i}
+    v0, r = -0.7, 0.3
+    term = quasi_carleman(v0, -3.0, 2.0, r).fr_terms[0]
+    want = [v0 * math.comb(3, i) * r ** (3 - i) for i in range(4)]
+    assert term.beta == 2.0 and len(term.coeffs) == 4
+    assert np.max(np.abs(np.array(term.coeffs) - want) / np.abs(want)) <= 1e-15
 
 
 def test_same_beta_terms_merge():

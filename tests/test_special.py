@@ -14,7 +14,8 @@ from hankelsigma.galerkin import (_end_spec, _interpolation_ends, _sign_directio
 from hankelsigma.kernel import finite_rank
 from hankelsigma.special import (FExp, FIndicatorImage, FPoly, FPow,
                                  FProd, FSum, PoleError, NonAnalyticError,
-                                 _as_spec, _jet_mul, fs_affine, fs_var, gamma,
+                                 Jet, _as_spec, _jet_mul, _shift_poly, _var_jet,
+                                 fs_affine, fs_var, gamma,
                                  laguerre, laguerre_e, laguerre_image,
                                  log_gamma)
 
@@ -140,6 +141,64 @@ def test_jet_mul_matches_loop_reference():
         tol = 1e-13 * np.max(np.abs(ref))
         for row, want in zip(a, ref):
             assert np.max(np.abs(_jet_mul(row, b) - want)) <= tol
+
+
+def test_jet_log_matches_loop_reference():
+    # the double-loop recurrence that the reciprocal rule replaced, kept as the reference
+    def log_ref(a):
+        out = np.zeros(len(a), dtype=complex)
+        out[0] = np.log(a[0])
+        for p in range(1, len(a)):
+            acc = a[p]
+            for k in range(1, p):
+                acc -= (k / p) * out[k] * a[p - k]
+            out[p] = acc / a[0]
+        return out
+
+    rng = np.random.default_rng(2)
+    for order in (0, 1, 2, 9, 40):
+        for _ in range(5):
+            a = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+            a[0] += 2.0
+            got = Jet(0.3 - 0.7j, a).log()
+            want = log_ref(a)
+            assert got.center == 0.3 - 0.7j and len(got.coeffs) == order + 1
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_shift_poly_matches_binomial_sum():
+    # P(z + s) = sum_i z^i sum_j C(j, i) s^{j-i} c_j, the loop that Horner's rule replaced
+    rng = np.random.default_rng(3)
+    for deg in range(9):
+        for s in (0.0, 1.7, -0.4, 0.6 - 1.3j):
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            terms = np.array([[math.comb(j, i) * s ** (j - i) * c[j] if j >= i else 0.0
+                               for j in range(deg + 1)] for i in range(deg + 1)])
+            got = _shift_poly(c, s)
+            assert len(got) == deg + 1
+            assert np.max(np.abs(got - terms.sum(axis=1))) <= 1e-14 * np.max(np.abs(terms))
+
+
+def test_fpoly_jet_is_horner_over_jets():
+    # bitwise the Horner loop over Jet products that FPoly.jet used to run
+    def jet_ref(poly, center, order):
+        out = Jet(center, np.zeros(order + 1, complex))
+        zj = _var_jet(center, order)
+        if poly.center != 0:
+            zj = zj - poly.center
+        for c in poly.coeffs[::-1]:
+            out = out * zj + c
+        return out
+
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        deg, order = rng.integers(0, 6), rng.integers(0, 7)
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1) * rng.integers(0, 2)
+        pc = rng.choice([0.0, rng.normal(), rng.normal() + 1j * rng.normal()])
+        center = rng.choice([rng.normal(), rng.normal() + 1j * rng.normal()])
+        poly = FPoly(coeffs, pc)
+        got, want = poly.jet(center, order), jet_ref(poly, center, order)
+        assert got.center == want.center and np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_jet_reciprocal_of_zero_raises():
