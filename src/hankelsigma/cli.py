@@ -159,10 +159,12 @@ def _report_skeleton(command, args):
 
 
 def _write_report(report, args, name):
+    """Write ``report`` as strict JSON: a nan or an infinity becomes null."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
+    report = json.loads(json.dumps(report, sort_keys=True), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     log.info("wrote %s", path)
 

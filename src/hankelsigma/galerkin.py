@@ -5,11 +5,11 @@ mu(lam)^n / (lam + 1/2) with mu = (lam-1/2)/(lam+1/2).  Every section
 entry is therefore a sigma pairing against mu^{j+k} (lam+1/2)^{-2}: the
 matrix is Hankel in j+k.  Since (lam+1/2)^{-2} dlam = dmu, the entries of
 every part are its moments in mu, and ``assemble`` picks one moment rule per
-part: a power-law part with r = 0 runs a three-term recurrence, one with
-r > 0 a four-term one whose decaying solution is pinned by one or two
-quadrature entries, and a delta combination of order K at beta pairs the
-order-K jets of mu^s (lam+1/2)^{-2} there, products of about 2 sqrt(2N)
-anchor and power jets.
+kind of part: a power-law part runs one four-term recurrence in the
+differences of its moments, started in closed form with r = 0 and from one
+or two quadrature entries with r > 0, and a delta combination of order K at
+beta pairs the order-K jets of mu^s (lam+1/2)^{-2} there, products of about
+2 sqrt(2N) anchor and power jets.
 
 The counts of nested sections come from their spectra (``_section_spectra``).
 A section is the form compressed onto span{e_0..e_{N-1}}, so by min-max each
@@ -98,87 +98,75 @@ __all__ = [
 # Finite sections
 # ---------------------------------------------------------------------------
 
-def _power_law_moments(part, smax):
-    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part with r = 0.
-
-    With a = (alpha-1/2)/(alpha+1/2) the substitution mu = (lam-1/2)/(lam+1/2)
-    makes the entries c (alpha+1/2)^{q-1}/Gamma(q) m_s, with m_s the moments
-    of the Jacobi weight (mu-a)^{q-1} (1-mu)^{1-q} on [a, 1].  Integrating
-    mu^s (mu-a)(1-mu) times the weight's derivative by parts gives
-
-        (s+2) m_{s+1} = [s(1+a) + q + a(2-q)] m_s - s a m_{s-1},
-
-    from m_0 = (1-a) Gamma(q) Gamma(2-q) and m_1 = (a + (1-a) q/2) m_0.
-    The recurrence is run on m_s/Gamma(q).  It is stable forward: its roots
-    are 1 and a, |a| <= 1, and the moments follow the root 1.  For q < 0 the
-    formulas are the analytic continuation in q, which is the finite part.
-    The moments exist for q < 2 only; DecayError otherwise.
-    """
-    q = part.q
-    if q >= 2:
-        raise DecayError("pairing integrand ~ lam^%g with no exponential decay" % (q - 3))
-    b = 1.0 / (part.alpha + 0.5)  # 1 - a
-    a = (part.alpha - 0.5) * b
-    m = [b * math.gamma(2.0 - q)]
-    if smax:
-        m.append((a + 0.5 * b * q) * m[0])
-    for s in range(1, smax):
-        m.append(((s * (1.0 + a) + q + a * (2.0 - q)) * m[s] - s * a * m[s - 1]) / (s + 2))
-    return part.c * (part.alpha + 0.5) ** (q - 1.0) * np.array(m)
-
-
 _FORWARD_RS = 16.0  # r smax up to which the r > 0 moments run forward
 # (lam+1/2)^{-1} and (lam+1/2)^{-2}: their pairings are the entries m_0 and d_0
 _NORMALISERS = (laguerre_image(0), FPow(fs_affine(1.0, 0.5), -2))
 
 
-def _damped_power_law_moments(part, smax):
-    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part with r > 0.
+def _power_law_moments(part, smax):
+    """<part, mu^s (lam+1/2)^{-2}>, s = 0..smax, of a power-law part, r >= 0.
 
-    The substitution of ``_power_law_moments`` makes the entries multiples of
-    the moments m_s of w(mu) = (mu-a)^{q-1} (1-mu)^{1-q} e^{-rho (mu-a)/(1-mu)}
-    on [a, 1], rho = r (alpha+1/2).  Integrating mu^s (mu-a) (1-mu)^2 w' by
-    parts gives, with b = 1-a,
+    With a = (alpha-1/2)/(alpha+1/2), b = 1-a and rho = r (alpha+1/2) the
+    substitution mu = (lam-1/2)/(lam+1/2) makes the entries multiples of the
+    moments m_s of w(mu) = (mu-a)^{q-1} (1-mu)^{1-q} e^{-rho (mu-a)/(1-mu)} on
+    [a, 1].  Integrating mu^s (mu-a) (1-mu)^2 w' by parts gives
 
         (s+3) m_{s+2} - [(s+2)(2+a) + b(q-1+rho)] m_{s+1}
             + [(s+1)(1+2a) + b(q-1+rho a)] m_s - s a m_{s-1} = 0,
 
-    whose s = 0 row has no m_{-1}: two entries fix the solution.  Two of its
-    solutions go like e^{-+2 sqrt(r s)} (rho b = r), and the moments are the
-    decaying one (Gautschi, SIAM Review 9, 1967; Wimp, 1984).  Up to r smax =
-    _FORWARD_RS the other one grows by at most e^8 over the section, and the
-    entries run forward from the quadrature entries m_0 and d_0 = m_0 - m_1 =
-    <part, (lam+1/2)^{-3}>, in the differences d_s = m_s - m_{s+1}:
+    whose s = 0 row has no m_{-1}: m_0 and d_0 = m_0 - m_1 fix the solution,
+    and it runs forward in the differences d_s = m_s - m_{s+1}:
 
         (s+3) d_{s+1} = [s+1 + a(s+2) + b(q-1+rho)] d_s - s a d_{s-1} - r b m_s.
 
-    The coefficients of the recurrence sum to -r b, so its characteristic
-    roots are 1, 1 and a up to O(r); on the m_s themselves each step cancels
-    against the double root, and at r = 1e-3, N = 1024 and q = 2.5 that lost
-    up to 5e-10 of max|m|, against 1e-13 in the differences.  Beyond
-    _FORWARD_RS the entries solve the recurrence as a boundary-value problem
-    from m_0 and m_S = 0 (``_minimal_moment_ratios``).  The quadrature
-    entries take atol 1e-13: the recurrence carries their error along.
+    Its characteristic roots are 1, 1 and a up to O(r).  On the m_s each step
+    cancels against the double root: at r = 1e-3, N = 1024 and q = 2.5 that
+    lost up to 5e-10 of max|m|, against 1e-13 in the differences.
+
+    With r = 0 the starts are closed forms, m_0 = c (alpha+1/2)^{q-1} b
+    Gamma(2-q) and d_0 = b (1 - q/2) m_0, for q < 0 the analytic continuation
+    in q, which is the finite part; for q >= 2 DecayError.  Against a 50-digit
+    2F1 closed form up to s = 2046 the differences are better than the
+    three-term recurrence on the m_s at large alpha, where that one drifts:
+    7.9e-14 against 2.6e-12 of max|m| at (q, alpha) = (1.9, 20).  They are
+    worse at alpha = 0 (a = -1): 3.6e-14 against 4.4e-17 at q = 0.5, and
+    Carleman entries 1.4e-15 off their closed form against 1.1e-17.
+
+    With r > 0 two solutions go like e^{-+2 sqrt(r s)} (rho b = r), and the
+    moments are the decaying one (Gautschi, SIAM Review 9, 1967; Wimp, 1984).
+    Up to r smax = _FORWARD_RS the other one grows by at most e^8 over the
+    section, and the entries run forward from the quadrature entries m_0 and
+    d_0 = <part, (lam+1/2)^{-3}> at atol 1e-13, whose error the recurrence
+    carries along.  Beyond it they solve the recurrence as a boundary-value
+    problem from m_0 and m_S = 0 (``_minimal_moment_ratios``).
     """
-    sig = SigmaDistribution((part,))
-    e0, e00 = _NORMALISERS
-    f0 = sigma_pair(sig, e0, e0, 1e-13)
+    q, r = part.q, part.r
     b = 1.0 / (part.alpha + 0.5)
     a = (part.alpha - 0.5) * b
-    c1 = b * (part.q - 1.0) + part.r  # b (q-1+rho)
-    if part.r * smax > _FORWARD_RS:
-        return f0 * _minimal_moment_ratios((a, c1, c1 - part.r * b), smax)
-    m, d = array("d", [1.0]), array("d", [(sigma_pair(sig, e0, e00, 1e-13) / f0).real])
+    c1, rb = b * (q - 1.0) + r, r * b  # b (q-1+rho), r b
+    if r:
+        sig = SigmaDistribution((part,))
+        e0, e00 = _NORMALISERS
+        f0 = sigma_pair(sig, e0, e0, 1e-13)
+        if r * smax > _FORWARD_RS:
+            return f0 * _minimal_moment_ratios((a, c1, c1 - rb), smax)
+        d = (sigma_pair(sig, e0, e00, 1e-13) / f0).real
+    elif q >= 2:
+        raise DecayError("pairing integrand ~ lam^%g with no exponential decay" % (q - 3))
+    else:
+        f0 = part.c * (part.alpha + 0.5) ** (q - 1.0) * b * math.gamma(2.0 - q)
+        d = b * (1.0 - 0.5 * q)
+    m, mc, dprev = array("d", [1.0]), 1.0, 0.0
     for s in range(smax):
-        m.append(m[s] - d[s])
-        d.append(((s + 1 + a * (s + 2) + c1) * d[s] - (s * a * d[s - 1] if s else 0.0)
-                  - part.r * b * m[s]) / (s + 3))
+        dnext = ((s + 1 + a * (s + 2) + c1) * d - s * a * dprev - rb * mc) / (s + 3)
+        mc, dprev, d = mc - d, d, dnext
+        m.append(mc)
     return f0 * np.array(m)
 
 
 def _minimal_moment_ratios(coeffs, smax):
     """m_s / m_0, s = 0..smax, of the decaying solution of the recurrence of
-    ``_damped_power_law_moments``, coeffs = (a, b(q-1+rho), b(q-1+rho a)).
+    ``_power_law_moments``, coeffs = (a, b(q-1+rho), b(q-1+rho a)).
 
     With m_0 = 1 and m_S = 0, rows s = 0..S-2 are a banded system in m_1..m_{S-1}
     (two diagonals below, one above), solved by elimination without pivoting:
@@ -261,24 +249,21 @@ def assemble(kernel, n):
     """N x N Laguerre finite section of the kernel's quadratic form.
 
     Entries come from the sigma side: H[j,k] = <sigma, (Le_j)* (Le_k)>, the
-    moments in mu of each part.  A power-law part takes them from a moment
-    recurrence, in closed form with r = 0 (``_power_law_moments``) and from
-    one or two scalar pairings at atol 1e-13 with r > 0
-    (``_damped_power_law_moments``); a delta part from the jets of
-    mu^s (lam+1/2)^{-2} at beta (``_delta_moments``).  Subnormal entries
-    are flushed to 0.  Unbounded-positive kernels are allowed with a warning
-    as long as every entry integral is finite; otherwise FormDomainError.  A
-    size below 1 is a ValueError.
+    moments in mu of each part.  A power-law part takes them from one moment
+    recurrence (``_power_law_moments``), started in closed form with r = 0
+    and from one or two scalar pairings at atol 1e-13 with r > 0; a delta
+    part from the jets of mu^s (lam+1/2)^{-2} at beta (``_delta_moments``).
+    Subnormal entries are flushed to 0.  Unbounded-positive kernels are
+    allowed with a warning as long as every entry integral is finite;
+    otherwise FormDomainError.  A size below 1 is a ValueError.
     """
     if n < 1:
         raise ValueError("section size must be a positive integer, got %r" % (n,))
-    cls = classify(kernel)
-    if cls is Classification.UNBOUNDED_POSITIVE_FORM:
+    if classify(kernel) is Classification.UNBOUNDED_POSITIVE_FORM:
         warnings.warn("assembling finite sections of an unbounded positive form")
     try:
-        f = sum(((_delta_moments if isinstance(p, DeltaCombo) else
-                  _damped_power_law_moments if p.r else _power_law_moments)(p, 2 * n - 2)
-                 for p in sigma_of_kernel(kernel).parts), np.zeros(2 * n - 1))
+        f = sum(((_delta_moments if isinstance(p, DeltaCombo) else _power_law_moments)
+                 (p, 2 * n - 2) for p in sigma_of_kernel(kernel).parts), np.zeros(2 * n - 1))
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
     scale = max(np.max(np.abs(f)), 1e-300)

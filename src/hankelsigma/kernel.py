@@ -9,6 +9,7 @@ power-type behaviour.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass, field
 
@@ -50,6 +51,8 @@ class QuasiCarlemanTerm:
     r: float = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.v0, self.q, self.alpha, self.r))):
+            raise ValueError("quasi-Carleman term needs finite parameters, got %r" % (self,))
         if self.alpha < 0 or self.r < 0:
             raise ValueError("alpha and r must be >= 0")
 
@@ -71,6 +74,8 @@ class FiniteRankTerm:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "beta", complex(self.beta))
+        if not all(map(cmath.isfinite, (self.beta,) + coeffs)):
+            raise ValueError("finite-rank term needs finite coeffs and beta, got %r" % (self,))
         if self.beta.real <= 0:
             raise ValueError("finite-rank term needs Re beta > 0")
         if all(c == 0 for c in self.coeffs):

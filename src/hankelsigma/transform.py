@@ -84,6 +84,9 @@ class LogGrid:
     def __post_init__(self):
         if self.count < 16 or self.count & (self.count - 1):
             raise ValueError("count must be a power of two >= 16")
+        if not -np.inf < self.x_min < self.x_max < np.inf:  # false for a nan too
+            raise ValueError("grid needs finite x_min < x_max, got [%r, %r]"
+                             % (self.x_min, self.x_max))
 
     @property
     def dx(self):

@@ -251,6 +251,9 @@ def test_verify_identity_nan_residual_exits_3(tmp_path, monkeypatch):
     spec = _write(tmp_path, "k.json", CARLEMAN)
     assert main(["verify", "identity", "--spec", spec, "--out", str(tmp_path / "o"),
                  "--count", "3"]) == EXIT_TOLERANCE
+    # the report stays strict JSON: the nan is written as null, not as a bare NaN
+    text = (tmp_path / "o" / "verify_identity.json").read_text()
+    assert json.loads(text, parse_constant=pytest.fail)["max_residual"] is None
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

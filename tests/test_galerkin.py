@@ -16,7 +16,7 @@ from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROU
                                   CertificateInputError, FiniteSection, _certify_gaussian,
                                   _certify_interpolation, _certify_window,
                                   _end_moment, _end_spec, _first_success, _gauss_moment,
-                                  _damped_power_law_moments, _delta_moments, _gaussian_end,
+                                  _delta_moments, _gaussian_end,
                                   _gram, _interpolation_ends, _power_law_moments, _s0_pair_x,
                                   _section_spectra, _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
@@ -188,7 +188,7 @@ def _damped_mpmath(mp, q, alpha, r, s):
 def test_damped_moments_match_mpmath(q, r):
     mp = pytest.importorskip("mpmath")
     part = (RegularDensity if q > 0 else RegularizedPower)(1.0, q, 1.0, r)
-    got = _damped_power_law_moments(part, 2046).real
+    got = _power_law_moments(part, 2046).real
     top = np.max(np.abs(got))
     with mp.workdps(45):
         for s in (0, 1, 40, 2046):
@@ -204,7 +204,7 @@ def test_damped_moments_match_scalar_pairings(q, alpha, r):
     n = 24
     part = (RegularDensity if q > 0 else RegularizedPower)(0.7, q, alpha, r)
     ref = _scalar_entries(part, 2 * n - 2)
-    got = _damped_power_law_moments(part, 2 * n - 2)
+    got = _power_law_moments(part, 2 * n - 2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -250,6 +250,25 @@ def test_moment_recurrence_near_q_2_matches_jacobi_weight_quadrature(q, alpha):
                               epsabs=1e-15, epsrel=1e-14)
         want = m * (alpha + 0.5) ** (q - 1) / math.gamma(q)
         assert abs(got[s] - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("q, alpha", [(1.9, 20.0), (1.5, 20.0), (1.9, 3.0), (1.0, 20.0),
+                                      (0.5, 20.0), (-1.5, 20.0)])
+def test_moment_recurrence_matches_hypergeometric_closed_form(q, alpha):
+    # m_s = c (alpha+1/2)^{q-1} b Gamma(2-q) a^s 2F1(-s, q; 2; -b/a), b = 1/(alpha+1/2),
+    # a = (alpha-1/2) b: at large alpha a three-term recurrence on m_s drifts to
+    # 2.6e-12 of max|m| by s = 2046
+    mp = pytest.importorskip("mpmath")
+    part = (RegularDensity if q > 0 else RegularizedPower)(1.3, q, alpha)
+    got = _power_law_moments(part, 2046).real
+    top = np.max(np.abs(got))
+    with mp.workdps(50):
+        b = 1 / (mp.mpf(alpha) + 0.5)
+        a = (mp.mpf(alpha) - 0.5) * b
+        m0 = mp.mpf(1.3) * (mp.mpf(alpha) + 0.5) ** (q - 1) * b * mp.gamma(2 - mp.mpf(q))
+        for s in (1, 7, 60, 400, 1200, 2046):
+            want = m0 * a ** s * mp.hyp2f1(-s, q, 2, -b / a)
+            assert abs(got[s] - float(want)) <= 2e-13 * top
 
 
 def test_assemble_single_entry():

@@ -81,6 +81,18 @@ def test_integer_exponent_normalizes_to_finite_rank():
     assert np.max(np.abs(np.array(term.coeffs) - want) / np.abs(want)) <= 1e-15
 
 
+@pytest.mark.parametrize("make", [
+    lambda x: quasi_carleman(x, 1.0), lambda x: quasi_carleman(1.0, x),
+    lambda x: quasi_carleman(1.0, 1.0, x), lambda x: quasi_carleman(1.0, 1.0, 0.0, x),
+    lambda x: finite_rank([1.0, x], 1.0), lambda x: finite_rank([1.0], x),
+    lambda x: finite_rank([1.0], complex(1.0, x))])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_terms_refuse_non_finite_parameters(make, value):
+    # a nan alpha used to classify as BOUNDED and fail later in LAPACK
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
 def test_same_beta_terms_merge():
     k = finite_rank([2.0], 1.0) + finite_rank([-1.0], 1.0)
     assert len(k.fr_terms) == 1 and k.fr_terms[0].coeffs == (1.0,)

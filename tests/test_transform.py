@@ -433,3 +433,11 @@ def test_grid_validation():
         LogGrid(0.0, 1.0, 100)  # not a power of two
     g = LogGrid(-2.0, 2.0, 16)
     assert len(g.xs) == 16 and g.dx == 0.25
+
+
+@pytest.mark.parametrize("x_min, x_max", [(5.0, -5.0), (1.0, 1.0), (math.nan, 1.0),
+                                          (-math.inf, 1.0), (0.0, math.inf)])
+def test_grid_refuses_an_empty_reversed_or_infinite_range(x_min, x_max):
+    # a reversed range had dx < 0, and every transform ran on it
+    with pytest.raises(ValueError, match="x_min < x_max"):
+        LogGrid(x_min, x_max, 64)
