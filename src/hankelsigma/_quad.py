@@ -14,7 +14,12 @@ and 48-point Gauss-Legendre rules together, and is accepted when |G48 - G24|
 <= max(budget, 50 eps M), where M, the 48-point rule applied to |f|, is the
 panel's absolute mass.  That floor is the roundoff stop of QUADPACK
 (Piessens et al., 1983): bisection never chases rounding noise.  A
-tanh-sinh halving stops on the same floor.
+tanh-sinh halving stops on the same floor.  A tanh-sinh rule's first
+integrand call evaluates levels 0 to 3 together, 147 nodes (148 with the
+probe of ``semi_infinite``), and each level's sum and mass read only its
+own slice, so value and stop are those of one call per level.  A call
+costs more in overhead than in nodes, and most rules stop by level 3;
+every later level is one call.
 
 Two ``RuntimeWarning``s say when a rule returns short of its tolerance:
 ``adaptive_gl`` when it accepts panels at ``_MAX_DEPTH`` above both budget
@@ -58,6 +63,7 @@ _NOISE = 50 * np.finfo(float).eps
 _MAX_DEPTH = 11  # bisections of an adaptive panel
 _TINY = 1e-280  # least tanh-sinh node on [0, 1]: u^{q-1} and 1/u/u stay in range
 _LEVELS = 10  # halvings of the tanh-sinh step
+_FIRST_LEVELS = 4  # tanh-sinh levels evaluated together in a rule's first call
 
 
 # unused by the rules; perfbench/tracing.py rebinds it, as tests/test_tracing.py checks
@@ -142,15 +148,39 @@ def _ts_level(j):
     return x[keep], w[keep]
 
 
-def _tanh_sinh(g, length, atol, where):
+@functools.cache
+def _ts_first():
+    """Nodes of tanh-sinh levels 0 to _FIRST_LEVELS - 1 concatenated, and
+    the offsets where each level starts and the last one ends."""
+    xs = [_ts_level(j)[0] for j in range(_FIRST_LEVELS)]
+    return np.concatenate(xs), np.cumsum([0] + [len(x) for x in xs]).tolist()
+
+
+def _tanh_sinh(g, length, atol, where, probe=None):
     """Integral of g over [0, length]: level 0, then up to ``_LEVELS``
     halvings until one changes the value by at most atol or by rounding
     noise (50 eps times the rule applied to |g|), else a warning that
-    names ``where``."""
+    names ``where``.
+
+    The first call of g evaluates levels 0 to _FIRST_LEVELS - 1 together,
+    each level's sum and mass read from its own slice; every later level
+    is one call.  ``probe(v)``, when given, receives v = g(_TINY), taken at
+    the end of the first call, before any level's sum is used.
+    """
+    x, starts = _ts_first()
+    nodes = length * x
+    if probe is not None:
+        nodes = np.append(nodes, _TINY)
+    head = np.asarray(g(nodes))
+    if probe is not None:
+        probe(head[-1])
     total = mass = 0.0
     for j in range(_LEVELS + 1):
         x, w = _ts_level(j)
-        vals = np.asarray(g(length * x))
+        if j < _FIRST_LEVELS:
+            vals = head[starts[j]:starts[j + 1]]
+        else:
+            vals = np.asarray(g(length * x))
         refined = 0.5 * total + length * (vals @ w)
         mass = 0.5 * mass + length * (np.abs(vals) @ w)
         change, total = abs(refined - total), refined
@@ -167,8 +197,11 @@ def tanh_sinh_left(f, a, b, atol=1e-12):
     f is called on u = x - a, stable down to u ~ 1e-280, so factors like
     u^{q-1} keep their digits.  The step starts at 0.5 and halves at most 10
     times; a ``RuntimeWarning`` says when the last halving still changed the
-    value by more than ``atol`` and its rounding floor.
+    value by more than ``atol`` and its rounding floor.  An empty range,
+    b == a, gives 0.0 with no call of f.
     """
+    if b == a:
+        return 0.0
     return _tanh_sinh(f, b - a, atol, "tanh_sinh_left on [%g, %g]" % (a, b))
 
 
@@ -180,8 +213,13 @@ def semi_infinite(f, a, atol=1e-13):
     out a layer there.  A nan of f (0 * inf, as lam^{q-1} e^{-r lam} at lam
     ~ 1e280) counts as 0; an infinite value raises ``DivergentIntegralError``,
     and so does u |g(u)|, about the mass below u, above atol at the smallest
-    node u = 1e-280, checked first: 1/x raises, x^{-1.05} integrates to 20.
+    node u = 1e-280, evaluated in the first call and checked before any
+    level's sum is used: 1/x raises, x^{-1.05} integrates to 20.  A start
+    a <= -1/2 raises ``ValueError``.
     """
+    if not a > -0.5:
+        raise ValueError("semi_infinite needs a > -1/2, got a = %g" % a)
+
     def g(u):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(f(1.0 / u - 0.5)) / u / u
@@ -190,8 +228,10 @@ def semi_infinite(f, a, atol=1e-13):
             raise DivergentIntegralError("tail contributions are not decaying on [%g, inf)" % a)
         return vals
 
-    edge = _TINY * abs(g(np.array([_TINY]))[0])
-    if edge > atol:
-        raise DivergentIntegralError("tail on [%g, inf) decays too slowly: mass ~%.3g "
-                                     "beyond lam = 1e280" % (a, edge))
-    return _tanh_sinh(g, 1.0 / (a + 0.5), atol, "semi_infinite on [%g, inf)" % a)
+    def probe(v):
+        edge = _TINY * abs(v)
+        if edge > atol:
+            raise DivergentIntegralError("tail on [%g, inf) decays too slowly: mass ~%.3g "
+                                         "beyond lam = 1e280" % (a, edge))
+
+    return _tanh_sinh(g, 1.0 / (a + 0.5), atol, "semi_infinite on [%g, inf)" % a, probe)

@@ -16,6 +16,7 @@ log-gaussian trial family (sigma side only).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +78,12 @@ class ExpPoly:
 
     def vanishing_order(self):
         """True vanishing order at t = 0: Taylor coefficients below 1e-10 of
-        the summed magnitudes of their contributions cancel to zero."""
+        the summed magnitudes of their contributions cancel to zero.
+        Computed once per ExpPoly; equality and hashing see only ``terms``."""
+        return self._vanishing_order
+
+    @functools.cached_property
+    def _vanishing_order(self):
         count = max(m for _, m, _ in self.terms) + 8
         coeffs = np.zeros(count, dtype=complex)
         scales = np.zeros(count)

@@ -355,10 +355,13 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
             return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
 
         def psi_jets(order, _p=part):
-            damp = np.zeros(order + 1, complex)
-            damp[1] = -_p.r
             with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
-                return _jet_mul(prod.jet(_p.alpha, order), Jet(_p.alpha, damp).exp().coeffs)
+                jets = prod.jet(_p.alpha, order)
+                if _p.r == 0:
+                    return jets
+                damp = np.zeros(order + 1, complex)
+                damp[1] = -_p.r
+                return _jet_mul(jets, Jet(_p.alpha, damp).exp().coeffs)
 
         total = total + _density_pair_engine(part, psi, atol, splits, psi_jets)
     return total

@@ -1,5 +1,6 @@
 """Direct and sigma-side quadratic forms, the central identity, witnesses."""
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +57,29 @@ def test_form_direct_examples():
     assert d > 0 and abs(d - s) < 1e-6 * (1 + abs(d))
     # rank one: |w(1)|^2 with w = 1/(lam+1)
     assert form_direct(finite_rank([1.0], 1.0), ExpPoly(((1.0, 0, 1.0),))) == pytest.approx(0.25)
+
+
+def test_vanishing_order_runs_once_per_exp_poly(monkeypatch):
+    runs = []
+    body = ExpPoly._vanishing_order.func
+
+    def counted(self):
+        runs.append(self)
+        return body(self)
+
+    memo = functools.cached_property(counted)
+    memo.__set_name__(ExpPoly, "_vanishing_order")
+    monkeypatch.setattr(ExpPoly, "_vanishing_order", memo)
+    f = ExpPoly(((1.0, 1, 1.0), (-1.0, 1, 2.0)))  # t (e^{-t} - e^{-2t}) ~ t^2
+    twin = ExpPoly(f.terms)
+    kern = quasi_carleman(1.0, 3.0)  # r = 0: the direct side checks the order
+    for _ in range(2):
+        form_direct(kern, f)
+        form_sigma(kern, f)
+    assert f.vanishing_order() == 2
+    assert len(runs) == 1 and runs[0] is f
+    # the memo is no field: equality and hashing still see only the terms
+    assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
 
 
 def test_exp_poly_refuses_fractional_powers():

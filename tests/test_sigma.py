@@ -14,8 +14,8 @@ from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError, Regula
                                RegularizedPower, SigmaDistribution, _SpecProduct,
                                group_sign_matrix, matrix_inertia, sigma_of_kernel,
                                sigma_pair, sign_matrix)
-from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
-                                 fs_affine, fs_const, fs_var, laguerre_image)
+from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec, Jet,
+                                 _jet_mul, fs_affine, fs_const, fs_var, laguerre_image)
 from hankelsigma.kernel import UndefinableKernelError
 
 
@@ -100,6 +100,26 @@ def test_pair_regularized_matches_direct_oracle():
     sig = sigma_of_kernel(quasi_carleman(1.0, -0.5, 1.0, 0.0))
     val = sigma_pair(sig, laguerre_image(0), laguerre_image(0)).real
     assert abs(val - oracle) < 1e-9
+
+
+def test_undamped_finite_part_skips_the_damping_jet(monkeypatch):
+    exps = []
+    exp = Jet.exp
+    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(self) or exp(self))
+    w = laguerre_image(2)
+    val = sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.0)), w, w)
+    assert exps == []
+    sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.5)), w, w)
+    assert len(exps) == 1  # r > 0 still multiplies by the jet of e^{-r(lam - alpha)}
+    # bitwise the pairing whose test-product jets were multiplied by the unit jet
+    jet = _SpecProduct.jet
+
+    def times_unit(self, center, order):
+        return _jet_mul(jet(self, center, order), np.eye(1, order + 1, dtype=complex)[0])
+
+    monkeypatch.setattr(_SpecProduct, "jet", times_unit)
+    ref = sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.0)), w, w)
+    assert np.array(val).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("q", [-3.5, -2.5, -1.5, -0.5, 0.5, 1.0, 1.5, 2.5])
