@@ -84,9 +84,12 @@ def adaptive_gl(f, a, b, atol=1e-12, knots=None):
     budget or within the rounding floor 50 eps times the 48-point rule of
     |f| on the panel.  Panels still above both at depth ``_MAX_DEPTH`` are
     accepted too, and a call that accepts any raises one ``RuntimeWarning``
-    with their number and worst error/budget ratio.
+    with their number and worst error/budget ratio.  An empty range, b == a,
+    gives 0.0 with no call of f; a reversed one, b < a, raises ``ValueError``.
     """
-    if b <= a:
+    if b < a:
+        raise ValueError("adaptive_gl needs a <= b, got [%g, %g]" % (a, b))
+    if b == a:
         return 0.0
     pts = [a, b]
     if knots is not None:
@@ -197,9 +200,11 @@ def tanh_sinh_left(f, a, b, atol=1e-12):
     f is called on u = x - a, stable down to u ~ 1e-280, so factors like
     u^{q-1} keep their digits.  The step starts at 0.5 and halves at most 10
     times; a ``RuntimeWarning`` says when the last halving still changed the
-    value by more than ``atol`` and its rounding floor.  An empty range,
-    b == a, gives 0.0 with no call of f.
+    value by more than ``atol`` and its rounding floor.  Ranges as in
+    ``adaptive_gl``: b == a gives 0.0 with no call of f, b < a raises.
     """
+    if b < a:
+        raise ValueError("tanh_sinh_left needs a <= b, got [%g, %g]" % (a, b))
     if b == a:
         return 0.0
     return _tanh_sinh(f, b - a, atol, "tanh_sinh_left on [%g, %g]" % (a, b))

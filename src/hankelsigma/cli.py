@@ -250,7 +250,8 @@ def _section_report(report, kern, sizes):
     """Write ``kern``'s prediction (null for a shape with no theorem; a failed
     precondition raises first) and, unless ``sizes`` (``_section_sizes``
     items) is None, its section counts with each size's margin from the
-    inertia threshold (> 0 when certified) and the flag of a saturated
+    inertia threshold (> 0 when the eigensolver's rounding cannot move the
+    count, the entries' own error aside) and the flag of a saturated
     sketch; returns the estimate."""
     try:
         report["prediction"] = predict_kernel(kern).to_json()

@@ -68,7 +68,7 @@ import numpy as np
 
 from . import _quad
 from .form import FormDomainError
-from .kernel import Classification, classify
+from .kernel import Classification, Kernel, QuasiCarlemanTerm, classify
 from .predict import predict_quasi_carleman
 from .sigma import (DecayError, DeltaCombo, RegularDensity, SigmaDistribution, _PowerLaw,
                     _SpecProduct, _inertia, group_sign_matrix, sigma_of_kernel, sigma_pair)
@@ -77,7 +77,7 @@ from .special import (FExp, FLog, FPoly, FPow, FProd, FSum, Jet, _fit, _shift_po
 # Imported by name and called through this module's globals: the benchmark's
 # tracer (perfbench/tracing.py) wraps the jet helpers and the pairing engines as
 # galerkin attributes.
-from .sigma import _delta_pair_engine, _density_pair_engine, _splits
+from .sigma import _delta_pair_engine, _density_pair_engine
 from .special import _jet_mul, _jet_recip
 
 __all__ = [
@@ -329,7 +329,8 @@ class NegCountEstimate:
     value: int | None
     history: tuple  # (size, n_minus, n_plus) triples
     max_eigs: tuple  # largest eigenvalue of each section in ``history``
-    margins: tuple  # each section's ``_inertia`` margin: > 0 when its count is certified
+    # ``_inertia`` margins: > 0 when eigensolver rounding cannot move a count (entry errors aside)
+    margins: tuple
     dense_fallback: bool  # the sketch of ``_section_spectra`` saturated: every size is dense
 
     def to_json(self):
@@ -712,9 +713,9 @@ def _s0_pair_x(s0_parts, u1, u2, atol):
     """integral sigma0(e^{-x}) conj(u1) u2 dx at ``atol``, paired in lam = e^{-x} (dx = -dlam/lam)
     by each part's ``_density_pair_engine``: tanh-sinh at alpha, the ends' knots at e^{-knot}."""
     prod = _SpecProduct(u1, u2)
-    return sum(_density_pair_engine(
-        p, lambda lam, p=p: np.exp(p.r * (p.alpha - lam)) * prod(-np.log(lam)) / lam,
-        atol, _splits(p.alpha, np.exp(-np.asarray(prod.knots)))) for p in s0_parts)
+    knots = np.exp(-np.asarray(prod.knots))
+    return sum(_density_pair_engine(p, lambda lam: prod(-np.log(lam)) / lam, knots, atol)
+               for p in s0_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +725,11 @@ def _s0_pair_x(s0_parts, u1, u2, atol):
 def certificate(h0, v, target):
     """Certify N_minus(h0 + v) >= target by an explicit negative subspace.
 
-    The perturbation picks the trial construction: interpolation for a
-    finite-rank ``v``; for a single quasi-Carleman term, the polynomial
-    window when q < 0 is fractional and its predicted finite count reaches
-    ``target``, else the gaussian family.  Returns the first successful
+    ``v`` is a Kernel or one QuasiCarlemanTerm, wrapped as ``Kernel((v,))``.
+    It picks the trial construction: interpolation for a finite-rank ``v``
+    (an integer q <= 0 with alpha > 0 too); for one quasi-Carleman term,
+    the polynomial window when q < 0 is fractional and its predicted finite
+    count reaches ``target``, else the gaussian family.  Returns the first successful
     Certificate along the shrinking-eps schedule, else the one with the
     largest count (check ``.success``).  The interpolation construction
     needs an ``h0`` whose sigma is a density (q > 0 parts only), and the
@@ -736,6 +738,8 @@ def certificate(h0, v, target):
     """
     if target < 1:
         raise CertificateInputError("target must be >= 1")
+    if isinstance(v, QuasiCarlemanTerm):
+        v = Kernel((v,))
     if v.fr_terms and not v.qc_terms:
         sig0 = sigma_of_kernel(h0)
         if not all(isinstance(p, RegularDensity) for p in sig0.parts):

@@ -12,9 +12,9 @@ The sigma distribution of a kernel comes in three part-kinds:
 
 Pairings ``<sigma, w1* w2>`` are sesquilinear (antilinear in w1).  Both
 power-law kinds pair through one engine, which folds the exponential into
-the test function; only its piece near alpha depends on q, and for a
-RegularizedPower that piece is an analytic series, with the Taylor
-polynomial subtracted beyond it.  DeltaCombo pairings are exact jet
+the test product's values and jets; only its piece near alpha depends on
+q, and for a RegularizedPower that piece is an analytic series, with the
+Taylor polynomial subtracted beyond it.  DeltaCombo pairings are exact jet
 arithmetic at beta.
 
 Sign-matrices of finite-rank kernels are assembled from the exponential-
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _quad
 from .kernel import Kernel, QuasiCarlemanTerm, FiniteRankTerm, UndefinableKernelError
-from .special import Jet, _jet_mul
+from .special import _jet_mul
 
 __all__ = [
     "RegularDensity",
@@ -202,9 +202,10 @@ def sigma_of_kernel(kernel: Kernel) -> SigmaDistribution:
 #                            ValueError when no such bound is known;
 #   prod.knots               real points where prod is narrow.
 #
-# A delta part reads only the jets.  The dispatch folds each power-law part's
-# e^{-r(lam-alpha)} into the product and hands it to the one power-law engine,
-# which asks for the product's jets at alpha only for a finite part.  The
+# A delta part reads only the jets.  The dispatch hands each power-law part the
+# undamped product's values, knots and jet method; the one power-law engine
+# folds e^{-r(lam-alpha)} into values and jets itself, places the split
+# points, and asks for the jets at alpha only for a finite part.  The
 # Laguerre sections of ``galerkin`` take their entries as moments in mu and
 # call the delta engine on their own jets.
 # ---------------------------------------------------------------------------
@@ -226,32 +227,25 @@ def _check_density_decay(q, r, prod):
         )
 
 
-def _splits(alpha, knots):
-    """(knots, near_end, far_start, d0) of the power-law engine, offsets from
-    alpha: the knots above alpha, the end of a density's singular-end piece
-    min(1, nearest knot), the start of the tail (1, or twice the farthest
-    knot) and the finite part's series radius min(0.5, nearest knot / 4)."""
-    knots = sorted(h - alpha for h in knots if h > alpha)
-    near_end = min([1.0] + knots[:1])
-    far_start = max([1.0] + [2.0 * h for h in knots])
-    d0 = min([0.5] + [0.25 * h for h in knots[:1]])
-    return knots, near_end, far_start, d0
+def _density_pair_engine(part, prod, knots, atol, jet=None):
+    """c/Gamma(q) integral_0^inf u^{q-1} e^{-ru} prod(alpha+u) du, for q < 0 its finite part.
 
-
-def _density_pair_engine(part, psi, atol, splits, psi_jets=None):
-    """c/Gamma(q) integral_0^inf u^{q-1} psi(alpha+u) du, for q < 0 its finite part.
-
-    ``psi`` maps a lambda array to its values and must already contain the
-    e^{-r(lam-alpha)} factor; ``splits``: _splits; ``psi_jets(order)``, asked
-    for only when q < 0: the Taylor coefficients of psi at alpha.  Only the
-    near piece depends on q: tanh-sinh on [0, near_end] for every q > 0,
-    whose end at 0 is singular or not; for q < 0 the series of
-    _regularized_pair_engine, past which the Taylor polynomial T of order
-    floor(-q) is subtracted up to far_start, and the finite part of
-    u^{q-1} T(u) on [0, far_start] added back in closed form.
+    ``prod``: the undamped test product's values on a lambda array; ``knots``:
+    lambda points where it is narrow; ``jet(alpha, order)``, asked for only
+    when q < 0: its Taylor coefficients.  The engine folds e^{-r(lam-alpha)}
+    into both (no factor at r = 0).  The knots above alpha end the near piece
+    at u = min(1, nearest), start the tail at max(1, twice the farthest) and
+    bound a finite part's series radius by min(0.5, nearest / 4).  Only the
+    near piece depends on q: tanh-sinh for q > 0, singular at 0 or not; for
+    q < 0 the series of _regularized_pair_engine, past which the Taylor
+    polynomial T of order floor(-q) is subtracted up to far_start, and the
+    finite part of u^{q-1} T(u) on [0, far_start] added back in closed form.
     """
-    a, q = part.alpha, part.q
-    hs, near_end, far_start, d0 = splits
+    a, q, r = part.alpha, part.q, part.r
+    hs = sorted(h - a for h in knots if h > a)
+    near_end = min([1.0] + hs[:1])
+    far_start = max([1.0] + [2.0 * h for h in hs])
+    psi = prod if r == 0 else (lambda lam: np.exp(-r * (lam - a)) * prod(lam))
 
     def g(u):
         return u ** (q - 1) * psi(a + u)
@@ -259,7 +253,14 @@ def _density_pair_engine(part, psi, atol, splits, psi_jets=None):
     g_mid, back = g, 0.0
     if q < 0:
         ps = np.arange(part.order + 1)
-        jets = np.asarray(psi_jets(part.order + _SERIES_EXTRA))
+        with np.errstate(over="ignore", invalid="ignore"):  # _regularized_pair_engine names an overflow
+            jets = np.asarray(jet(a, part.order + _SERIES_EXTRA))
+            if r:
+                damp = np.ones(len(jets))  # (-r)^k/k!, the jet of e^{-r(lam-alpha)}
+                for k in range(1, len(jets)):
+                    damp[k] = damp[k - 1] * -r / k
+                jets = _jet_mul(jets, damp)
+        d0 = min([0.5] + [0.25 * h for h in hs[:1]])
         near, near_end = _regularized_pair_engine(part, psi, jets, atol, d0)
         taylor = jets[: len(ps)]
 
@@ -337,8 +338,8 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
 
     w1, w2 are FunctionSpec tests analytic on Re lam > 0 with enough decay.
     Their ``knots`` become quadrature breakpoints and bound the series radius
-    of a q < 0 finite part (``_splits``): a feature within 0.5 of alpha that
-    no knot marks goes unseen.
+    of a q < 0 finite part (``_density_pair_engine``): a feature within 0.5
+    of alpha that no knot marks goes unseen.
     """
     prod = _SpecProduct(w1, w2)
     total = 0.0 + 0.0j
@@ -349,21 +350,7 @@ def sigma_pair(sig, w1, w2, atol=1e-10):
         if not isinstance(part, _PowerLaw):
             raise TypeError("unknown sigma part %r" % (part,))
         _check_density_decay(part.q, part.r, prod)
-        splits = _splits(part.alpha, prod.knots)
-
-        def psi(lam, _p=part):
-            return np.exp(-_p.r * (lam - _p.alpha)) * prod(lam)
-
-        def psi_jets(order, _p=part):
-            with np.errstate(over="ignore", invalid="ignore"):  # the engine names an overflow
-                jets = prod.jet(_p.alpha, order)
-                if _p.r == 0:
-                    return jets
-                damp = np.zeros(order + 1, complex)
-                damp[1] = -_p.r
-                return _jet_mul(jets, Jet(_p.alpha, damp).exp().coeffs)
-
-        total = total + _density_pair_engine(part, psi, atol, splits, psi_jets)
+        total = total + _density_pair_engine(part, prod, prod.knots, atol, prod.jet)
     return total
 
 

@@ -20,7 +20,7 @@ from hankelsigma.galerkin import (_GH_CLEAR, _GH_NODES, _INTERPOLATION_EPS, _ROU
                                   _gram, _interpolation_ends, _power_law_moments, _s0_pair_x,
                                   _section_spectra, _sign_directions, assemble,
                                   certificate, section_inertia, stabilized_negcount)
-from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError,
+from hankelsigma.kernel import (FiniteRankTerm, Kernel, NonSelfAdjointError, QuasiCarlemanTerm,
                                 carleman, finite_rank, quasi_carleman)
 from hankelsigma.predict import predict_finite_rank
 from hankelsigma.sigma import (DeltaCombo, RegularDensity, RegularizedPower, SigmaDistribution,
@@ -705,6 +705,15 @@ def test_gaussian_certificate_refuses_alpha_0():
     # to stop in math.log(0) with a bare "math domain error"
     with pytest.raises(CertificateInputError, match="alpha = 0"):
         certificate(carleman(), quasi_carleman(-2.0, 1.0, 0.0, 0.0), 1)
+
+
+def test_certificate_accepts_a_bare_term():
+    # as predict_perturbed does: a fractional term takes the gaussian family,
+    # an integer q = -k <= 0 term is finite rank and takes interpolation
+    cert = certificate(carleman(), QuasiCarlemanTerm(-1.0, -1.5, 1.0, 0.0), 2)
+    assert cert.success and cert.kind == "gaussian-family" and cert.achieved >= 2
+    cert = certificate(carleman(), QuasiCarlemanTerm(-1.0, -2.0, 1.0, 0.0), 1)
+    assert cert.success and cert.kind == "interpolation" and cert.achieved >= 1
 
 
 def test_certificate_target_validation():

@@ -234,4 +234,10 @@ def test_degenerate_ranges():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert tanh_sinh_left(g, 1.0, 1.0) == 0.0
+        assert adaptive_gl(g, 1.0, 1.0) == 0.0
+    # a reversed range is refused by both rules, before f is called on u < 0
+    with pytest.raises(ValueError, match="a <= b"):
+        tanh_sinh_left(g, 1.0, 0.0)
+    with pytest.raises(ValueError, match="a <= b"):
+        adaptive_gl(g, 1.0, 0.0)
     assert sizes == []

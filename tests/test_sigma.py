@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hankelsigma import sigma
 from hankelsigma.form import ExpPoly, form_direct
 from hankelsigma.galerkin import _power_law_moments, gaussian_trial
 from hankelsigma.kernel import carleman, finite_rank, quasi_carleman
@@ -14,7 +15,7 @@ from hankelsigma.sigma import (DecayError, DeltaCombo, NonHermitianError, Regula
                                RegularizedPower, SigmaDistribution, _SpecProduct,
                                group_sign_matrix, matrix_inertia, sigma_of_kernel,
                                sigma_pair, sign_matrix)
-from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec, Jet,
+from hankelsigma.special import (FExp, FLog, FPoly, FPow, FProd, FunctionSpec,
                                  _jet_mul, fs_affine, fs_const, fs_var, laguerre_image)
 from hankelsigma.kernel import UndefinableKernelError
 
@@ -103,14 +104,43 @@ def test_pair_regularized_matches_direct_oracle():
 
 
 def test_undamped_finite_part_skips_the_damping_jet(monkeypatch):
-    exps = []
-    exp = Jet.exp
-    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(self) or exp(self))
+    # the engine folds e^{-r(lam - alpha)} into the test product's values and
+    # jets itself; at r = 0 it evaluates no exp, and the values and jets that
+    # reach the quadrature are the product's own
+    exps, seen = [], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            exps.append(x)
+            return np.exp(x)
+
+    def spy(part, psi, jets, atol, d0):
+        seen.append((psi, jets))
+        return engine(part, psi, jets, atol, d0)
+
+    engine = sigma._regularized_pair_engine
+    monkeypatch.setattr(sigma, "np", CountingNumpy())
+    monkeypatch.setattr(sigma, "_regularized_pair_engine", spy)
     w = laguerre_image(2)
+    prod, lam = _SpecProduct(w, w), 1.0 + np.geomspace(1e-6, 50.0, 64)
     val = sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.0)), w, w)
+    (psi, jets), = seen
     assert exps == []
-    sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, 0.5)), w, w)
-    assert len(exps) == 1  # r > 0 still multiplies by the jet of e^{-r(lam - alpha)}
+    assert psi(lam).tobytes() == prod(lam).tobytes()
+    assert jets.tobytes() == np.asarray(prod.jet(1.0, len(jets) - 1)).tobytes()
+    # r > 0 damps the values, and multiplies the jets by (-r)^k/k!, the jet of the damping
+    r = 0.5
+    sigma_pair(sigma_of_kernel(quasi_carleman(1.0, -1.5, 1.0, r)), w, w)
+    psi, jets = seen[1]
+    assert exps
+    assert psi(lam).tobytes() == (np.exp(-r * (lam - 1.0)) * prod(lam)).tobytes()
+    k = np.arange(len(jets))
+    damp = (-r) ** k / np.array([math.factorial(i) for i in k], dtype=float)
+    want = _jet_mul(prod.jet(1.0, len(jets) - 1), damp)
+    assert np.max(np.abs(jets - want)) <= 1e-14 * np.max(np.abs(want))
     # bitwise the pairing whose test-product jets were multiplied by the unit jet
     jet = _SpecProduct.jet
 
