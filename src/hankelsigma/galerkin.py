@@ -15,12 +15,14 @@ The counts of nested sections come from their spectra (``_section_spectra``).
 A section is the form compressed onto span{e_0..e_{N-1}}, so by min-max each
 eigenvalue beyond its error is one more dimension of N_-+: the counts are
 lower bounds, and a lower bound is all they need to be.  Sections up to
-4 * 64 get a dense ``eigvalsh``.  Larger ones are sketched once by a seeded
-rank-64 range finder Q, and each leading block is read from the Rayleigh-Ritz
-values of a 64 x 64 compression of it, which by Cauchy interlacing count no
-more than the block.  Only a saturated sketch, all 64 Ritz values of the
-whole section beyond the threshold, sends every size to the dense
-``eigvalsh``.
+4 * 64 get a dense ``eigvalsh``.  Larger ones are sketched by a seeded
+rank-64 range finder in one sweep down the row blocks of the sizes: each
+block's sketch rows extend an orthonormal basis by one TSQR step, its
+64 x 64 compression grows by the products of the block's rows only, and the
+block is read from the Rayleigh-Ritz values of that compression, which by
+Cauchy interlacing count no more than the block.  Only a saturated sketch,
+all 64 Ritz values of the whole section beyond the threshold, sends every
+size to the dense ``eigvalsh``.
 
 Certificates build explicit trial subspaces on which the full quadratic
 form is negative definite, which witnesses N_minus >= dim by the
@@ -59,7 +61,9 @@ ones, plus eps max|G| of rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -157,8 +161,9 @@ def _power_law_moments(part, smax):
         f0 = part.c * (part.alpha + 0.5) ** (q - 1.0) * b * math.gamma(2.0 - q)
         d = b * (1.0 - 0.5 * q)
     m, mc, dprev = array("d", [1.0]), 1.0, 0.0
-    for s in range(smax):
-        dnext = ((s + 1 + a * (s + 2) + c1) * d - s * a * dprev - rb * mc) / (s + 3)
+    sf = np.arange(smax, dtype=float)  # the coefficients of row s, rounded as in the row
+    for cd, cp, den in zip(*map(memoryview, (((sf + 1) + a * (sf + 2)) + c1, sf * a, sf + 3))):
+        dnext = (cd * d - cp * dprev - rb * mc) / den
         mc, dprev, d = mc - d, d, dnext
         m.append(mc)
     return f0 * np.array(m)
@@ -178,26 +183,29 @@ def _minimal_moment_ratios(coeffs, smax):
     a, c1, c2 = coeffs
     eps = np.finfo(float).eps
     u, y = array("d"), array("d")  # 8 bytes a row, no float objects
-    prod = 1.0
-    for s in range(64 * (smax + 64)):
-        diag = -((s + 2) * (2.0 + a) + c1)
-        sub1 = (s + 1) * (1.0 + 2.0 * a) + c2
+    prod, step = 1.0, smax + 64
+    # the coefficients of rows s, step at a time, rounded as in the row
+    rows = itertools.chain.from_iterable(
+        zip(*map(memoryview, (-((sf + 2) * (2.0 + a) + c1), (sf + 1) * (1.0 + 2.0 * a) + c2,
+                              -sf * a, sf + 1, sf + 2, sf + 3)))
+        for sf in (np.arange(lo, lo + step, dtype=float) for lo in range(0, 64 * step, step)))
+    for s, (diag, sub1, sa, s1, s2, s3) in enumerate(rows):
         if s == 0:
             rhs, sub1 = -sub1, 0.0
         elif s == 1:
             rhs = a  # -(-s a) m_0
         else:
-            l2 = -s * a / u[s - 2]  # eliminates m_{s-1} with row s-2
-            sub1 -= l2 * (s + 1)
+            l2 = sa / u[s - 2]  # eliminates m_{s-1} with row s-2
+            sub1 -= l2 * s1
             rhs = -l2 * y[s - 2]
         if s:
             l1 = sub1 / u[s - 1]  # eliminates m_s with row s-1
-            diag -= l1 * (s + 2)
+            diag -= l1 * s2
             rhs -= l1 * y[s - 1]
         u.append(diag)
         y.append(rhs)
         if s >= smax - 1:
-            prod *= abs((s + 3) / diag)
+            prod *= abs(s3 / diag)
             if s >= smax and abs(rhs / diag) * prod <= eps:
                 break
     else:
@@ -255,7 +263,8 @@ def assemble(kernel, n):
     part from the jets of mu^s (lam+1/2)^{-2} at beta (``_delta_moments``).
     Subnormal entries are flushed to 0.  Unbounded-positive kernels are
     allowed with a warning as long as every entry integral is finite;
-    otherwise FormDomainError.  A size below 1 is a ValueError.
+    otherwise FormDomainError.  Entries that overflow to inf or nan are an
+    ArithmeticError, and a size below 1 is a ValueError.
     """
     if n < 1:
         raise ValueError("section size must be a positive integer, got %r" % (n,))
@@ -266,6 +275,11 @@ def assemble(kernel, n):
                  (p, 2 * n - 2) for p in sigma_of_kernel(kernel).parts), np.zeros(2 * n - 1))
     except DecayError as exc:
         raise FormDomainError("Laguerre entries diverge: %s" % exc) from exc
+    bad = np.flatnonzero(~np.isfinite(f))
+    if len(bad):
+        raise ArithmeticError("section entries are not finite: H[j, k] for %d of the %d values "
+                              "of j + k, %s%s" % (len(bad), len(f), bad[:8].tolist(),
+                                                  " ..." if len(bad) > 8 else ""))
     scale = max(np.max(np.abs(f)), 1e-300)
     if np.max(np.abs(f.imag)) > 1e-8 * scale:
         raise ArithmeticError("section entries came out complex; kernel not self-adjoint?")
@@ -279,10 +293,12 @@ _RANK = 64  # columns of the range finder of ``_section_spectra``
 _SEED = 0  # of its Gaussian test matrix, so that reruns are byte-identical
 
 
-def _ritz_values(h, u):
-    """Spectrum of the compression U^T H U, padded with zeros to len(h)."""
-    theta = np.linalg.eigvalsh(u.T @ (h @ u))
-    return np.sort(np.concatenate([theta, np.zeros(len(h) - len(theta))]))
+@functools.lru_cache(maxsize=8)
+def _gaussian_sketch(n):
+    """The read-only n x _RANK test matrix of ``_section_spectra``, one draw per n."""
+    omega = np.random.default_rng(_SEED).standard_normal((n, _RANK))
+    omega.flags.writeable = False
+    return omega
 
 
 def _section_spectra(h, sizes):
@@ -291,29 +307,36 @@ def _section_spectra(h, sizes):
     ``_inertia`` of its spectrum at the error s eps max|theta|.
 
     Up to 4 _RANK rows every block gets a dense ``eigvalsh``.  Larger
-    sections are sketched once, Q = qr(H Omega) with a seeded Gaussian Omega
-    of _RANK columns, and the block of size s is read from its Rayleigh-Ritz
-    values: the spectrum of U^T H_s U, U = qr(Q[:s]) (Q itself for the whole
-    section), padded with zeros.  That is a true compression of H_s, so by
-    Cauchy interlacing #{theta < -x} <= #{lambda(H_s) < -x} for every x >= 0,
-    and the same for the positive side: each count is a lower bound on the
-    block's, and so on the form's N_-+.  Its margin may be negative, and is
-    only reported.  When all _RANK Ritz values of the whole section lie
-    beyond tau the sketch cannot hold the section's numerical rank, and
-    every block gets the dense ``eigvalsh``; dense_fallback says so.
+    sections sketch Y = H Omega, Omega seeded Gaussian of _RANK columns, in
+    one sweep down the row blocks [prev, s) (TSQR; Demmel et al., SIAM J. Sci.
+    Comput. 34, 2012): [A; B] R = qr([R_prev; Y[prev:s]]) makes U_s = [U_prev A;
+    B] an orthonormal basis of range(Y[:s]), and T_s = U_s^T H_s U_s is
+    A^T T_prev A + F + F^T + B^T H[prev:s, prev:s] B, F = B^T H[prev:s, :prev]
+    U_s[:prev]: H is symmetric, so only the block's rows are multiplied.
+    Block s reads the spectrum of T_s, padded with zeros.  That is a true
+    compression of H_s, so by Cauchy interlacing #{theta < -x} <=
+    #{lambda(H_s) < -x} for every x >= 0, and the same for the positive side:
+    each count is a lower bound on the block's, and so on the form's N_-+.
+    Its margin may be negative, and is only reported.  When all _RANK Ritz
+    values of the whole section lie beyond tau the sketch cannot hold the
+    section's numerical rank, and every block gets the dense ``eigvalsh``;
+    dense_fallback says so.
     """
     n, eps = len(h), np.finfo(float).eps
     saturated = False
     if n > 4 * _RANK:
-        omega = np.random.default_rng(_SEED).standard_normal((n, _RANK))
-        q = np.linalg.qr(h @ omega)[0]
-        whole = _ritz_values(h, q)
-        saturated = sum(_inertia(whole)[:2]) == _RANK
+        omega, spectra = _gaussian_sketch(n), []
+        r, u, t = np.empty((0, _RANK)), np.empty((0, 0)), np.empty((0, 0))
+        for prev, s in zip([0, *sizes[:-1]], sizes):
+            qt, r = np.linalg.qr(np.vstack([r, h[prev:s] @ omega]))
+            a, b = qt[:len(t)], qt[len(t):]  # len(T_prev): the rows of R_prev
+            u = np.vstack([u @ a, b])
+            f = b.T @ (h[prev:s, :prev] @ u[:prev])
+            t = a.T @ t @ a + f + f.T + b.T @ (h[prev:s, prev:s] @ b)
+            spectra.append(np.sort(np.concatenate([np.linalg.eigvalsh(t), np.zeros(s - len(t))])))
+        saturated = sum(_inertia(spectra[-1])[:2]) == _RANK
     if n <= 4 * _RANK or saturated:
         spectra = [np.linalg.eigvalsh(h[:s, :s]) for s in sizes]
-    else:
-        spectra = [_ritz_values(h[:s, :s], np.linalg.qr(q[:s])[0]) if s < n else whole
-                   for s in sizes]
     counts = [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
     return spectra, counts, saturated
 
@@ -346,12 +369,16 @@ def stabilized_negcount(kernel, sizes=DEFAULT_SIZES):
 
     Finite(n) when the last three sizes agree; infinite-suspected when the
     count strictly increases across every listed size; undecided otherwise.
-    Repeated sizes count once; fewer than 3 distinct sizes, or a size below
-    1, raise ValueError.  Only the largest section is assembled, the others
-    are its leading blocks, and their spectra come from ``_section_spectra``;
+    Sizes are integers (``operator.index``, a bool is refused) and repeated
+    ones count once; fewer than 3 distinct sizes, or a size below 1, raise
+    ValueError.  Only the largest section is assembled, the others are its
+    leading blocks, and their spectra come from ``_section_spectra``;
     ``max_eigs`` and ``margins`` follow ``history``'s order.
     """
-    sizes = sorted(set(sizes))
+    sizes = tuple(sizes)
+    if any(isinstance(n, bool) for n in sizes):
+        raise ValueError("section sizes must be integers, not bools, got %r" % (sizes,))
+    sizes = sorted(set(map(operator.index, sizes)))
     if len(sizes) < 3:
         raise ValueError("need at least 3 distinct section sizes")
     if sizes[0] < 1:

@@ -380,6 +380,21 @@ def test_verify_witness_command(tmp_path):
     assert report["unbounded"][-1] >= 10 * report["unbounded"][0]
 
 
+@pytest.mark.parametrize("sizes", ["16,32,64", "128,256,512"])
+def test_verify_galerkin_overflowing_entries_exit_3(tmp_path, caplog, sizes):
+    # v0 = 1e308 overflows every section entry: a numerical failure, named
+    # by assemble before any inf reaches a matmul or an eigensolver
+    spec = _write(tmp_path, "k.json", dict(CARLEMAN, v0=1e308, q=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an unbounded positive form
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "galerkin", "--spec", spec, "--out", str(tmp_path / "o"),
+                     "--sizes", sizes])
+    assert code == EXIT_TOLERANCE
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "section entries are not finite" in caplog.records[0].getMessage()
+
+
 def test_verify_witness_unconverged_series_split_exits_3(tmp_path, caplog):
     # alpha = 1e-12: the Taylor coefficients at alpha overflow (the largest
     # finite one is ~4e283), a numerical failure named as such before the

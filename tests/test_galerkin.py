@@ -1,6 +1,7 @@
 """Finite sections, stabilized counts, spectrum study, certificates."""
 
 import importlib.util
+import json
 import math
 import os
 import time
@@ -271,6 +272,99 @@ def test_moment_recurrence_matches_hypergeometric_closed_form(q, alpha):
             assert abs(got[s] - float(want)) <= 2e-13 * top
 
 
+def _reference_power_law_moments(part, smax):
+    """``_power_law_moments`` with its loop reading the row coefficients
+    from s, the loop the coefficient lists must reproduce bit for bit."""
+    q, r = part.q, part.r
+    b = 1.0 / (part.alpha + 0.5)
+    a = (part.alpha - 0.5) * b
+    c1, rb = b * (q - 1.0) + r, r * b
+    if r:
+        sig = SigmaDistribution((part,))
+        e0, e00 = galerkin._NORMALISERS
+        f0 = sigma_pair(sig, e0, e0, 1e-13)
+        if r * smax > galerkin._FORWARD_RS:
+            return f0 * _reference_minimal_moment_ratios((a, c1, c1 - rb), smax)
+        d = (sigma_pair(sig, e0, e00, 1e-13) / f0).real
+    else:
+        f0 = part.c * (part.alpha + 0.5) ** (q - 1.0) * b * math.gamma(2.0 - q)
+        d = b * (1.0 - 0.5 * q)
+    m, mc, dprev = [1.0], 1.0, 0.0
+    for s in range(smax):
+        dnext = ((s + 1 + a * (s + 2) + c1) * d - s * a * dprev - rb * mc) / (s + 3)
+        mc, dprev, d = mc - d, d, dnext
+        m.append(mc)
+    return f0 * np.array(m)
+
+
+def _reference_minimal_moment_ratios(coeffs, smax):
+    """``_minimal_moment_ratios`` with its elimination reading the row
+    coefficients from s."""
+    a, c1, c2 = coeffs
+    eps = np.finfo(float).eps
+    u, y, prod = [], [], 1.0
+    for s in range(64 * (smax + 64)):
+        diag = -((s + 2) * (2.0 + a) + c1)
+        sub1 = (s + 1) * (1.0 + 2.0 * a) + c2
+        if s == 0:
+            rhs, sub1 = -sub1, 0.0
+        elif s == 1:
+            rhs = a
+        else:
+            l2 = -s * a / u[s - 2]
+            sub1 -= l2 * (s + 1)
+            rhs = -l2 * y[s - 2]
+        if s:
+            l1 = sub1 / u[s - 1]
+            diag -= l1 * (s + 2)
+            rhs -= l1 * y[s - 1]
+        u.append(diag)
+        y.append(rhs)
+        if s >= smax - 1:
+            prod *= abs((s + 3) / diag)
+            if s >= smax and abs(rhs / diag) * prod <= eps:
+                break
+    else:
+        raise ArithmeticError("no decaying solution")
+    m = np.empty(s + 3)
+    m[0], m[s + 2] = 1.0, 0.0
+    for k in range(s, -1, -1):
+        m[k + 1] = (y[k] - (k + 3) * m[k + 2]) / u[k]
+    return m[:smax + 1]
+
+
+@pytest.mark.parametrize("q, alpha, r", [
+    (0.5, 0.0, 0.0), (1.9, 20.0, 0.0), (-1.5, 1.0, 0.0), (-2.5, 0.3, 0.0),  # closed-form starts
+    (0.5, 1.0, 1e-3), (-2.5, 1.0, 0.005),  # forward from quadrature starts, r smax <= 16
+    (2.5, 0.1, 1.0), (-2.5, 1.0, 1.0), (0.5, 5.0, 0.05),  # boundary-value problem
+])
+def test_moment_loops_match_their_per_row_references_bitwise(q, alpha, r):
+    # the coefficient lists round each row's coefficients as the row did
+    part = (RegularDensity if q > 0 else RegularizedPower)(0.7, q, alpha, r)
+    for smax in (0, 1, 2, 46, 2046):
+        got, ref = _power_law_moments(part, smax), _reference_power_law_moments(part, smax)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q, alpha, r", [
+    (0.5, 1.0, 0.01),  # runs past the first smax + 64 rows at every smax
+    (2.5, 0.1, 1.0), (-2.5, 1.0, 0.1),
+    (0.5, 1.0, 0.0),  # no decaying solution: the row cap
+])
+def test_olver_elimination_matches_its_per_row_reference_bitwise(q, alpha, r):
+    b = 1.0 / (alpha + 0.5)
+    c1 = b * (q - 1.0) + r
+    coeffs = ((alpha - 0.5) * b, c1, c1 - r * b)
+    for smax in (5, 200, 2046) if r else (5, 200):
+        try:
+            ref = _reference_minimal_moment_ratios(coeffs, smax)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="no decaying solution"):
+                galerkin._minimal_moment_ratios(coeffs, smax)
+            continue
+        assert galerkin._minimal_moment_ratios(coeffs, smax).tobytes() == ref.tobytes()
+
+
 def test_assemble_single_entry():
     kern = carleman() + quasi_carleman(0.5, -1.5, 1.0, 0.0)
     sec = assemble(kern, 1)
@@ -379,6 +473,28 @@ def test_stabilized_rejects_sizes_below_1(sizes):
         stabilized_negcount(carleman(), sizes)
 
 
+def test_stabilized_sizes_are_plain_integers():
+    kern = quasi_carleman(1.0, -0.5, 1.0, 0.0)
+    with pytest.raises(TypeError, match="integer"):
+        stabilized_negcount(kern, (16, 32, 64.0))
+    with pytest.raises(ValueError, match="bool"):
+        stabilized_negcount(kern, (True, 2, 3))  # not the sizes 1, 2, 3
+    est = stabilized_negcount(kern, np.array([16, 32, 64]))
+    assert all(type(h[0]) is int for h in est.history)
+    assert json.loads(json.dumps(est.to_json()))["history"][0][0] == 16
+
+
+@pytest.mark.parametrize("sizes", [(16, 32, 64), (128, 256, 512)])  # dense and sketched
+def test_overflowing_entries_are_a_numerical_failure(sizes):
+    # v0 = 1e308 times Gamma(3/2)/Gamma(1/2) (alpha + 1/2)^{-3/2}: every entry is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an unbounded positive form
+        warnings.simplefilter("error", RuntimeWarning)  # no inf reaches a matmul
+        with pytest.raises(ArithmeticError, match=r"not finite: H\[j, k\] for %d of the %d"
+                           % (2 * sizes[-1] - 1, 2 * sizes[-1] - 1)):
+            stabilized_negcount(quasi_carleman(1e308, 0.5, 0.0, 0.0), sizes)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_assemble_rejects_sizes_below_1(n):
     with pytest.raises(ValueError, match="positive integer, got %d" % n):
@@ -417,6 +533,66 @@ def test_compressed_sections_match_dense(kern, eigvalsh_shapes):
         assert _inertia(ev)[1::-1] == (nneg, npos)
         assert abs(mx - ev[-1]) <= 1e-13 * abs(ev[-1])
         assert margin > 0
+
+
+def _reference_section_spectra(h, sizes):
+    """(spectra, counts) of the sketch with a QR per block: Q = qr(H Omega),
+    and the block of size s read from U^T H_s U, U = qr(Q[:s])."""
+    n, eps = len(h), np.finfo(float).eps
+    omega = np.random.default_rng(galerkin._SEED).standard_normal((n, galerkin._RANK))
+    q = np.linalg.qr(h @ omega)[0]
+    spectra = []
+    for s in sizes:
+        u = np.linalg.qr(q[:s])[0]
+        theta = np.linalg.eigvalsh(u.T @ (h[:s, :s] @ u))
+        spectra.append(np.sort(np.concatenate([theta, np.zeros(s - len(theta))])))
+    return spectra, [_inertia(ev, s * eps * np.max(np.abs(ev))) for s, ev in zip(sizes, spectra)]
+
+
+@pytest.mark.parametrize("kern", [
+    carleman(),
+    carleman() + quasi_carleman(1.0, -1.5, 1.0, 0.0),
+    carleman() + finite_rank([1.0 + 0.5j, -0.3 + 0.2j], 1.0 + 0.7j),
+    quasi_carleman(1.0, -2.5, 1.0, 1.0),
+], ids=["carleman", "fractional", "carleman+pair", "qc(1,-2.5,1,1)"])
+def test_section_sweep_matches_a_qr_per_block(kern):
+    # the TSQR basis U_s spans range(Y[:s]), as qr(Q[:s]) does, also for
+    # blocks below _RANK rows, where U_s is square
+    h = assemble(kern, 1024).matrix
+    dense = {}
+    for sizes in (LARGE_SIZES, (16, 48, 100, 300, 1024)):
+        spectra, counts, saturated = _section_spectra(h, sizes)
+        assert not saturated
+        for s, ev, c, ref_ev, ref_c in zip(sizes, spectra, counts,
+                                           *_reference_section_spectra(h, sizes)):
+            if s not in dense:
+                dense[s] = _inertia(np.linalg.eigvalsh(h[:s, :s]))
+            assert c[:3] == ref_c[:3]
+            assert c[0] <= dense[s][0] and c[1] <= dense[s][1]
+            assert np.max(np.abs(ev - ref_ev)) <= 1e-13 * np.max(np.abs(ref_ev))
+
+
+@pytest.mark.parametrize("sizes", [LARGE_SIZES, (16, 48, 100, 300, 1024)])
+def test_section_sweep_work(monkeypatch, sizes):
+    # one QR row per section row plus at most _RANK rows of R per block
+    # (1,216 at LARGE_SIZES, where a QR of Q and one per block took 1,920),
+    # and one Gaussian draw per section size
+    qr_rows, draws = [], []
+    qr, default_rng = np.linalg.qr, np.random.default_rng
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (qr_rows.append(len(a)), qr(a))[1])
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: (draws.append(seed), default_rng(seed))[1])
+    galerkin._gaussian_sketch.cache_clear()
+    h = _closed_form_carleman(sizes[-1])
+    first = _section_spectra(h, sizes)
+    assert sum(qr_rows) <= sizes[-1] + len(sizes) * galerkin._RANK
+    if sizes == LARGE_SIZES:
+        assert sum(qr_rows) == 1216
+    assert len(qr_rows) == len(sizes)
+    second = _section_spectra(h, sizes)
+    assert draws == [galerkin._SEED]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first[0], second[0]))
+    assert not galerkin._gaussian_sketch(sizes[-1]).flags.writeable
 
 
 def test_full_rank_matrix_falls_back_to_dense(eigvalsh_shapes):
